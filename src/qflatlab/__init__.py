@@ -12,7 +12,7 @@ from .errors import (ArityError, DimensionError, DomainEvalError,
                      QuadratureError, RangeOverflowError, UnknownSymbolError)
 from .fields import (Dimension, FieldCaps, FieldExpression, GridField,
                      RadialProfile, ScalarField, as_dimension, constant_field,
-                     eval_field, field_from_document, field_from_expression,
+                     eval_field, field_from_expression,
                      parse_field, radial_field, restrict_radial, sample_grid)
 from .polynomials import (Polynomial, apply_laplacian_poly, ball_mean_poly,
                           monomials_upto, ph_dimension, poly_gradient,
@@ -21,7 +21,7 @@ from .calculus import (CurvatureReport, PizzettiCoefficients, ball_mean,
                        curvature_report, gradient, laplacian_power,
                        pizzetti_check, pizzetti_coeffs, polyharmonic_density,
                        q_curvature, scalar_curvature)
-from .potential import (AlphaEstimate, KernelTable, PotentialEvaluator,
+from .potential import (AlphaEstimate, PotentialEvaluator,
                         angular_log_kernel, angular_log_kernel_quadrature,
                         log_potential, potential_asymptote,
                         potential_bound_check, total_mass_alpha)
@@ -39,7 +39,7 @@ from .normality import (AnalysisConfig, CohnVossenReport, Decomposition,
                         normality_condition_b, normality_scalar_criterion)
 from .gallery import Fact, GalleryEntry, gallery, gallery_entries, gallery_facts
 from .verification import CaseResult, SuiteSummary, run_case, run_verification_suite
-from .cli import (context_from_document, run_analysis, sweep_csv,
-                  validate_spec_document)
+from .cli import (context_from_document, field_from_document, run_analysis,
+                  sweep_csv, validate_spec_document)
 
 __version__ = "0.1.0"

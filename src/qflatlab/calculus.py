@@ -25,8 +25,8 @@ from .errors import (DimensionError, NotRadialError, QflatError,
 from .fields import Dimension, ScalarField, as_dimension, check_point
 from .polynomials import (Polynomial, apply_laplacian_poly, ball_mean_poly,
                           radial_monomial)
-from .quadrature import (ball_integral_generic, circle_integral,
-                         integrate_radial, offset_ball_integral_radial)
+from .quadrature import (ball_integral_generic, integrate_radial,
+                         offset_ball_integral_radial, sphere_shell)
 
 # ---------------------------------------------------------------------------
 # local Chebyshev fits
@@ -60,31 +60,6 @@ def _fit_power_coeffs(values, degree):
     _, pinv = _cheb_design(n_nodes, degree)
     cheb = values @ pinv.T
     return cheb @ _cheb_to_power(degree).T
-
-
-def chebfit_derivatives(phi, r, max_order=2, rel_window=0.05):
-    """Derivatives phi^(k)(r), k = 0..max_order, via a local fit.
-
-    The window scales with (1 + r) and is shifted to keep all nodes at
-    nonnegative radii.
-    """
-    degree = max_order + 8
-    n_nodes = degree + 6
-    h = max(1e-6, rel_window * (1.0 + r))
-    center = max(r, h)
-    tau, _ = _cheb_design(n_nodes, degree)
-    nodes = center + h * tau
-    vals = np.asarray(phi(nodes), dtype=float)[None, :]
-    coeffs = _fit_power_coeffs(vals, degree)[0]
-    y0 = (r - center) / h
-    out = []
-    c = coeffs
-    h_pow = 1.0
-    for _ in range(max_order + 1):
-        out.append(float(np.polynomial.polynomial.polyval(y0, c)) / h_pow)
-        c = np.polynomial.polynomial.polyder(c)
-        h_pow *= h
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +398,7 @@ def ball_mean(f, center, R, rel_tol=1e-8) -> float:
         return val / vol
     if n == 2:
         def shell(t):
-            t = np.atleast_1d(t)
-            return circle_integral(f, center, t, rel_tol=rel_tol / 10)
+            return sphere_shell(f, n, center, t, rel_tol / 10)
 
         # absolute floor keeps identically-vanishing means convergent
         return integrate_radial(shell, 0.0, R, rel_tol=rel_tol, abs_tol=1e-12) / vol

@@ -20,7 +20,8 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from .errors import InputError, QflatError
-from .fields import Dimension, field_from_expression, RadialProfile, restrict_radial
+from .fields import (Dimension, RadialProfile, ScalarField, field_from_expression,
+                     restrict_radial)
 from .gallery import gallery, gallery_entries
 from .geometry import MetricContext, distance_growth_exponent
 from .normality import AnalysisConfig, analyze_normality, canonical_json
@@ -85,6 +86,11 @@ def context_from_document(doc) -> MetricContext:
     u = prof.to_field(dim)
     return MetricContext(u=u, dim=dim, radial_profile=prof,
                          completeness_hint=hint, label="radial-table")
+
+
+def field_from_document(doc) -> ScalarField:
+    """The conformal factor u of a metric specification document."""
+    return context_from_document(doc).u
 
 
 def _load_spec(path):

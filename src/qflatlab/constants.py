@@ -9,15 +9,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionError
-
-
-def check_even_dimension(n):
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DimensionError(f"dimension must be an integer, got {n!r}")
-    if n < 2 or n % 2 != 0:
-        raise DimensionError(f"dimension must be an even integer >= 2, got {n}")
-    return n
+from .fields import Dimension
 
 
 @dataclass(frozen=True)
@@ -39,7 +31,7 @@ class SphereConstants:
 
 @lru_cache(maxsize=None)
 def sphere_constants(n: int) -> SphereConstants:
-    check_even_dimension(n)
+    Dimension(n)
     s_n = 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
     s_nm1 = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
     omega = math.pi ** (n / 2) / math.gamma(n / 2 + 1)

@@ -9,8 +9,7 @@ stay cheap to evaluate in bulk.
 """
 
 import math
-import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -207,10 +206,6 @@ def radial_field(phi, dim, support_radius=None, laplacian_chain=None,
     return f
 
 
-def with_support(f: ScalarField, support_radius: float) -> ScalarField:
-    return replace(f, caps=replace(f.caps, support_radius=float(support_radius)))
-
-
 # ---------------------------------------------------------------------------
 # radial verification and profiles
 # ---------------------------------------------------------------------------
@@ -345,11 +340,6 @@ class RadialProfile:
                 out = np.asarray(self.fn(rr), dtype=float)
         return float(out[0]) if scalar else out
 
-    def derivative(self, r, order=1):
-        """phi^(order)(r) by a local Chebyshev fit of the underlying callable."""
-        from .calculus import chebfit_derivatives  # local import, avoids a cycle
-        return chebfit_derivatives(self, float(r), max_order=order)[order]
-
     def to_field(self, dim, **caps) -> ScalarField:
         return radial_field(self, dim, name=self.name, **caps)
 
@@ -402,31 +392,3 @@ def sample_grid(f: ScalarField, box, resolution: int) -> GridField:
         raise
     return GridField(box=box, resolution=resolution, axes=axes,
                      values=vals.reshape(mesh[0].shape))
-
-
-# ---------------------------------------------------------------------------
-# JSON field/metric specification documents
-# ---------------------------------------------------------------------------
-
-FIELD_DOC_KINDS = ("builtin", "expression", "radial-table")
-
-
-def field_from_document(doc: dict) -> ScalarField:
-    """Build the conformal factor u from a metric specification document.
-
-    Document schema: {"n": int, "kind": "builtin"|"expression"|"radial-table",
-    "name"?: str, "params"?: object, "u"?: str, "nodes"?: [[r, value]]}.
-    The builtin kind is resolved by the gallery module.
-    """
-    kind = doc.get("kind")
-    dim = as_dimension(int(doc["n"]))
-    if kind == "expression":
-        return field_from_expression(doc["u"], dim)
-    if kind == "radial-table":
-        nodes = np.asarray(doc["nodes"], dtype=float)
-        prof = RadialProfile.from_table(nodes[:, 0], nodes[:, 1], name="radial-table")
-        return prof.to_field(dim)
-    if kind == "builtin":
-        from .gallery import gallery
-        return gallery(doc["name"], doc.get("params", {}), dim).u
-    raise QflatError(f"unknown field kind {kind!r}")

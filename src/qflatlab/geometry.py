@@ -5,7 +5,7 @@ factor e^u along curves, volumes a factor e^{nu}.
 
 Finite-versus-infinite questions (ray length to infinity, total volume,
 diameter) are decided by a Cauchy-condensation ratio test on blocks over
-radii R_{j+1} = R_j^2.  Plain dyadic ratio tests cannot separate
+radii log2 R_{j+1} = 1.5 log2 R_j.  Plain dyadic ratio tests cannot separate
 integrands like 1/(t log^{0.75} t) (divergent) from 1/(t log^2 t)
 (convergent) because both have segment ratios tending to 1; on condensed
 blocks the ratios tend to distinct constants and the test stays decisive.
@@ -19,15 +19,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
+from scipy.special import logsumexp
 
 from .constants import sphere_constants
 from .errors import GridError, QflatError, RangeOverflowError
 from .fields import RadialProfile, ScalarField, check_point
 from .fitting import GrowthEstimate, fit_loglog, require_window
 from .quadrature import (TailClassification, ball_integral_generic,
-                         circle_integral, classify_log_blocks,
-                         integrate_radial, log_condensation_blocks,
-                         offset_ball_integral_radial, sphere_rule)
+                         classify_log_blocks, integrate_radial,
+                         log_condensation_blocks, offset_ball_integral_radial,
+                         sphere_rule, sphere_shell)
 
 MAX_LOG2_RADIUS = 256.0   # condensation blocks stop at r = 2^256 ~ 1.2e77
 EXP_OVERFLOW = 700.0
@@ -113,8 +114,7 @@ def conformal_volume(ctx: MetricContext, R, center=None, rel_tol=1e-6) -> float:
         name=f"e^({n}u)")
     if n == 2:
         def shell(t):
-            t = np.atleast_1d(t)
-            return circle_integral(vol_density, center, t, rel_tol=rel_tol / 10)
+            return sphere_shell(vol_density, n, center, t, rel_tol / 10)
 
         return integrate_radial(shell, 0.0, R, rel_tol=rel_tol)
     val, err = ball_integral_generic(vol_density, n, R, center=center)
@@ -298,7 +298,6 @@ def volume_classification(ctx: MetricContext, rel_tol=1e-8) -> DiameterReport:
             t = np.atleast_1d(np.asarray(t, dtype=float))
             pts = t[:, None, None] * dirs[None, :, :]
             uv = ctx.u(pts.reshape(-1, n)).reshape(len(t), len(wts))
-            from scipy.special import logsumexp
             return logsumexp(n * uv + logw[None, :], axis=1) + (n - 1) * np.log(t)
 
     blocks = log_condensation_blocks(log_integrand, r_start=2.0,

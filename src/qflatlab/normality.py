@@ -35,7 +35,7 @@ from .geometry import (DiameterReport, MetricContext, classify_ray,
                        diameter_estimate, volume_classification, volume_growth)
 from .polynomials import Polynomial, monomials_upto
 from .potential import PotentialEvaluator, total_mass_alpha
-from .quadrature import decade_mass_integral, gl_rule, integrate_radial, sphere_rule
+from .quadrature import decade_mass_integral, integrate_radial, shell_product_rule
 
 # Verdict boundary: fitted slopes sit strictly below a clean power because
 # lower-order terms bias finite windows; a small guard absorbs that bias
@@ -123,20 +123,14 @@ def _cumulative_radial(g, radii, n, rel_tol=1e-7):
     return np.asarray(out)
 
 
-def _cumulative_shells(f_vec, radii, n, sphere_resolution=16, n_r=12):
+def _cumulative_shells(f_vec, radii, n):
     """I(R) = int_{B_R} f(y) dy by product-rule shells (classifier grade)."""
-    dirs, wts = sphere_rule(n, sphere_resolution)
-    x, w = gl_rule(n_r)
+    origin = np.zeros(n)
     out = []
     acc = 0.0
     prev = 0.0
     for R in radii:
-        mid, half = 0.5 * (prev + R), 0.5 * (R - prev)
-        t = mid + half * x
-        wr = w * half * t ** (n - 1)
-        pts = t[:, None, None] * dirs[None, :, :]
-        vals = np.asarray(f_vec(pts.reshape(-1, n)), dtype=float).reshape(len(t), len(wts))
-        acc += float(np.einsum("i,j,ij->", wr, wts, vals))
+        acc += shell_product_rule(f_vec, n, origin, prev, R, 16, 12)
         prev = R
         out.append(acc)
     return np.asarray(out)

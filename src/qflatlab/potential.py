@@ -23,22 +23,17 @@ sin^{n-2} theta; only modes k = 2, 4, ..., n-2 survive.)  For n = 2 the sum
 is empty and k_2 = log max(r, s), the mean-value property of log.
 """
 
-
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import sphere_constants
-from .errors import NonIntegrableError, QflatError
+from .errors import QflatError
 from .fields import RadialProfile, ScalarField
 from .fitting import fit_linear_logx, require_window
-from .quadrature import (circle_integral, decade_mass_integral,
-                         integrate_radial, offset_ball_integral_radial,
-                         sphere_rule)
-
-KERNEL_MAGIC = b"QFLK1\n"
+from .quadrature import (decade_mass_integral, integrate_radial,
+                         offset_ball_integral_radial, sphere_shell)
 
 
 def angular_log_kernel(dim, r, s):
@@ -78,68 +73,6 @@ def angular_log_kernel_quadrature(dim, r, s, order=64):
 
 
 # ---------------------------------------------------------------------------
-# cached kernel table with binary persistence
-# ---------------------------------------------------------------------------
-
-@dataclass
-class KernelTable:
-    """k_n sampled on a geometric (r, s) grid; symmetric by construction."""
-
-    dim: int
-    r_nodes: np.ndarray
-    values: np.ndarray
-    tol: float
-
-    @classmethod
-    def build(cls, dim, r_min=1e-3, r_max=1e3, per_decade=8, tol=1e-10):
-        n = int(dim)
-        count = int(round(math.log10(r_max / r_min) * per_decade)) + 1
-        nodes = np.geomspace(r_min, r_max, count)
-        values = angular_log_kernel(n, nodes[:, None], nodes[None, :])
-        return cls(dim=n, r_nodes=nodes, values=values, tol=tol)
-
-    def header(self):
-        return {
-            "n": self.dim,
-            "r_min": float(self.r_nodes[0]),
-            "r_max": float(self.r_nodes[-1]),
-            "count": int(self.r_nodes.size),
-            "tol": self.tol,
-        }
-
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(KERNEL_MAGIC)
-            fh.write((json.dumps(self.header(), sort_keys=True) + "\n").encode())
-            fh.write(self.r_nodes.astype("<f8").tobytes())
-            fh.write(self.values.astype("<f8").tobytes())
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if not blob.startswith(KERNEL_MAGIC):
-            raise QflatError(f"{path}: not a kernel cache file")
-        nl = blob.index(b"\n", len(KERNEL_MAGIC))
-        header = json.loads(blob[len(KERNEL_MAGIC):nl].decode("utf-8"))
-        offset = nl + 1
-        count = int(header["count"])
-        nodes = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        values = np.frombuffer(blob, dtype="<f8", count=count * count,
-                               offset=offset + 8 * count).reshape(count, count)
-        table = cls(dim=int(header["n"]), r_nodes=nodes.copy(),
-                    values=values.copy(), tol=float(header["tol"]))
-        got = table.header()
-        for key in ("n", "r_min", "r_max", "count"):
-            if not np.isclose(got[key], header[key], rtol=0, atol=0):
-                raise QflatError(f"{path}: header field {key} does not match payload")
-        sym = np.max(np.abs(table.values - table.values.T))
-        if sym > table.tol:
-            raise QflatError(f"{path}: kernel table asymmetric by {sym:.2e}")
-        return table
-
-
-# ---------------------------------------------------------------------------
 # the evaluator
 # ---------------------------------------------------------------------------
 
@@ -172,21 +105,17 @@ class PotentialEvaluator:
     is adaptive polar quadrature around x.
     """
 
-    def __init__(self, f: ScalarField, rel_tol=1e-8, max_refinement=4096,
-                 sphere_resolution=24, breakpoints=()):
+    def __init__(self, f: ScalarField, rel_tol=1e-8, breakpoints=()):
         self.f = f
         self.dim = f.dim
         self.n = f.dim.n
         self.rel_tol = rel_tol
-        self.max_refinement = max_refinement
-        self.sphere_resolution = sphere_resolution
         self.breakpoints = tuple(sorted(breakpoints))  # known kinks of f(|y|)
         self.gconst = sphere_constants(self.n).green_constant
         self.area = sphere_constants(self.n).boundary_area
         self._phi = f.along_ray() if f.caps.is_radial else None
         self._log_moment_cache = None
         self._mass_cache = None
-        self._table = None
 
     # -- mass -------------------------------------------------------------
 
@@ -200,7 +129,7 @@ class PotentialEvaluator:
                                            support_radius=supp,
                                            breakpoints=self.breakpoints)
             else:
-                shell = self._shell_around(np.zeros(self.n))
+                shell = self._shell(np.zeros(self.n))
                 res = decade_mass_integral(shell, rel_tol=self.rel_tol,
                                            support_radius=supp,
                                            breakpoints=self.breakpoints)
@@ -218,13 +147,6 @@ class PotentialEvaluator:
         for every evaluation point."""
         res = self.mass()
         return res.r_reached * 10.0 if res.converged_early else None
-
-    # -- kernel table -------------------------------------------------------
-
-    def kernel_table(self, **kwargs) -> KernelTable:
-        if self._table is None:
-            self._table = KernelTable.build(self.n, **kwargs)
-        return self._table
 
     # -- evaluation ---------------------------------------------------------
 
@@ -296,45 +218,23 @@ class PotentialEvaluator:
 
     # -- general (non-radial) path -------------------------------------------
 
-    def _shell_fixed(self, x, rho, resolution):
-        dirs, wts = sphere_rule(self.n, resolution)
-        pts = x[None, None, :] + rho[:, None, None] * dirs[None, :, :]
-        vals = self.f(pts.reshape(-1, self.n)).reshape(len(rho), len(wts))
-        return (vals @ wts) * rho ** (self.n - 1)
-
-    def _shell_around(self, x):
+    def _shell(self, x):
         """rho -> rho^{n-1} * integral of f(x + rho w) over unit directions w.
 
         Angular resolution refines until stable: a source of size d at
         distance rho subtends an angle d/rho, so fixed orders under-resolve
         distant shells.
         """
-        if self.n == 2:
-            def shell(rho):
-                rho = np.atleast_1d(np.asarray(rho, dtype=float))
-                return circle_integral(self.f, x, rho, rel_tol=self.rel_tol * 0.1)
-
-            return shell
-
-        def shell(rho):
-            rho = np.atleast_1d(np.asarray(rho, dtype=float))
-            res = self.sphere_resolution
-            prev = self._shell_fixed(x, rho, res)
-            while res < 8 * self.sphere_resolution:
-                res *= 2
-                cur = self._shell_fixed(x, rho, res)
-                if np.all(np.abs(cur - prev)
-                          <= 1e-7 * np.maximum(np.abs(cur), 1e-300) + 1e-300):
-                    return cur
-                prev = cur
-            return prev
-
-        return shell
+        # n >= 4 stops at a fixed 1e-7 instead of a tolerance tied to
+        # rel_tol: each doubling multiplies the number of directions by
+        # about 2^{n-1}.
+        tol = self.rel_tol * 0.1 if self.n == 2 else 1e-7
+        return lambda rho: sphere_shell(self.f, self.n, x, rho, tol)
 
     def _log_moment(self):
         """A = integral of log|y| f(y) dy."""
         if self._log_moment_cache is None:
-            shell = self._shell_around(np.zeros(self.n))
+            shell = self._shell(np.zeros(self.n))
             supp = self.f.caps.support_radius
             g = lambda rho: shell(rho) * np.log(np.maximum(rho, 1e-300))
             self._log_moment_cache = decade_mass_integral(
@@ -346,7 +246,7 @@ class PotentialEvaluator:
         r = float(np.linalg.norm(x))
         eps = min(1.0, 1.0 / (1.0 + r))
         fx = float(self.f(x))
-        shell = self._shell_around(x)
+        shell = self._shell(x)
         area = self.area
 
         # N(x) = integral of log(1/|x-y|) f(y) dy, singularity subtracted:

@@ -5,16 +5,21 @@ fixed subdivision rules, no randomness.  Integrands are expected to be
 vectorized (they receive a 1-D numpy array of abscissae and return an array
 of the same shape).
 
-Three layers:
+Four layers:
 
-* panel-adaptive Gauss-Legendre on finite intervals (``adaptive``,
-  ``integrate_interval``, ``integrate_radial``);
+* panel-adaptive Gauss-Legendre on finite intervals and radial ranges
+  (``adaptive_estimate``, ``integrate_radial_estimate`` and its strict
+  form ``integrate_radial``);
 * signed improper integrals over [r0, inf) driven by decade blocks with a
   Cauchy-condensation convergence test (``decade_mass_integral``);
 * finite-vs-infinite classification of positive improper integrals through
-  log-space condensation blocks over radii R_{j+1} = R_j^2, which stay
-  decisive even for borderline tails like 1/(t log^c t)
-  (``log_condensation_blocks``, ``classify_log_blocks``).
+  log-space condensation blocks over radii log2 R_{j+1} = 1.5 log2 R_j,
+  which stay decisive even for borderline tails like 1/(t log^c t)
+  (``log_condensation_blocks``, ``classify_log_blocks``);
+* sphere shells and balls: the adaptive shell integral ``sphere_shell``,
+  the fixed radius-times-sphere product rule ``shell_product_rule``, and
+  the exact 1-D reduction for radial integrands over offset balls
+  (``offset_ball_integral_radial``).
 """
 
 import heapq
@@ -95,42 +100,48 @@ def adaptive_estimate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=4096):
     return total, max(total_err, 0.0)
 
 
-def adaptive(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=4096):
-    """Strict form of adaptive_estimate: raises when the budget runs out."""
-    val, err = adaptive_estimate(f, a, b, rel_tol=rel_tol, abs_tol=abs_tol,
-                                 max_panels=max_panels)
-    if err > max(abs_tol, rel_tol * abs(val)) and err > 1e-300:
-        raise QuadratureError(
-            f"quadrature did not converge after {max_panels} panels "
-            f"(err={err:.3e}, value={val:.6e})")
-    return val
+def _interval(f, a, b, rel_tol, abs_tol, breakpoints, max_panels, strict):
+    """adaptive_estimate on [a, b], split at interior breakpoints first.
 
-
-def integrate_interval_estimate(f, a, b, rel_tol=1e-8, abs_tol=0.0,
-                                breakpoints=(), max_panels=4096):
+    Acceptance is per piece (each piece meets its own relative target); the
+    summed error is not re-tested, so pieces of opposite sign cannot force
+    spurious failures through cancellation.  With ``strict`` a piece that
+    misses its target raises before the next piece is integrated."""
     pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    piece_abs = abs_tol / max(len(pts) - 1, 1)
     total, err = 0.0, 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        v, e = adaptive_estimate(f, lo, hi, rel_tol=rel_tol,
-                                 abs_tol=abs_tol / max(len(pts) - 1, 1),
+        v, e = adaptive_estimate(f, lo, hi, rel_tol=rel_tol, abs_tol=piece_abs,
                                  max_panels=max_panels)
+        if strict and e > max(piece_abs, rel_tol * abs(v)) and e > 1e-300:
+            raise QuadratureError(
+                f"quadrature did not converge after {max_panels} panels "
+                f"(err={e:.3e}, value={v:.6e})")
         total += v
         err += e
     return total, err
 
 
-def integrate_interval(f, a, b, rel_tol=1e-8, abs_tol=0.0, breakpoints=()):
-    """Adaptive integral over [a, b], split at interior breakpoints first.
+def _radial(f, r0, r1, rel_tol, abs_tol, breakpoints, max_panels, strict):
+    if r1 <= r0:
+        return 0.0, 0.0
+    total, err = 0.0, 0.0
+    cut = min(max(r0, 1.0), r1)
+    if cut > r0:
+        v, e = _interval(f, r0, cut, rel_tol, abs_tol, breakpoints, max_panels, strict)
+        total += v
+        err += e
+    if r1 > cut:
+        def g(t):
+            r = np.exp(t)
+            return np.asarray(f(r), dtype=float) * r
 
-    Acceptance is per piece (each piece meets its own relative target); the
-    summed error is not re-tested, so pieces of opposite sign cannot force
-    spurious failures through cancellation."""
-    pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        total += adaptive(f, lo, hi, rel_tol=rel_tol,
-                          abs_tol=abs_tol / max(len(pts) - 1, 1))
-    return total
+        bps = [math.log(p) for p in breakpoints if cut < p < r1]
+        v, e = _interval(g, math.log(cut), math.log(r1), rel_tol, abs_tol, bps,
+                         max_panels, strict)
+        total += v
+        err += e
+    return total, err
 
 
 def integrate_radial_estimate(f, r0, r1, rel_tol=1e-8, abs_tol=0.0,
@@ -141,49 +152,14 @@ def integrate_radial_estimate(f, r0, r1, rel_tol=1e-8, abs_tol=0.0,
     counts small when r1 spans many decades.  Breakpoints (kernel kinks,
     support edges) are honored in both pieces.  Returns (value, error).
     """
-    if r1 <= r0:
-        return 0.0, 0.0
-    total, err = 0.0, 0.0
-    cut = min(max(r0, 1.0), r1)
-    if cut > r0:
-        v, e = integrate_interval_estimate(f, r0, cut, rel_tol=rel_tol,
-                                           abs_tol=abs_tol, breakpoints=breakpoints,
-                                           max_panels=max_panels)
-        total += v
-        err += e
-    if r1 > cut:
-        def g(t):
-            r = np.exp(t)
-            return np.asarray(f(r), dtype=float) * r
-
-        bps = [math.log(p) for p in breakpoints if cut < p < r1]
-        v, e = integrate_interval_estimate(g, math.log(cut), math.log(r1),
-                                           rel_tol=rel_tol, abs_tol=abs_tol,
-                                           breakpoints=bps, max_panels=max_panels)
-        total += v
-        err += e
-    return total, err
+    return _radial(f, r0, r1, rel_tol, abs_tol, breakpoints, max_panels, strict=False)
 
 
 def integrate_radial(f, r0, r1, rel_tol=1e-8, abs_tol=0.0, breakpoints=()):
-    """Strict form of integrate_radial_estimate (per-piece acceptance)."""
-    if r1 <= r0:
-        return 0.0
-    total = 0.0
-    cut = min(max(r0, 1.0), r1)
-    if cut > r0:
-        total += integrate_interval(f, r0, cut, rel_tol=rel_tol, abs_tol=abs_tol,
-                                    breakpoints=breakpoints)
-    if r1 > cut:
-        def g(t):
-            r = np.exp(t)
-            return np.asarray(f(r), dtype=float) * r
-
-        bps = [math.log(p) for p in breakpoints if cut < p < r1]
-        total += integrate_interval(g, math.log(cut), math.log(r1),
-                                    rel_tol=rel_tol, abs_tol=abs_tol,
-                                    breakpoints=bps)
-    return total
+    """Strict form of integrate_radial_estimate: returns the value, and
+    raises QuadratureError as soon as one piece misses its target within
+    4096 panels."""
+    return _radial(f, r0, r1, rel_tol, abs_tol, breakpoints, 4096, strict=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +316,12 @@ def classify_log_blocks(log_blocks, need=CONSECUTIVE_BLOCKS):
     return TailClassification("inconclusive", lb, ratios, math.nan)
 
 
-def classify_improper(log_f, r_start=2.0, max_log2_r=256.0):
-    return classify_log_blocks(log_condensation_blocks(log_f, r_start, max_log2_r))
-
-
 # ---------------------------------------------------------------------------
 # Sphere product rules and ball integrals
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def sphere_rule(n, resolution=24):
+def sphere_rule(n, resolution):
     """Product quadrature on the unit sphere S^{n-1} in R^n.
 
     Returns (directions, weights) with sum(weights) = |S^{n-1}|.  For n = 2
@@ -396,27 +368,59 @@ def sphere_rule(n, resolution=24):
     return dirs, wts
 
 
-def ball_integral_generic(f, n, R, center=None, resolution=24, n_shells=24):
+def sphere_shell(f, n, center, radii, tol):
+    """rho^{n-1} * integral of f(center + rho w) over unit directions w, for
+    each rho in radii.
+
+    The sphere_rule resolution doubles until every radius changes by at
+    most tol relative to its value, or the last resolution is reached.
+    """
+    center = np.asarray(center, dtype=float)
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+
+    def at(resolution):
+        dirs, wts = sphere_rule(n, resolution)
+        pts = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
+        vals = np.asarray(f(pts.reshape(-1, n)), dtype=float).reshape(len(radii), len(wts))
+        return (vals @ wts) * radii ** (n - 1)
+
+    # n = 2: the trapezoid rules with 32 to 4096 points.  n >= 4: each
+    # doubling multiplies the number of directions by about 2^{n-1}, so the
+    # rule stops after three doublings.
+    res, last = (8, 1024) if n == 2 else (24, 192)
+    prev = at(res)
+    while res < last:
+        res *= 2
+        cur = at(res)
+        if np.all(np.abs(cur - prev) <= tol * np.maximum(np.abs(cur), 1e-300) + 1e-300):
+            return cur
+        prev = cur
+    return prev
+
+
+def shell_product_rule(f, n, center, a, b, resolution, order):
+    """Integral of f over the shell a <= |y - center| <= b by a fixed
+    product rule: Gauss-Legendre of the given order in the radius times
+    sphere_rule(n, resolution)."""
+    dirs, wts = sphere_rule(n, resolution)
+    x, w = gl_rule(order)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    t = mid + half * x
+    wr = w * half * t ** (n - 1)
+    pts = center[None, None, :] + t[:, None, None] * dirs[None, :, :]
+    vals = np.asarray(f(pts.reshape(-1, n)), dtype=float).reshape(len(t), len(wts))
+    return float(np.einsum("i,j,ij->", wr, wts, vals))
+
+
+def ball_integral_generic(f, n, R, center):
     """Integral of f over the ball B_R(center) via an (r x S^{n-1}) product rule.
 
     Fixed-order rule refined once; intended for growth-exponent integrands,
     not for high-accuracy targets.  Returns (value, est_rel_error).
     """
-    if center is None:
-        center = np.zeros(n)
     center = np.asarray(center, dtype=float)
-
-    def estimate(res, shells):
-        dirs, wts = sphere_rule(n, res)
-        x, w = gl_rule(shells)
-        r = 0.5 * (x + 1.0) * R
-        wr = w * 0.5 * R * r ** (n - 1)
-        pts = center[None, None, :] + r[:, None, None] * dirs[None, :, :]
-        vals = np.asarray(f(pts.reshape(-1, n)), dtype=float).reshape(len(r), len(wts))
-        return float(np.einsum("i,j,ij->", wr, wts, vals))
-
-    v1 = estimate(resolution, n_shells)
-    v2 = estimate(resolution + resolution // 2, n_shells + n_shells // 2)
+    v1 = shell_product_rule(f, n, center, 0.0, R, 24, 24)
+    v2 = shell_product_rule(f, n, center, 0.0, R, 36, 36)
     err = abs(v2 - v1) / max(abs(v2), 1e-300)
     return v2, err
 
@@ -478,28 +482,3 @@ def offset_ball_integral_radial(phi, n, center_norm, rho, rel_tol=1e-8,
 
 def _area(n):
     return 2.0 * np.pi ** (n / 2) / math.gamma(n / 2)
-
-
-def circle_integral(f, center, radii, rel_tol=1e-9, start_order=32, max_order=4096):
-    """Mean-free circle integrals in R^2: for each radius t, the integral of
-    f over the circle of radius t about center (arc-length measure),
-    computed with the doubling trapezoid rule until stable."""
-    center = np.asarray(center, dtype=float)
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-
-    def at_order(m):
-        th = 2.0 * np.pi * np.arange(m) / m
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        pts = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
-        vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(len(radii), m)
-        return 2.0 * np.pi * radii * vals.mean(axis=1)
-
-    prev = at_order(start_order)
-    m = start_order * 2
-    while m <= max_order:
-        cur = at_order(m)
-        if np.all(np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300) + 1e-300):
-            return cur
-        prev = cur
-        m *= 2
-    return prev

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qflatlab import (KernelTable, NonIntegrableError, PotentialEvaluator,
+from qflatlab import (NonIntegrableError, PotentialEvaluator,
                       QflatError, angular_log_kernel,
                       angular_log_kernel_quadrature,
                       field_from_expression, log_potential,
@@ -59,47 +59,6 @@ class TestAngularKernel:
     def test_origin_pair_rejected(self):
         with pytest.raises(QflatError):
             angular_log_kernel(2, 0.0, 0.0)
-
-
-class TestKernelTable:
-    def test_build_symmetric(self):
-        t = KernelTable.build(2, r_min=0.1, r_max=10.0, per_decade=8)
-        assert np.max(np.abs(t.values - t.values.T)) <= 1e-10
-
-    def test_n2_is_log_max(self):
-        t = KernelTable.build(2, r_min=0.5, r_max=2.0, per_decade=6)
-        expected = np.log(np.maximum(t.r_nodes[:, None], t.r_nodes[None, :]))
-        assert np.max(np.abs(t.values - expected)) <= 1e-10
-
-    def test_save_load_roundtrip(self, tmp_path):
-        t = KernelTable.build(4, r_min=0.1, r_max=10.0, per_decade=6)
-        path = tmp_path / "kernel.bin"
-        t.save(path)
-        loaded = KernelTable.load(path)
-        assert loaded.dim == 4
-        assert np.array_equal(loaded.values, t.values)
-        assert np.array_equal(loaded.r_nodes, t.r_nodes)
-
-    def test_load_rejects_corrupt_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTAKERNEL" + b"\x00" * 64)
-        with pytest.raises(QflatError):
-            KernelTable.load(path)
-
-    def test_load_rejects_header_mismatch(self, tmp_path):
-        t = KernelTable.build(2, r_min=0.1, r_max=10.0, per_decade=6)
-        path = tmp_path / "kernel.bin"
-        t.save(path)
-        blob = path.read_bytes()
-        # truncate the payload so the declared count disagrees
-        path.write_bytes(blob[:-16])
-        with pytest.raises(Exception):
-            KernelTable.load(path)
-
-    def test_evaluator_exposes_table(self):
-        ev = PotentialEvaluator(indicator_density())
-        t = ev.kernel_table(r_min=0.1, r_max=10.0, per_decade=4)
-        assert t.dim == 2
 
 
 class TestTotalMass:

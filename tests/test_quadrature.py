@@ -1,0 +1,63 @@
+import math
+
+import numpy as np
+import pytest
+
+from qflatlab import (Dimension, Polynomial, QuadratureError, ball_mean_poly,
+                      sphere_constants)
+from qflatlab.quadrature import (integrate_radial, integrate_radial_estimate,
+                                 shell_product_rule, sphere_shell)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("kind", ["square", "constant"])
+def test_sphere_shell_closed_forms(n, kind):
+    # |c + rho w|^2 = |c|^2 + rho^2 + 2 rho c.w, and c.w averages to zero
+    center = np.linspace(0.3, -0.4, n)
+    radii = np.array([0.25, 1.0, 3.5])
+    area = sphere_constants(n).boundary_area
+    if kind == "square":
+        f = lambda pts: np.einsum("ij,ij->i", pts, pts)
+        expected = area * radii ** (n - 1) * (center @ center + radii ** 2)
+    else:
+        f = lambda pts: np.full(len(pts), 2.5)
+        expected = area * radii ** (n - 1) * 2.5
+    got = sphere_shell(f, n, center, radii, 1e-9)
+    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("r0,r1", [(0.0, 1.0), (2.0, 3.0)])
+def test_strict_form_raises_where_estimate_reports(r0, r1):
+    # far more oscillations than the 4096-panel budget can resolve
+    f = lambda r: np.cos(1e6 * np.asarray(r))
+    val, err = integrate_radial_estimate(f, r0, r1)
+    assert math.isfinite(val)
+    assert err > 1e-8 * abs(val)
+    with pytest.raises(QuadratureError):
+        integrate_radial(f, r0, r1)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_jump_at_declared_breakpoint(strict):
+    f = lambda r: np.where(np.asarray(r) <= 1.0, 1.0, 0.0)
+    if strict:
+        got = integrate_radial(f, 0.0, 3.0, breakpoints=(1.0,))
+    else:
+        got, _ = integrate_radial_estimate(f, 0.0, 3.0, breakpoints=(1.0,))
+    assert got == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_product_rule_matches_exact_ball_mean(n):
+    dim = Dimension(n)
+    e = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    p = Polynomial(dim, {(0,) * n: 1.5,
+                         e[0]: -0.7,
+                         tuple(a + b for a, b in zip(e[0], e[1])): 2.0,
+                         tuple(2 * a for a in e[-1]): 0.4,
+                         tuple(3 * a for a in e[1]): -0.3})
+    center = np.linspace(0.6, -0.2, n)
+    R = 1.3
+    vol = sphere_constants(n).unit_ball_volume * R ** n
+    got = shell_product_rule(p, n, center, 0.0, R, 16, 12)
+    assert got == pytest.approx(ball_mean_poly(p, center, R) * vol, abs=1e-12)
