@@ -26,12 +26,16 @@ from .errors import GridError, QflatError, RangeOverflowError
 from .fields import RadialProfile, ScalarField, check_point
 from .fitting import GrowthEstimate, fit_loglog, require_window
 from .quadrature import (TailClassification, ball_integral_generic,
-                         classify_log_blocks, integrate_radial,
-                         log_condensation_blocks, offset_ball_integral_radial,
-                         sphere_rule, sphere_shell)
+                         classify_log_blocks, cumulative_radial,
+                         integrate_radial, log_condensation_blocks,
+                         offset_ball_integral_radial, sphere_rule, sphere_shell)
 
 MAX_LOG2_RADIUS = 256.0   # condensation blocks stop at r = 2^256 ~ 1.2e77
 EXP_OVERFLOW = 700.0
+VOLUME_REL_TOL = 1e-6     # conformal volumes behind tau and measure distances
+RAY_REL_TOL = 1e-8        # ray lengths and the head of total volumes
+SAMPLED_RAYS = 8          # directions sampled for non-radial diameters
+SAMPLED_RAYS_SEED = 4099
 
 
 @dataclass(eq=False)
@@ -87,7 +91,8 @@ def _guarded_exp(exponents, what):
 # volumes
 # ---------------------------------------------------------------------------
 
-def conformal_volume(ctx: MetricContext, R, center=None, rel_tol=1e-6) -> float:
+def conformal_volume(ctx: MetricContext, R, center=None,
+                     rel_tol=VOLUME_REL_TOL) -> float:
     """Volume of the euclidean ball B_R(center) in the metric e^{2u}|dx|^2."""
     if R <= 0:
         raise QflatError(f"volume radius must be positive, got {R}")
@@ -125,7 +130,7 @@ def conformal_volume(ctx: MetricContext, R, center=None, rel_tol=1e-6) -> float:
     return val
 
 
-def volume_growth(ctx: MetricContext, radii, rel_tol=1e-6) -> GrowthEstimate:
+def volume_growth(ctx: MetricContext, radii) -> GrowthEstimate:
     """Fitted slope of log V_g(B_R) against log |B_R|.
 
     For radial metrics the volumes are accumulated over radial segments in
@@ -144,20 +149,13 @@ def volume_growth(ctx: MetricContext, radii, rel_tol=1e-6) -> GrowthEstimate:
                 n * np.asarray(phi(t), dtype=float) + (n - 1) * np.log(np.maximum(t, 1e-300))
                 + math.log(area), "volume growth")
 
-        vols = []
-        acc = 0.0
-        prev = 0.0
-        for R in radii:
-            acc += integrate_radial(integrand, prev, R, rel_tol=rel_tol)
-            prev = R
-            vols.append(acc)
-        vols = np.asarray(vols)
+        vols = cumulative_radial(integrand, radii, rel_tol=VOLUME_REL_TOL)
     else:
-        vols = np.array([conformal_volume(ctx, R, rel_tol=rel_tol) for R in radii])
+        vols = np.array([conformal_volume(ctx, R) for R in radii])
     return fit_loglog(radii, vols, abscissa=omega * radii ** n)
 
 
-def measure_distance(ctx: MetricContext, x, y, rel_tol=1e-6) -> float:
+def measure_distance(ctx: MetricContext, x, y) -> float:
     """delta(x, y): n-th root of the conformal volume of the ball whose
     diameter is the segment from x to y."""
     x = check_point(x, ctx.u.dim)
@@ -166,7 +164,7 @@ def measure_distance(ctx: MetricContext, x, y, rel_tol=1e-6) -> float:
         raise QflatError("measure distance needs two distinct points")
     center = 0.5 * (x + y)
     rho = 0.5 * float(np.linalg.norm(x - y))
-    vol = conformal_volume(ctx, rho, center=center, rel_tol=rel_tol)
+    vol = conformal_volume(ctx, rho, center=center)
     return vol ** (1.0 / ctx.n)
 
 
@@ -180,13 +178,42 @@ def _ray_blocks(ctx, direction=None, r_start=2.0):
                                    max_log2_r=MAX_LOG2_RADIUS)
 
 
+def _ray_speed(ctx, direction=None):
+    """t -> e^{u(t * direction)}: the length density along a ray."""
+    log_speed = ctx.ray_log_speed(direction)
+
+    def speed(t):
+        t = np.asarray(t, dtype=float)
+        return _guarded_exp(np.asarray(log_speed(t), dtype=float), "ray length")
+
+    return speed
+
+
 def classify_ray(ctx: MetricContext, direction=None) -> TailClassification:
     """Finite-vs-infinite classification of the ray integral to infinity."""
     return classify_log_blocks(_ray_blocks(ctx, direction))
 
 
-def ray_length(ctx: MetricContext, direction=None, r0=0.0, r1=math.inf,
-               rel_tol=1e-8) -> float:
+def _ray_to_infinity(ctx, direction=None, r0=0.0):
+    """(classification, length) of the ray over [r0, inf), from one
+    condensation pass.  The length is inf for a divergent tail, None for an
+    inconclusive one, and head + blocks + extrapolated tail otherwise."""
+    start = max(2.0, 2.0 * max(r0, 1.0))
+    blocks = _ray_blocks(ctx, direction, r_start=start)
+    cls = classify_log_blocks(blocks)
+    if cls.kind == "infinite":
+        return cls, math.inf
+    if cls.kind == "inconclusive":
+        return cls, None
+    head = integrate_radial(_ray_speed(ctx, direction), r0, start,
+                            rel_tol=RAY_REL_TOL, abs_tol=1e-13)
+    with np.errstate(over="ignore"):
+        body = float(np.sum(np.exp(blocks)))
+    tail = math.exp(cls.log_tail_estimate) if np.isfinite(cls.log_tail_estimate) else 0.0
+    return cls, head + body + tail
+
+
+def ray_length(ctx: MetricContext, direction=None, r0=0.0, r1=math.inf) -> float:
     """Length of the radial segment [r0, r1] along a fixed direction.
 
     r1 = inf runs the condensation classifier first: returns inf when the
@@ -196,29 +223,14 @@ def ray_length(ctx: MetricContext, direction=None, r0=0.0, r1=math.inf,
     """
     if r0 < 0 or r1 < r0:
         raise QflatError(f"bad ray range [{r0}, {r1}]")
-    log_speed = ctx.ray_log_speed(direction)
-
-    def speed(t):
-        t = np.asarray(t, dtype=float)
-        return _guarded_exp(np.asarray(log_speed(t), dtype=float), "ray length")
-
     if math.isfinite(r1):
-        return integrate_radial(speed, r0, r1, rel_tol=rel_tol)
-    start = max(2.0, 2.0 * max(r0, 1.0))
-    blocks = log_condensation_blocks(log_speed, r_start=start,
-                                     max_log2_r=MAX_LOG2_RADIUS)
-    cls = classify_log_blocks(blocks)
-    if cls.kind == "infinite":
-        return math.inf
-    if cls.kind == "inconclusive":
+        return integrate_radial(_ray_speed(ctx, direction), r0, r1, rel_tol=RAY_REL_TOL)
+    cls, length = _ray_to_infinity(ctx, direction, r0)
+    if length is None:
         raise QflatError(
             "ray integral to infinity is inconclusive under the condensation "
             f"ratio test (last ratios {cls.ratios[-3:] if cls.ratios.size else '[]'})")
-    head = integrate_radial(speed, r0, start, rel_tol=rel_tol, abs_tol=1e-13)
-    with np.errstate(over="ignore"):
-        body = float(np.sum(np.exp(blocks)))
-    tail = math.exp(cls.log_tail_estimate) if np.isfinite(cls.log_tail_estimate) else 0.0
-    return head + body + tail
+    return length
 
 
 @dataclass(frozen=True)
@@ -232,7 +244,7 @@ class DiameterReport:
         return {"class": self.classification, "value": self.value}
 
 
-def diameter_estimate(ctx: MetricContext, n_directions=8, seed=4099) -> DiameterReport:
+def diameter_estimate(ctx: MetricContext) -> DiameterReport:
     """Diameter classification of (R^n, e^{2u}|dx|^2).
 
     For radial metrics with a convergent ray integral L = int_0^inf e^u dt
@@ -244,13 +256,12 @@ def diameter_estimate(ctx: MetricContext, n_directions=8, seed=4099) -> Diameter
     bound (exact=False).
     """
     if ctx.is_radial:
-        cls = classify_ray(ctx)
+        cls, total = _ray_to_infinity(ctx)
         if cls.kind == "infinite":
             return DiameterReport("infinite", None, True, "ray integral diverges")
         if cls.kind == "inconclusive":
             return DiameterReport("inconclusive", None, False,
                                   "condensation ratios in the undecidable band")
-        total = ray_length(ctx, r0=0.0, r1=math.inf)
         phi = ctx.u_radial()
         probes = np.array([2.0 ** 32, 2.0 ** 64, 2.0 ** 128])
         arc = probes * np.exp(np.asarray(phi(probes), dtype=float))
@@ -260,16 +271,16 @@ def diameter_estimate(ctx: MetricContext, n_directions=8, seed=4099) -> Diameter
         return DiameterReport("finite", 2.0 * total, False,
                               "upper bound 2 * ray length (ends do not collapse)")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLED_RAYS_SEED)
     kinds = []
     totals = []
-    for _ in range(n_directions):
+    for _ in range(SAMPLED_RAYS):
         d = rng.normal(size=ctx.n)
         d /= np.linalg.norm(d)
-        cls = classify_ray(ctx, direction=d)
+        cls, length = _ray_to_infinity(ctx, d)
         kinds.append(cls.kind)
         if cls.kind == "finite":
-            totals.append(ray_length(ctx, direction=d, r0=0.0, r1=math.inf))
+            totals.append(length)
     if all(k == "infinite" for k in kinds):
         return DiameterReport("infinite", None, False, "all sampled rays diverge")
     if all(k == "finite" for k in kinds):
@@ -279,7 +290,7 @@ def diameter_estimate(ctx: MetricContext, n_directions=8, seed=4099) -> Diameter
                           "sampled rays disagree or are undecidable")
 
 
-def volume_classification(ctx: MetricContext, rel_tol=1e-8) -> DiameterReport:
+def volume_classification(ctx: MetricContext) -> DiameterReport:
     """Finite-vs-infinite classification of the total conformal volume."""
     n = ctx.n
     area = sphere_constants(n).boundary_area
@@ -307,7 +318,7 @@ def volume_classification(ctx: MetricContext, rel_tol=1e-8) -> DiameterReport:
         return DiameterReport("infinite", None, True, "volume blocks diverge")
     if cls.kind == "inconclusive":
         return DiameterReport("inconclusive", None, False, "")
-    head = conformal_volume(ctx, 2.0, rel_tol=max(rel_tol, 1e-8))
+    head = conformal_volume(ctx, 2.0, rel_tol=RAY_REL_TOL)
     with np.errstate(over="ignore"):
         body = float(np.sum(np.exp(blocks)))
     tail = math.exp(cls.log_tail_estimate) if np.isfinite(cls.log_tail_estimate) else 0.0
@@ -440,9 +451,8 @@ def geodesic_distance(ctx: MetricContext, x, y, resolution=129, box=None,
     return DistanceResult(grid.distance(x, y), "grid_dijkstra", resolution, True)
 
 
-def distance_growth_exponent(ctx: MetricContext, p, radii,
-                             direction=None) -> GrowthEstimate:
-    """Slope of log d_g(x_R, p) against log R along a fixed ray.
+def distance_growth_exponent(ctx: MetricContext, p, radii) -> GrowthEstimate:
+    """Slope of log d_g(x_R, p) against log R along the ray through e_1.
 
     Radial metrics use exact ray distances from the origin; distances to a
     fixed p differ from those by at most d_g(0, p), which does not move
@@ -453,20 +463,8 @@ def distance_growth_exponent(ctx: MetricContext, p, radii,
     p = check_point(p, ctx.u.dim)
     if not ctx.is_radial:
         raise QflatError("distance growth exponent needs a radial metric")
-    log_speed = ctx.ray_log_speed(direction)
-
-    def speed(t):
-        t = np.asarray(t, dtype=float)
-        return _guarded_exp(np.asarray(log_speed(t), dtype=float), "ray length")
-
-    dists = []
-    acc = 0.0
-    prev = 0.0
-    for R in radii:
-        acc += integrate_radial(speed, prev, R, rel_tol=1e-8)
-        prev = R
-        dists.append(acc)
-    return fit_loglog(radii, np.asarray(dists))
+    dists = cumulative_radial(_ray_speed(ctx), radii, rel_tol=RAY_REL_TOL)
+    return fit_loglog(radii, dists)
 
 
 @dataclass(frozen=True)

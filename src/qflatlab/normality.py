@@ -29,13 +29,13 @@ import numpy as np
 from .calculus import radial_jet, radial_laplacian_batch
 from .constants import cohn_vossen_bound, sphere_constants
 from .errors import DimensionError, NonIntegrableError, QflatError
-from .fields import FieldCaps, ScalarField
+from .fields import ScalarField, radial_field
 from .fitting import GrowthEstimate
 from .geometry import (DiameterReport, MetricContext, classify_ray,
                        diameter_estimate, volume_classification, volume_growth)
 from .polynomials import Polynomial, monomials_upto
 from .potential import PotentialEvaluator, total_mass_alpha
-from .quadrature import decade_mass_integral, integrate_radial, shell_product_rule
+from .quadrature import cumulative_radial, decade_mass_integral, shell_product_rule
 
 # Verdict boundary: fitted slopes sit strictly below a clean power because
 # lower-order terms bias finite windows; a small guard absorbs that bias
@@ -43,6 +43,8 @@ from .quadrature import decade_mass_integral, integrate_radial, shell_product_ru
 BOUNDARY_GUARD = 1e-3
 NONCONSTANT_SE_FACTOR = 10.0
 NONCONSTANT_FLOOR = 1e-6
+# dyadic ball radii 2, 4, ..., 1024 of the growth criteria
+CRITERION_RADII = tuple(2.0 ** k for k in range(1, 11))
 
 
 # ---------------------------------------------------------------------------
@@ -105,53 +107,50 @@ def growth_classifier(samples, threshold, margin=0.25) -> GrowthVerdict:
 
 
 # ---------------------------------------------------------------------------
-# dyadic ball integrals of |integrand|
+# growth criteria: dyadic ball integrals of a nonnegative integrand
 # ---------------------------------------------------------------------------
 
-def _cumulative_radial(g, radii, n, rel_tol=1e-7):
-    """I(R) = int_{B_R} g(|y|) dy at sorted radii, one radial sweep."""
-    area = sphere_constants(n).boundary_area
-    out = []
-    acc = 0.0
-    prev = 0.0
-    for R in radii:
-        acc += integrate_radial(
-            lambda t: np.asarray(g(t), dtype=float) * area * np.asarray(t) ** (n - 1),
-            prev, R, rel_tol=rel_tol, abs_tol=1e-12)
-        prev = R
-        out.append(acc)
-    return np.asarray(out)
+def _growth_criterion(w: ScalarField, integrand, threshold, radii, margin,
+                      what) -> GrowthVerdict:
+    """int_{B_R} integrand(w) dx = o(R^threshold)?  (n >= 4)
+
+    integrand(w) is the vectorized point integrand.  Radial fields sweep it
+    along t e_1 radially; other fields use product-rule shells
+    (classifier grade)."""
+    n = w.dim.n
+    if n < 4:
+        raise DimensionError(f"{what} applies for n >= 4")
+    radii = np.sort(np.asarray(CRITERION_RADII if radii is None else radii, dtype=float))
+    g = integrand(w)
+    if w.caps.is_radial:
+        area = sphere_constants(n).boundary_area
+
+        def radial(t):
+            t = np.atleast_1d(np.asarray(t, dtype=float))
+            pts = np.zeros((t.size, n))
+            pts[:, 0] = t
+            return g(pts) * area * t ** (n - 1)
+
+        vals = cumulative_radial(radial, radii, rel_tol=1e-7, abs_tol=1e-12)
+    else:
+        origin = np.zeros(n)
+        vals = np.cumsum([shell_product_rule(g, n, origin, a, b, 16, 12)
+                          for a, b in zip(np.concatenate(([0.0], radii[:-1])), radii)])
+    return growth_classifier(zip(radii, vals), threshold=threshold, margin=margin)
 
 
-def _cumulative_shells(f_vec, radii, n):
-    """I(R) = int_{B_R} f(y) dy by product-rule shells (classifier grade)."""
-    origin = np.zeros(n)
-    out = []
-    acc = 0.0
-    prev = 0.0
-    for R in radii:
-        acc += shell_product_rule(f_vec, n, origin, prev, R, 16, 12)
-        prev = R
-        out.append(acc)
-    return np.asarray(out)
-
-
-def dyadic_radii(k_min=1, k_max=10):
-    return np.array([2.0 ** k for k in range(k_min, k_max + 1)])
-
-
-def _laplacian_field_values(w: ScalarField):
-    """Vectorized Delta w, from the analytic chain or the radial jet."""
+def _abs_laplacian_values(w: ScalarField):
+    """Vectorized |Delta w|, from the analytic chain or the radial jet."""
     chain = w.caps.laplacian_chain
     if chain is not None and len(chain) >= 1:
-        return lambda pts: np.asarray(chain[0](pts), dtype=float)
+        return lambda pts: np.abs(np.asarray(chain[0](pts), dtype=float))
     if w.caps.is_radial:
         phi = w.along_ray()
         n = w.dim.n
 
         def lap(pts):
             r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-            return radial_laplacian_batch(phi, r, n, 1)
+            return np.abs(radial_laplacian_batch(phi, r, n, 1))
 
         return lap
     raise QflatError(
@@ -159,69 +158,8 @@ def _laplacian_field_values(w: ScalarField):
         "or a radial structure")
 
 
-def normality_condition_a(w: ScalarField, radii=None, margin=0.25) -> GrowthVerdict:
-    """int_{B_R} |Delta w| dx = o(R^n)?  (n >= 4)"""
-    n = w.dim.n
-    if n < 4:
-        raise DimensionError("condition (a) applies for n >= 4")
-    radii = dyadic_radii() if radii is None else np.sort(np.asarray(radii, dtype=float))
-    lap = _laplacian_field_values(w)
-    if w.caps.is_radial:
-        def along(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            pts = np.zeros((t.size, n))
-            pts[:, 0] = t
-            return np.abs(lap(pts))
-
-        vals = _cumulative_radial(along, radii, n)
-    else:
-        vals = _cumulative_shells(lambda pts: np.abs(lap(pts)), radii, n)
-    return growth_classifier(zip(radii, vals), threshold=n, margin=margin)
-
-
-def normality_condition_b(w: ScalarField, radii=None, margin=0.25) -> GrowthVerdict:
-    """int_{B_R} |w| dx = o(R^{n+2})?  (n >= 4)"""
-    n = w.dim.n
-    if n < 4:
-        raise DimensionError("condition (b) applies for n >= 4")
-    radii = dyadic_radii() if radii is None else np.sort(np.asarray(radii, dtype=float))
-    if w.caps.is_radial:
-        phi = w.along_ray()
-        vals = _cumulative_radial(lambda t: np.abs(np.asarray(phi(t), dtype=float)), radii, n)
-    else:
-        vals = _cumulative_shells(lambda pts: np.abs(w(pts)), radii, n)
-    return growth_classifier(zip(radii, vals), threshold=n + 2, margin=margin)
-
-
-def scalar_curvature_values(u: ScalarField):
-    """Vectorized R_g for radial fields or fields with analytic caps."""
-    n = u.dim.n
-    if n < 4:
-        raise DimensionError("scalar curvature criterion applies for n >= 4")
-    chain = u.caps.laplacian_chain
-    grad = u.caps.gradient
-    if chain is not None and grad is not None:
-        def rg(pts):
-            uv = u(pts)
-            lap = np.asarray(chain[0](pts), dtype=float)
-            g = np.asarray(grad(pts), dtype=float)
-            grad2 = np.einsum("ij,ij->i", g, g)
-            return 2.0 * (n - 1) * np.exp(-2.0 * uv) * (-lap - 0.5 * (n - 2) * grad2)
-
-        return rg
-    if u.caps.is_radial:
-        phi = u.along_ray()
-
-        def rg(pts):
-            r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-            jet = radial_jet(phi, r, n, max_m=1)
-            uv = jet.value()
-            lap = jet.laplacian_power(1)
-            du = jet.radial_derivative()
-            return 2.0 * (n - 1) * np.exp(-2.0 * uv) * (-lap - 0.5 * (n - 2) * du ** 2)
-
-        return rg
-    raise QflatError("scalar criterion needs a radial field or analytic caps")
+def _abs_values(w: ScalarField):
+    return lambda pts: np.abs(w(pts))
 
 
 def _curvature_deficit_values(u: ScalarField):
@@ -254,27 +192,22 @@ def _curvature_deficit_values(u: ScalarField):
     raise QflatError("scalar criterion needs a radial field or analytic caps")
 
 
+def normality_condition_a(w: ScalarField, radii=None, margin=0.25) -> GrowthVerdict:
+    """int_{B_R} |Delta w| dx = o(R^n)?  (n >= 4)"""
+    return _growth_criterion(w, _abs_laplacian_values, w.dim.n, radii, margin,
+                             "condition (a)")
+
+
+def normality_condition_b(w: ScalarField, radii=None, margin=0.25) -> GrowthVerdict:
+    """int_{B_R} |w| dx = o(R^{n+2})?  (n >= 4)"""
+    return _growth_criterion(w, _abs_values, w.dim.n + 2, radii, margin,
+                             "condition (b)")
+
+
 def normality_scalar_criterion(u: ScalarField, radii=None, margin=0.25) -> GrowthVerdict:
     """int_{B_R} R_g^- e^{2u} dx = o(R^n)?  (n >= 4)"""
-    n = u.dim.n
-    if n < 4:
-        raise DimensionError("scalar criterion applies for n >= 4")
-    radii = dyadic_radii() if radii is None else np.sort(np.asarray(radii, dtype=float))
-    integrand = _curvature_deficit_values(u)
-
-    if u.caps.is_radial:
-        phi = u.along_ray()
-
-        def radial_integrand(t):
-            t = np.asarray(t, dtype=float)
-            pts = np.zeros((t.size, n))
-            pts[:, 0] = t
-            return integrand(pts)
-
-        vals = _cumulative_radial(radial_integrand, radii, n)
-    else:
-        vals = _cumulative_shells(integrand, radii, n)
-    return growth_classifier(zip(radii, vals), threshold=n, margin=margin)
+    return _growth_criterion(u, _curvature_deficit_values, u.dim.n, radii, margin,
+                             "scalar criterion")
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +228,20 @@ class CohnVossenReport:
                 "tolerance": self.tolerance}
 
 
-def _density_radial_callable(ctx: MetricContext):
-    """t -> (-Delta)^{n/2} u (t e_1) for radial metrics."""
-    if ctx.density is not None and ctx.density.caps.is_radial:
-        return ctx.density.along_ray()
+def _curvature_density(ctx: MetricContext) -> ScalarField | None:
+    """The curvature density (-Delta)^{n/2} u of the metric as a field:
+    ctx.density when set, else the radial jet of u for radial metrics, else
+    None."""
+    if ctx.density is not None:
+        return ctx.density
     if not ctx.is_radial:
         return None
     phi = ctx.u_radial()
     n = ctx.n
     m = n // 2
     sign = (-1.0) ** m
-    return lambda t: sign * radial_laplacian_batch(phi, np.asarray(t, dtype=float), n, m)
+    return radial_field(lambda r: sign * radial_laplacian_batch(phi, r, n, m), ctx.u.dim,
+                        name=f"density({ctx.label})")
 
 
 def cohn_vossen_check(ctx: MetricContext, tolerance=1e-3, radii=None) -> CohnVossenReport:
@@ -321,7 +257,10 @@ def cohn_vossen_check(ctx: MetricContext, tolerance=1e-3, radii=None) -> CohnVos
     pre = {}
     vol = volume_classification(ctx)
     pre["finite_volume"] = vol.classification
-    dens = _density_radial_callable(ctx)
+    density = _curvature_density(ctx)
+    dens = support = None
+    if density is not None and density.caps.is_radial:
+        dens, support = density.along_ray(), density.caps.support_radius
     area = sphere_constants(n).boundary_area
     neg_ok = None
     if dens is not None:
@@ -329,8 +268,7 @@ def cohn_vossen_check(ctx: MetricContext, tolerance=1e-3, radii=None) -> CohnVos
             decade_mass_integral(
                 lambda t: np.maximum(-np.asarray(dens(t), dtype=float), 0.0)
                 * area * np.asarray(t) ** (n - 1),
-                rel_tol=1e-6, abs_tol=1e-10,
-                support_radius=ctx.density.caps.support_radius if ctx.density is not None else None)
+                rel_tol=1e-6, abs_tol=1e-10, support_radius=support)
             neg_ok = True
         except NonIntegrableError:
             neg_ok = False
@@ -352,8 +290,7 @@ def cohn_vossen_check(ctx: MetricContext, tolerance=1e-3, radii=None) -> CohnVos
                                 preconditions=pre, tolerance=tolerance)
     mass = decade_mass_integral(
         lambda t: np.asarray(dens(t), dtype=float) * area * np.asarray(t) ** (n - 1),
-        rel_tol=1e-8, abs_tol=1e-10,
-        support_radius=ctx.density.caps.support_radius if ctx.density is not None else None)
+        rel_tol=1e-8, abs_tol=1e-10, support_radius=support)
     total = mass.value
     return CohnVossenReport(total=total, bound=bound,
                             satisfied=bool(total >= bound - tolerance),
@@ -463,7 +400,7 @@ class AnalysisConfig:
     seed: int = 20250
     volume_radii: tuple = tuple(np.geomspace(10.0, 1e7, 26))
     distance_radii: tuple = tuple(np.geomspace(10.0, 1e4, 12))
-    criterion_radii: tuple = tuple(2.0 ** k for k in range(1, 11))
+    criterion_radii: tuple = CRITERION_RADII
     margin: float = 0.25
     mass_rel_tol: float = 1e-8
     entropy_stability_gap: float = 0.5
@@ -565,20 +502,10 @@ def analyze_normality(ctx: MetricContext, config: AnalysisConfig | None = None,
 
     alpha0 = alpha0_res = None
     try:
-        if ctx.density is not None:
-            est = total_mass_alpha(ctx.density, rel_tol=cfg.mass_rel_tol)
-        elif ctx.is_radial:
-            n = ctx.n
-            dens = _density_radial_callable(ctx)
-            f_field = ScalarField(
-                dim=ctx.u.dim,
-                fn=lambda pts: np.asarray(
-                    dens(np.sqrt(np.einsum("ij,ij->i", pts, pts))), dtype=float),
-                caps=FieldCaps(is_radial=True),
-                name=f"density({ctx.label})")
-            est = total_mass_alpha(f_field, rel_tol=cfg.mass_rel_tol)
-        else:
+        density = _curvature_density(ctx)
+        if density is None:
             raise QflatError("no curvature density available for a non-radial metric")
+        est = total_mass_alpha(density, rel_tol=cfg.mass_rel_tol)
         alpha0, alpha0_res = est.alpha_hat, est.residual
     except QflatError as e:
         errors["alpha0"] = str(e)

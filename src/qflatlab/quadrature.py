@@ -9,7 +9,8 @@ Four layers:
 
 * panel-adaptive Gauss-Legendre on finite intervals and radial ranges
   (``adaptive_estimate``, ``integrate_radial_estimate`` and its strict
-  form ``integrate_radial``);
+  form ``integrate_radial``), and the running radial integrals over
+  sorted radii (``cumulative_radial``);
 * signed improper integrals over [r0, inf) driven by decade blocks with a
   Cauchy-condensation convergence test (``decade_mass_integral``);
 * finite-vs-infinite classification of positive improper integrals through
@@ -160,6 +161,16 @@ def integrate_radial(f, r0, r1, rel_tol=1e-8, abs_tol=0.0, breakpoints=()):
     raises QuadratureError as soon as one piece misses its target within
     4096 panels."""
     return _radial(f, r0, r1, rel_tol, abs_tol, breakpoints, 4096, strict=True)[0]
+
+
+def cumulative_radial(f, radii, rel_tol, abs_tol=0.0):
+    """Integrals of f(r) dr over [0, R] at each of the sorted radii R: one
+    integrate_radial per segment between consecutive radii, summed in
+    order."""
+    radii = np.asarray(radii, dtype=float)
+    starts = np.concatenate(([0.0], radii[:-1]))
+    return np.cumsum([integrate_radial(f, a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+                      for a, b in zip(starts, radii)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qflatlab
 from qflatlab import cli
 
 
@@ -185,6 +189,15 @@ class TestVerifyAndGallery:
         assert code == 0
         for name in ("flat", "sphere", "cone", "huber", "gaussian_source", "planted"):
             assert name in out
+
+    def test_python_m_package(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qflatlab.__file__))
+        proc = subprocess.run([sys.executable, "-m", "qflatlab", "gallery", "list"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert "cone" in proc.stdout
+        assert proc.stderr == ""
 
     def test_single_fast_case(self, capsys):
         code, out, _ = run(capsys, "verify", "--filter", "bounded_diameter")

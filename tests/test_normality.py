@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qflatlab import (AnalysisConfig, DimensionError, Polynomial,
-                      PotentialEvaluator, QflatError, ScalarField,
-                      analyze_normality, cohn_vossen_check, constant_field,
-                      decompose, gallery, growth_classifier,
+from qflatlab import (AnalysisConfig, Dimension, DimensionError,
+                      DomainEvalError, MetricContext, Polynomial,
+                      PotentialEvaluator, QflatError, RadialProfile,
+                      ScalarField, analyze_normality, cohn_vossen_check,
+                      constant_field, decompose, gallery, growth_classifier,
                       normality_condition_a, normality_condition_b,
                       normality_scalar_criterion, radial_field)
 from qflatlab.gallery import gallery_fresh
@@ -149,6 +150,10 @@ class TestConditionB:
         assert v.verdict == "not_little_o"
         assert v.fitted_exponent == pytest.approx(6.0, abs=0.01)
 
+    def test_n2_rejected(self):
+        with pytest.raises(DimensionError):
+            normality_condition_b(constant_field(0.0, 2))
+
 
 class TestScalarCriterion:
     def test_sphere_positive_curvature(self):
@@ -191,6 +196,21 @@ class TestCohnVossen:
         # total curvature of the round n-sphere is alpha0 * bound = 2 * bound
         from qflatlab import cohn_vossen_bound
         assert rep.total == pytest.approx(2 * cohn_vossen_bound(4), rel=1e-6)
+
+    def test_nan_density_raises(self):
+        # the round sphere's profile, NaN beyond r = 1e3: the density walk
+        # must stop at the first non-finite value, not sum it into the total
+        def phi(r):
+            r = np.asarray(r, dtype=float)
+            with np.errstate(invalid="ignore"):
+                return np.where(r > 1e3, np.nan, np.log(2.0 / (1.0 + r * r)))
+
+        prof = RadialProfile(fn=phi, name="nan-tail")
+        dim = Dimension(2)
+        ctx = MetricContext(u=prof.to_field(dim), dim=dim, radial_profile=prof,
+                            label="nan-tail")
+        with pytest.raises(DomainEvalError):
+            cohn_vossen_check(ctx)
 
 
 class TestAnalyzeNormality:

@@ -5,8 +5,9 @@ import pytest
 
 from qflatlab import (Dimension, Polynomial, QuadratureError, ball_mean_poly,
                       sphere_constants)
-from qflatlab.quadrature import (integrate_radial, integrate_radial_estimate,
-                                 shell_product_rule, sphere_shell)
+from qflatlab.quadrature import (cumulative_radial, integrate_radial,
+                                 integrate_radial_estimate, shell_product_rule,
+                                 sphere_shell)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -61,3 +62,15 @@ def test_product_rule_matches_exact_ball_mean(n):
     vol = sphere_constants(n).unit_ball_volume * R ** n
     got = shell_product_rule(p, n, center, 0.0, R, 16, 12)
     assert got == pytest.approx(ball_mean_poly(p, center, R) * vol, abs=1e-12)
+
+
+def test_cumulative_sweep_is_chained_segments():
+    f = lambda r: np.exp(-np.asarray(r)) * np.asarray(r) ** 3
+    radii = np.geomspace(0.5, 1e3, 9)
+    expected, acc, prev = [], 0.0, 0.0
+    for R in radii:
+        acc += integrate_radial(f, prev, R, rel_tol=1e-7, abs_tol=1e-12)
+        prev = R
+        expected.append(acc)
+    got = cumulative_radial(f, radii, rel_tol=1e-7, abs_tol=1e-12)
+    assert got.tolist() == expected
