@@ -183,7 +183,7 @@ def sweep_csv(doc, param, values, seed=20250) -> str:
             report = analyze_normality(ctx, cfg, provenance_spec=doc)
             try:
                 dist = distance_growth_exponent(
-                    ctx, np.zeros(int(doc["n"])), np.asarray(cfg.distance_radii))
+                    ctx, np.zeros(int(doc["n"])), np.geomspace(10.0, 1e4, 12))
                 row["distance_exponent"] = dist.exponent
             except QflatError as e:
                 row["distance_exponent"] = None

@@ -13,7 +13,7 @@ An inconclusive band remains and is reported as such.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -55,6 +55,19 @@ class MetricContext:
     density: ScalarField | None = None
     density_tractable: bool = False
     label: str = ""
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def cached(self, key, compute):
+        """compute() on the first call for key, its stored outcome after:
+        the value, or the QflatError it raised, raised again."""
+        if key not in self._cache:
+            try:
+                self._cache[key] = compute()
+            except QflatError as e:
+                self._cache[key] = e
+        if isinstance(self._cache[key], QflatError):
+            raise self._cache[key]
+        return self._cache[key]
 
     @property
     def n(self):
@@ -239,6 +252,7 @@ class DiameterReport:
     value: float | None
     exact: bool                # True when the collapsing-ends argument applies
     detail: str = ""
+    rays: tuple = ()           # tail kind of each classified ray; not serialized
 
     def to_json_dict(self):
         return {"class": self.classification, "value": self.value}
@@ -257,37 +271,38 @@ def diameter_estimate(ctx: MetricContext) -> DiameterReport:
     """
     if ctx.is_radial:
         cls, total = _ray_to_infinity(ctx)
+        rays = (cls.kind,)
         if cls.kind == "infinite":
-            return DiameterReport("infinite", None, True, "ray integral diverges")
+            return DiameterReport("infinite", None, True, "ray integral diverges", rays)
         if cls.kind == "inconclusive":
             return DiameterReport("inconclusive", None, False,
-                                  "condensation ratios in the undecidable band")
+                                  "condensation ratios in the undecidable band", rays)
         phi = ctx.u_radial()
         probes = np.array([2.0 ** 32, 2.0 ** 64, 2.0 ** 128])
         arc = probes * np.exp(np.asarray(phi(probes), dtype=float))
         collapsed = bool(np.all(np.diff(arc) < 0) and arc[-1] < 1e-6 * total)
         if collapsed:
-            return DiameterReport("finite", total, True, "collapsing ends")
+            return DiameterReport("finite", total, True, "collapsing ends", rays)
         return DiameterReport("finite", 2.0 * total, False,
-                              "upper bound 2 * ray length (ends do not collapse)")
+                              "upper bound 2 * ray length (ends do not collapse)", rays)
 
     rng = np.random.default_rng(SAMPLED_RAYS_SEED)
-    kinds = []
+    rays = ()
     totals = []
     for _ in range(SAMPLED_RAYS):
         d = rng.normal(size=ctx.n)
         d /= np.linalg.norm(d)
         cls, length = _ray_to_infinity(ctx, d)
-        kinds.append(cls.kind)
+        rays += (cls.kind,)
         if cls.kind == "finite":
             totals.append(length)
-    if all(k == "infinite" for k in kinds):
-        return DiameterReport("infinite", None, False, "all sampled rays diverge")
-    if all(k == "finite" for k in kinds):
+    if all(k == "infinite" for k in rays):
+        return DiameterReport("infinite", None, False, "all sampled rays diverge", rays)
+    if all(k == "finite" for k in rays):
         return DiameterReport("finite", 2.0 * max(totals), False,
-                              "all sampled rays converge; crude pairwise bound")
+                              "all sampled rays converge; crude pairwise bound", rays)
     return DiameterReport("inconclusive", None, False,
-                          "sampled rays disagree or are undecidable")
+                          "sampled rays disagree or are undecidable", rays)
 
 
 def volume_classification(ctx: MetricContext) -> DiameterReport:

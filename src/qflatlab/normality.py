@@ -31,8 +31,8 @@ from .constants import cohn_vossen_bound, sphere_constants
 from .errors import DimensionError, NonIntegrableError, QflatError
 from .fields import ScalarField, radial_field
 from .fitting import GrowthEstimate
-from .geometry import (DiameterReport, MetricContext, classify_ray,
-                       diameter_estimate, volume_classification, volume_growth)
+from .geometry import (DiameterReport, MetricContext, diameter_estimate,
+                       volume_classification, volume_growth)
 from .polynomials import Polynomial, monomials_upto
 from .potential import PotentialEvaluator, total_mass_alpha
 from .quadrature import cumulative_radial, decade_mass_integral, shell_product_rule
@@ -45,6 +45,9 @@ NONCONSTANT_SE_FACTOR = 10.0
 NONCONSTANT_FLOOR = 1e-6
 # dyadic ball radii 2, 4, ..., 1024 of the growth criteria
 CRITERION_RADII = tuple(2.0 ** k for k in range(1, 11))
+# tau counts as settled when its window split and residual stay below this
+ENTROPY_STABILITY_GAP = 0.5
+COHN_VOSSEN_TOLERANCE = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -244,57 +247,70 @@ def _curvature_density(ctx: MetricContext) -> ScalarField | None:
                         name=f"density({ctx.label})")
 
 
-def cohn_vossen_check(ctx: MetricContext, tolerance=1e-3, radii=None) -> CohnVossenReport:
+# Stage results that the report and cohn_vossen_check share, computed once
+# per context.  Each calls its stage function through this module's globals
+# when first asked, so a wrapper set on the module name sees that call.
+
+def _alpha_estimate(ctx: MetricContext):
+    def compute():
+        density = _curvature_density(ctx)
+        if density is None:
+            raise QflatError("no curvature density available for a non-radial metric")
+        return total_mass_alpha(density)
+
+    return ctx.cached("alpha0", compute)
+
+
+def _volume_class(ctx: MetricContext) -> DiameterReport:
+    return ctx.cached("volume", lambda: volume_classification(ctx))
+
+
+def _condition_a(ctx: MetricContext) -> GrowthVerdict:
+    return ctx.cached("condition_a", lambda: normality_condition_a(ctx.u))
+
+
+def cohn_vossen_check(ctx: MetricContext) -> CohnVossenReport:
     """Total-curvature lower bound for finite-volume metrics.
 
-    total = int Q_g e^{nu} dx is checked against (n-1)! |S^n| / 2 (2 pi in
-    n = 2).  Preconditions: finite volume, integrable negative curvature
-    part, and for n >= 4 the o(R^n) growth of int_{B_R} |Delta u|.  Any
-    failed precondition is reported and the verdict withheld.
+    total = int Q_g e^{nu} dx = alpha0 / g_n is checked against
+    (n-1)! |S^n| / 2 = 1 / g_n (2 pi in n = 2), so the bound reads
+    alpha0 >= 1.  Preconditions: finite volume, integrable negative
+    curvature part, and for n >= 4 the o(R^n) growth of int_{B_R}
+    |Delta u|.  Any failed precondition is reported and the verdict
+    withheld.
     """
     n = ctx.n
     bound = cohn_vossen_bound(n)
     pre = {}
-    vol = volume_classification(ctx)
+    vol = _volume_class(ctx)
     pre["finite_volume"] = vol.classification
     density = _curvature_density(ctx)
-    dens = support = None
-    if density is not None and density.caps.is_radial:
-        dens, support = density.along_ray(), density.caps.support_radius
-    area = sphere_constants(n).boundary_area
     neg_ok = None
-    if dens is not None:
+    if density is not None and density.caps.is_radial:
+        dens = density.along_ray()
+        area = sphere_constants(n).boundary_area
         try:
             decade_mass_integral(
                 lambda t: np.maximum(-np.asarray(dens(t), dtype=float), 0.0)
                 * area * np.asarray(t) ** (n - 1),
-                rel_tol=1e-6, abs_tol=1e-10, support_radius=support)
+                rel_tol=1e-6, abs_tol=1e-10, support_radius=density.caps.support_radius)
             neg_ok = True
         except NonIntegrableError:
             neg_ok = False
     pre["negative_part_integrable"] = neg_ok
     if n >= 4:
         try:
-            pre["laplacian_growth"] = normality_condition_a(ctx.u, radii).verdict
+            pre["laplacian_growth"] = _condition_a(ctx).verdict
         except QflatError as e:
             pre["laplacian_growth"] = f"error: {e}"
 
-    ok = (vol.classification == "finite" and neg_ok is True
-          and (n < 4 or pre.get("laplacian_growth") == "little_o"))
-    if not ok:
-        return CohnVossenReport(total=None, bound=bound, satisfied=None,
-                                preconditions=pre, tolerance=tolerance)
-    if dens is None:
-        pre["density"] = "unavailable"
-        return CohnVossenReport(total=None, bound=bound, satisfied=None,
-                                preconditions=pre, tolerance=tolerance)
-    mass = decade_mass_integral(
-        lambda t: np.asarray(dens(t), dtype=float) * area * np.asarray(t) ** (n - 1),
-        rel_tol=1e-8, abs_tol=1e-10, support_radius=support)
-    total = mass.value
-    return CohnVossenReport(total=total, bound=bound,
-                            satisfied=bool(total >= bound - tolerance),
-                            preconditions=pre, tolerance=tolerance)
+    total = satisfied = None
+    if (vol.classification == "finite" and neg_ok is True
+            and (n < 4 or pre.get("laplacian_growth") == "little_o")):
+        total = _alpha_estimate(ctx).alpha_hat / sphere_constants(n).green_constant
+        satisfied = bool(total >= bound - COHN_VOSSEN_TOLERANCE)
+    return CohnVossenReport(total=total, bound=bound, satisfied=satisfied,
+                            preconditions=pre, tolerance=COHN_VOSSEN_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -397,23 +413,16 @@ def decompose(w: ScalarField, f: ScalarField, sample_set=None, max_degree=None,
 
 @dataclass
 class AnalysisConfig:
-    seed: int = 20250
-    volume_radii: tuple = tuple(np.geomspace(10.0, 1e7, 26))
-    distance_radii: tuple = tuple(np.geomspace(10.0, 1e4, 12))
-    criterion_radii: tuple = CRITERION_RADII
-    margin: float = 0.25
-    mass_rel_tol: float = 1e-8
-    entropy_stability_gap: float = 0.5
-    identity_tolerance: float = 0.05
-    cohn_vossen_tolerance: float = 1e-3
+    seed: int = 20250             # decomposition sample directions
 
     def tolerances(self):
+        """The fixed settings of analyze_normality, recorded in each report."""
         return {
-            "margin": self.margin,
-            "mass_rel_tol": self.mass_rel_tol,
-            "entropy_stability_gap": self.entropy_stability_gap,
-            "identity_tolerance": self.identity_tolerance,
-            "cohn_vossen_tolerance": self.cohn_vossen_tolerance,
+            "margin": 0.25,                   # default of the growth criteria
+            "mass_rel_tol": 1e-8,             # total_mass_alpha
+            "entropy_stability_gap": ENTROPY_STABILITY_GAP,
+            "identity_tolerance": 0.05,
+            "cohn_vossen_tolerance": COHN_VOSSEN_TOLERANCE,
         }
 
 
@@ -471,20 +480,14 @@ def canonical_json(obj) -> str:
                       allow_nan=False, indent=1)
 
 
-def _completeness(ctx: MetricContext, seed):
+def _completeness(ctx: MetricContext, diameter: DiameterReport | None):
+    """Completeness from the tail kinds of the diameter's rays: the radial
+    ray, or the sampled directions of a non-radial metric."""
     if ctx.completeness_hint is not None:
         return "assumed_complete" if ctx.completeness_hint else "assumed_incomplete"
-    if ctx.is_radial:
-        cls = classify_ray(ctx)
-        return {"infinite": "complete", "finite": "incomplete"}.get(cls.kind, "unknown")
-    rng = np.random.default_rng(seed)
-    kinds = set()
-    for _ in range(8):
-        d = rng.normal(size=ctx.n)
-        d /= np.linalg.norm(d)
-        kinds.add(classify_ray(ctx, direction=d).kind)
+    kinds = set(diameter.rays) if diameter is not None else set()
     if kinds == {"infinite"}:
-        return "complete_sampled"
+        return "complete" if ctx.is_radial else "complete_sampled"
     if "finite" in kinds:
         return "incomplete"
     return "unknown"
@@ -495,45 +498,46 @@ def analyze_normality(ctx: MetricContext, config: AnalysisConfig | None = None,
     """Full normality analysis of one metric.
 
     Each sub-computation is attempted independently; failures land in the
-    report's error map instead of aborting the run.
+    report's error map instead of aborting the run.  Stages run in
+    dependency order, and the ones cohn_vossen_check reads (alpha0, the
+    volume class, condition (a)) are computed once per context.
     """
     cfg = config or AnalysisConfig()
     errors = {}
 
-    alpha0 = alpha0_res = None
-    try:
-        density = _curvature_density(ctx)
-        if density is None:
-            raise QflatError("no curvature density available for a non-radial metric")
-        est = total_mass_alpha(density, rel_tol=cfg.mass_rel_tol)
-        alpha0, alpha0_res = est.alpha_hat, est.residual
-    except QflatError as e:
-        errors["alpha0"] = str(e)
+    def attempt(key, compute):
+        """compute(), or None with errors[key] set when it raises."""
+        try:
+            return compute()
+        except QflatError as e:
+            errors[key] = str(e)
+            return None
 
-    tau = None
-    try:
-        radii = np.asarray(cfg.volume_radii, dtype=float)
-        if not ctx.is_radial:
-            radii = radii[radii <= 1e4]
-        tau = volume_growth(ctx, radii)
-    except QflatError as e:
-        errors["tau"] = str(e)
+    est = attempt("alpha0", lambda: _alpha_estimate(ctx))
+    alpha0, alpha0_res = (est.alpha_hat, est.residual) if est is not None else (None, None)
+
+    # ball radii of the tau fit; non-radial metrics stop at 1e4
+    radii = np.geomspace(10.0, 1e7, 26)
+    if not ctx.is_radial:
+        radii = radii[radii <= 1e4]
+    tau = attempt("tau", lambda: volume_growth(ctx, radii))
 
     identity_residual = None
     if tau is not None and alpha0 is not None:
         # limsup semantics: when the window split has not settled, the
         # sup-window slope is the headline exponent
         tau_headline = tau.exponent
-        if tau.sup_exponent - tau.inf_exponent > cfg.entropy_stability_gap:
+        if tau.sup_exponent - tau.inf_exponent > ENTROPY_STABILITY_GAP:
             tau_headline = tau.sup_exponent
         identity_residual = abs(tau_headline - max(1.0 - alpha0, 0.0))
 
-    completeness = _completeness(ctx, cfg.seed)
+    diameter = attempt("diameter", lambda: diameter_estimate(ctx))
+    completeness = _completeness(ctx, diameter)
 
     criteria = {}
     tau_stable = (tau is not None
-                  and tau.sup_exponent - tau.inf_exponent <= cfg.entropy_stability_gap
-                  and tau.residual <= cfg.entropy_stability_gap)
+                  and tau.sup_exponent - tau.inf_exponent <= ENTROPY_STABILITY_GAP
+                  and tau.residual <= ENTROPY_STABILITY_GAP)
     if ctx.n == 2:
         # finite total curvature + settled entropy forces a constant
         # remainder directly in n = 2 (degree bound n - 2 = 0)
@@ -551,47 +555,28 @@ def analyze_normality(ctx: MetricContext, config: AnalysisConfig | None = None,
         "completeness": completeness,
     }
 
-    for key, fn in (("condition_a", normality_condition_a),
-                    ("condition_b", normality_condition_b),
-                    ("scalar_criterion", normality_scalar_criterion)):
+    for key, verdict_of in (("condition_a", _condition_a),
+                            ("condition_b", lambda c: normality_condition_b(c.u)),
+                            ("scalar_criterion", lambda c: normality_scalar_criterion(c.u))):
         if ctx.n < 4:
             criteria[key] = {"verdict": "not_applicable"}
             continue
-        try:
-            criteria[key] = fn(ctx.u, np.asarray(cfg.criterion_radii), margin=cfg.margin)
-        except QflatError as e:
-            criteria[key] = {"verdict": "error", "error": str(e)}
-            errors[key] = str(e)
+        result = attempt(key, lambda: verdict_of(ctx))
+        criteria[key] = result or {"verdict": "error", "error": errors[key]}
 
-    decomposition = None
+    decomposition = dec = None
     if ctx.density is not None and ctx.density_tractable:
-        try:
-            dec = decompose(ctx.u, ctx.density, seed=cfg.seed)
-            decomposition = {
-                "residual": dec.fit_residual,
-                "nonconstant": dec.nonconstant,
-                "constant_term": dec.coefficient((0,) * ctx.n),
-                "samples": dec.sample_spec,
-            }
-        except QflatError as e:
-            errors["decomposition"] = str(e)
+        dec = attempt("decomposition", lambda: decompose(ctx.u, ctx.density, seed=cfg.seed))
+    if dec is not None:
+        decomposition = {
+            "residual": dec.fit_residual,
+            "nonconstant": dec.nonconstant,
+            "constant_term": dec.coefficient((0,) * ctx.n),
+            "samples": dec.sample_spec,
+        }
 
-    cv = None
-    try:
-        cv = cohn_vossen_check(ctx, tolerance=cfg.cohn_vossen_tolerance,
-                               radii=np.asarray(cfg.criterion_radii))
-    except QflatError as e:
-        errors["cohn_vossen"] = str(e)
-
-    diameter = volume = None
-    try:
-        diameter = diameter_estimate(ctx)
-    except QflatError as e:
-        errors["diameter"] = str(e)
-    try:
-        volume = volume_classification(ctx)
-    except QflatError as e:
-        errors["volume"] = str(e)
+    volume = attempt("volume", lambda: _volume_class(ctx))
+    cv = attempt("cohn_vossen", lambda: cohn_vossen_check(ctx))
 
     scalar = criteria.get("scalar_criterion")
     scalar_verdict = scalar.verdict if isinstance(scalar, GrowthVerdict) else None
@@ -606,7 +591,7 @@ def analyze_normality(ctx: MetricContext, config: AnalysisConfig | None = None,
     else:
         verdict = "INCONCLUSIVE"
 
-    report = NormalityReport(
+    return NormalityReport(
         n=ctx.n,
         label=ctx.label,
         alpha0=alpha0,
@@ -628,4 +613,3 @@ def analyze_normality(ctx: MetricContext, config: AnalysisConfig | None = None,
             "tolerances": cfg.tolerances(),
         },
     )
-    return report

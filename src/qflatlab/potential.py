@@ -286,14 +286,14 @@ def log_potential(f: ScalarField, x, evaluator: PotentialEvaluator | None = None
     return float(ev(np.asarray(x, dtype=float)))
 
 
-def total_mass_alpha(f: ScalarField, rel_tol=1e-8) -> AlphaEstimate:
-    """Normalized total mass g_n * integral(f).
+def total_mass_alpha(f: ScalarField) -> AlphaEstimate:
+    """Normalized total mass g_n * integral(f), to relative tolerance 1e-8.
 
     Radial densities reduce to a 1-D integral against |S^{n-1}| r^{n-1};
     NonIntegrableError propagates when the condensed decade tails fail the
     ratio test.
     """
-    ev = PotentialEvaluator(f, rel_tol=rel_tol)
+    ev = PotentialEvaluator(f)
     res = ev.mass()
     return AlphaEstimate(
         alpha_hat=ev.gconst * res.value,

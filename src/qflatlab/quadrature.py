@@ -67,7 +67,8 @@ def adaptive_estimate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=4096):
 
     The panel with the largest error estimate is split until the summed
     error meets ``max(abs_tol, rel_tol * |integral|)`` or the panel budget
-    runs out; returns (value, error_estimate) either way.
+    runs out; returns (value, error_estimate) either way.  Raises
+    QuadratureError when the value is NaN or infinite.
     """
     if a == b:
         return 0.0, 0.0
@@ -98,6 +99,8 @@ def adaptive_estimate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=4096):
         heapq.heappush(heap, (-le, counter - 1, pa, pm, lv, le))
         heapq.heappush(heap, (-re, counter, pm, pb, rv, re))
         n_panels += 1
+    if not math.isfinite(total):
+        raise QuadratureError(f"non-finite quadrature value {total} on [{a}, {b}]")
     return total, max(total_err, 0.0)
 
 

@@ -1,5 +1,10 @@
+import collections
+import importlib
+import importlib.util
+import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from qflatlab import (AnalysisConfig, Dimension, DimensionError,
                       constant_field, decompose, gallery, growth_classifier,
                       normality_condition_a, normality_condition_b,
                       normality_scalar_criterion, radial_field)
+from qflatlab.cli import context_from_document
 from qflatlab.gallery import gallery_fresh
 
 
@@ -277,3 +283,53 @@ class TestAnalyzeNormality:
             ctx, _ = gallery_fresh("gaussian_source", {"mass": 0.5}, 2)
             texts.append(analyze_normality(ctx, AnalysisConfig()).to_json())
         assert texts[0] == texts[1]
+
+    def test_undefined_far_field_is_an_error_entry(self):
+        # u = -log(1e9 - r) leaves its domain beyond r = 1e9: the diameter
+        # stage records the failure and completeness cannot be decided
+        ctx = context_from_document({"n": 2, "kind": "expression",
+                                     "u": "-log(1e9-r)"})
+        rep = analyze_normality(ctx)
+        assert "diameter" in rep.errors
+        assert rep.diameter is None
+        assert rep.completeness == "unknown"
+        json.loads(rep.to_json())
+
+    def test_shared_stages_run_once(self, monkeypatch):
+        # alpha0, the volume class and condition (a) feed both their own
+        # stages and Cohn-Vossen; each is computed once per context
+        normality = importlib.import_module("qflatlab.normality")
+        geometry = importlib.import_module("qflatlab.geometry")
+        calls = collections.Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(normality, "volume_classification")
+        count(normality, "normality_condition_a")
+        count(normality, "total_mass_alpha")
+        count(geometry, "log_condensation_blocks")
+        ctx, _ = gallery_fresh("sphere", {}, 4)
+        rep = analyze_normality(ctx)
+        assert calls == {"volume_classification": 1, "normality_condition_a": 1,
+                         "total_mass_alpha": 1, "log_condensation_blocks": 2}
+        assert (rep.cohn_vossen.preconditions["laplacian_growth"]
+                == rep.criteria["condition_a"].verdict)
+
+
+def test_traced_stages_exist():
+    # the bench tracer wraps these names of the normality module, one per
+    # stage of analyze_normality, and fails to install if one is missing
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace_stages", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    normality = importlib.import_module("qflatlab.normality")
+    for name in layertrace.STAGES:
+        assert inspect.isfunction(getattr(normality, name, None)), name

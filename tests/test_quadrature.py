@@ -5,9 +5,9 @@ import pytest
 
 from qflatlab import (Dimension, Polynomial, QuadratureError, ball_mean_poly,
                       sphere_constants)
-from qflatlab.quadrature import (cumulative_radial, integrate_radial,
-                                 integrate_radial_estimate, shell_product_rule,
-                                 sphere_shell)
+from qflatlab.quadrature import (cumulative_radial, decade_mass_integral,
+                                 integrate_radial, integrate_radial_estimate,
+                                 shell_product_rule, sphere_shell)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -74,3 +74,17 @@ def test_cumulative_sweep_is_chained_segments():
         expected.append(acc)
     got = cumulative_radial(f, radii, rel_tol=1e-7, abs_tol=1e-12)
     assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("walk", ["estimate", "decades"])
+def test_nonfinite_integrand_raises(walk):
+    # finite up to r = 10, NaN beyond: the value must not come back as NaN
+    def f(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 10.0, np.nan, np.exp(-r))
+
+    with pytest.raises(QuadratureError, match="non-finite"):
+        if walk == "estimate":
+            integrate_radial_estimate(f, 0.0, 100.0)
+        else:
+            decade_mass_integral(f)
