@@ -25,8 +25,8 @@ from .errors import (DimensionError, NotRadialError, QflatError,
 from .fields import Dimension, ScalarField, as_dimension, check_point
 from .polynomials import (Polynomial, apply_laplacian_poly, ball_mean_poly,
                           radial_monomial)
-from .quadrature import (ball_integral_generic, integrate_radial,
-                         offset_ball_integral_radial, sphere_shell)
+from .quadrature import (integrate_radial, offset_ball_integral_radial,
+                         shell_product_rule, sphere_shell)
 
 # ---------------------------------------------------------------------------
 # local Chebyshev fits
@@ -67,6 +67,7 @@ def _fit_power_coeffs(values, degree):
 # ---------------------------------------------------------------------------
 
 _POLY_DEG_EXTRA = 8
+JET_REL_WINDOW = 0.05    # fit window half-width in s = r^2, relative to 1 + s
 
 
 @dataclass
@@ -94,19 +95,16 @@ class RadialJet:
             out = out * y + c
         return out
 
-    def q_derivative(self, order=1):
-        """d^order q / ds^order evaluated at the batch points."""
-        c = self.coeffs
-        for _ in range(order):
-            c = _poly_der(c)
-        return self._polyval(c) / self.delta ** order
+    def q_derivative(self):
+        """dq/ds evaluated at the batch points."""
+        return self._polyval(_poly_der(self.coeffs)) / self.delta
 
     def value(self):
         return self._polyval(self.coeffs)
 
     def radial_derivative(self):
         """phi'(r) = 2 r q'(s)."""
-        return 2.0 * self.r * self.q_derivative(1)
+        return 2.0 * self.r * self.q_derivative()
 
     def laplacian_coeffs(self, coeffs):
         """Coefficient-level Delta on a local even-part polynomial."""
@@ -133,7 +131,7 @@ def _poly_der(coeffs):
     return coeffs[:, 1:] * k[None, :]
 
 
-def radial_jet(phi, r, dim, max_m=1, rel_window=0.05):
+def radial_jet(phi, r, dim, max_m=1):
     """Fit local even-part polynomials of phi around each radius in r."""
     n = int(dim)
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -142,7 +140,7 @@ def radial_jet(phi, r, dim, max_m=1, rel_window=0.05):
     tau, _ = _cheb_design(n_nodes, degree)
     s0 = r * r
     # upper clamp keeps delta**2 representable at astronomical radii
-    delta = np.clip(rel_window * (1.0 + s0), 1e-8, 1e150)
+    delta = np.clip(JET_REL_WINDOW * (1.0 + s0), 1e-8, 1e150)
     s_mid = np.maximum(s0, delta)
     s_nodes = s_mid[:, None] + delta[:, None] * tau[None, :]
     rho = np.sqrt(np.maximum(s_nodes, 0.0))
@@ -151,9 +149,9 @@ def radial_jet(phi, r, dim, max_m=1, rel_window=0.05):
     return RadialJet(r=r, s_mid=s_mid, delta=delta, coeffs=coeffs, dim=n)
 
 
-def radial_laplacian_batch(phi, r, dim, m=1, rel_window=0.05):
+def radial_laplacian_batch(phi, r, dim, m=1):
     """Delta^m of the radial function phi(|x|) at a batch of radii."""
-    return radial_jet(phi, r, dim, max_m=m, rel_window=rel_window).laplacian_power(m)
+    return radial_jet(phi, r, dim, max_m=m).laplacian_power(m)
 
 
 # ---------------------------------------------------------------------------
@@ -371,40 +369,50 @@ def pizzetti_check(p: Polynomial, center, R) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ball means of fields
+# ball integrals and means of fields
 # ---------------------------------------------------------------------------
+
+def ball_integral(f: ScalarField, center, R, rel_tol):
+    """Integral of f over B_R(center) and the relative change of the last
+    refinement (0.0 on the adaptive paths).
+
+    Radial fields reduce to 1-D (center at the origin or offset, split at
+    the support edge); general n = 2 fields use adaptive polar shells with
+    an absolute floor of 1e-12, which keeps identically-vanishing integrals
+    convergent; higher-dimensional general fields use the product rule at
+    24/24 refined once to 36/36.
+    """
+    n = f.dim.n
+    center = np.asarray(center, dtype=float)
+    if f.caps.is_radial:
+        bps = (f.caps.support_radius,) if f.caps.support_radius else ()
+        return offset_ball_integral_radial(f.along_ray(), n, float(np.linalg.norm(center)),
+                                           R, rel_tol=rel_tol, breakpoints=bps), 0.0
+    if n == 2:
+        def shell(t):
+            return sphere_shell(f, n, center, t, rel_tol / 10)
+
+        return integrate_radial(shell, 0.0, R, rel_tol=rel_tol, abs_tol=1e-12), 0.0
+    coarse = shell_product_rule(f, n, center, 0.0, R, 24, 24)
+    fine = shell_product_rule(f, n, center, 0.0, R, 36, 36)
+    return fine, abs(fine - coarse) / max(abs(fine), 1e-300)
+
 
 def ball_mean(f, center, R, rel_tol=1e-8) -> float:
     """Mean of f over B_R(center).
 
-    Polynomials are averaged exactly; radial fields via 1-D reductions
-    (center at the origin or offset); general n = 2 fields by adaptive
-    polar quadrature; higher-dimensional general fields by a refined
-    product rule (raises QuadratureError if refinement stalls).
+    Polynomials are averaged exactly, fields through ball_integral; raises
+    QuadratureError if the product rule of a general field in n >= 4 does
+    not stabilize.
     """
     if R <= 0:
         raise QflatError(f"ball radius must be positive, got {R}")
     if isinstance(f, Polynomial):
         return ball_mean_poly(f, center, R)
     n = f.dim.n
-    center = check_point(center, f.dim)
-    vol = sphere_constants(n).unit_ball_volume * R ** n
-    c_norm = float(np.linalg.norm(center))
-    if f.caps.is_radial:
-        phi = f.along_ray()
-        bps = (f.caps.support_radius,) if f.caps.support_radius else ()
-        val = offset_ball_integral_radial(phi, n, c_norm, R, rel_tol=rel_tol,
-                                          breakpoints=bps)
-        return val / vol
-    if n == 2:
-        def shell(t):
-            return sphere_shell(f, n, center, t, rel_tol / 10)
-
-        # absolute floor keeps identically-vanishing means convergent
-        return integrate_radial(shell, 0.0, R, rel_tol=rel_tol, abs_tol=1e-12) / vol
-    val, err = ball_integral_generic(f, n, R, center=center)
+    val, err = ball_integral(f, check_point(center, f.dim), R, rel_tol)
     if err > max(rel_tol, 1e-5) * 50:
         raise QuadratureError(
             f"ball mean in dimension {n} did not stabilize (relative change {err:.2e}); "
             "only radial integrands support tight tolerances here")
-    return val / vol
+    return val / (sphere_constants(n).unit_ball_volume * R ** n)

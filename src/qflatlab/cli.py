@@ -20,8 +20,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from .errors import InputError, QflatError
-from .fields import (Dimension, RadialProfile, ScalarField, field_from_expression,
-                     restrict_radial)
+from .fields import Dimension, RadialProfile, ScalarField, field_from_expression
 from .gallery import gallery, gallery_entries
 from .geometry import MetricContext, distance_growth_exponent
 from .normality import AnalysisConfig, analyze_normality, canonical_json
@@ -76,16 +75,12 @@ def context_from_document(doc) -> MetricContext:
                                      if k != "completeness_hint"}, dim)
     hint = params.get("completeness_hint")
     if kind == "expression":
-        u = field_from_expression(doc["u"], dim)
-        profile = restrict_radial(u) if u.caps.is_radial else None
-        return MetricContext(u=u, dim=dim, radial_profile=profile,
+        return MetricContext(u=field_from_expression(doc["u"], dim),
                              completeness_hint=hint,
                              label=f"expression[{doc['u']}]")
     nodes = np.asarray(doc["nodes"], dtype=float)
-    prof = RadialProfile.from_table(nodes[:, 0], nodes[:, 1])
-    u = prof.to_field(dim)
-    return MetricContext(u=u, dim=dim, radial_profile=prof,
-                         completeness_hint=hint, label="radial-table")
+    u = RadialProfile.from_table(nodes[:, 0], nodes[:, 1]).to_field(dim)
+    return MetricContext(u=u, completeness_hint=hint, label="radial-table")
 
 
 def field_from_document(doc) -> ScalarField:

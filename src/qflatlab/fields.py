@@ -1,11 +1,13 @@
 """Scalar fields on R^n: conformal factors u and curvature densities f.
 
 A ScalarField is a vectorized pure function of points together with
-capability flags: radial symmetry, compact support, optional closed-form
-gradient and iterated-Laplacian evaluators.  RadialProfile is the 1-D fast
-path behind radial fields; it optionally caches a cubic spline on a
-geometric grid (64 nodes per decade) so that quadrature-backed profiles
-stay cheap to evaluate in bulk.
+capabilities: the radial profile phi with f(x) = phi(|x|) of a radial
+field, compact support, optional closed-form gradient and
+iterated-Laplacian evaluators.  along_ray() of a radial field evaluates
+its profile directly.  RadialProfile is the spline and table form of a
+profile: it optionally caches a cubic spline on a geometric grid (64 nodes
+per decade) so that quadrature-backed profiles stay cheap to evaluate in
+bulk, and it interpolates radial tables.
 """
 
 import math
@@ -21,6 +23,7 @@ RADIAL_CHECK_TOL = 1e-10
 SPLINE_NODES_PER_DECADE = 64
 SPLINE_R_MIN = 1e-6
 SPLINE_R_MAX = 1e6
+SPLINE_VALIDATE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -58,16 +61,22 @@ def check_point(x, dim: Dimension):
 
 @dataclass(frozen=True)
 class FieldCaps:
-    """Capability flags of a ScalarField.
+    """Capabilities of a ScalarField.
 
-    laplacian_chain holds vectorized evaluators of Delta^k f for
-    k = 1 .. n/2 (index 0 is Delta f); gradient returns an (m, n) array.
+    profile, set for radial fields, is the vectorized phi with
+    f(x) = phi(|x|); laplacian_chain holds vectorized evaluators of
+    Delta^k f for k = 1 .. n/2 (index 0 is Delta f); gradient returns an
+    (m, n) array.
     """
 
-    is_radial: bool = False
+    profile: object | None = None
     support_radius: float | None = None
     laplacian_chain: tuple | None = None
     gradient: object | None = None
+
+    @property
+    def is_radial(self):
+        return self.profile is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,16 +94,31 @@ class ScalarField:
         if pts.ndim != 2 or pts.shape[1] != self.dim.n:
             raise DimensionError(
                 f"points have shape {pts.shape}, expected (m, {self.dim.n})")
-        vals = np.asarray(self.fn(pts), dtype=float)
+        vals = self._checked(self.fn(pts), pts)
+        return float(vals[0]) if single else vals
+
+    def _checked(self, vals, pts):
+        """vals at the points pts (rows), zeroed outside the support; raises
+        DomainEvalError on a non-finite value."""
+        vals = np.asarray(vals, dtype=float)
         if self.caps.support_radius is not None:
             inside = np.einsum("ij,ij->i", pts, pts) <= self.caps.support_radius ** 2
             vals = np.where(inside, vals, 0.0)
         if not np.all(np.isfinite(vals)):
             raise DomainEvalError(f"field {self.name or '<anonymous>'} returned non-finite values")
-        return float(vals[0]) if single else vals
+        return vals
 
     def along_ray(self, direction=None):
-        """phi(t) = f(t * direction) as a vectorized function of t >= 0."""
+        """phi(t) = f(t * direction) as a vectorized function of t >= 0.
+
+        Without a direction a radial field evaluates its profile at |t|."""
+        profile = self.caps.profile
+        if direction is None and profile is not None:
+            def radial(t):
+                t = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
+                return self._checked(profile(t), t[:, None])
+
+            return radial
         n = self.dim.n
         d = np.zeros(n)
         d[0] = 1.0
@@ -126,12 +150,8 @@ def constant_field(c, dim) -> ScalarField:
     def grad(pts):
         return np.zeros_like(pts)
 
-    return ScalarField(
-        dim=dim,
-        fn=lambda pts: np.full(len(pts), c),
-        caps=FieldCaps(is_radial=True, laplacian_chain=zero_chain, gradient=grad),
-        name=f"const({c})",
-    )
+    return radial_field(lambda r: np.full(np.shape(r), c), dim, laplacian_chain=zero_chain,
+                        gradient=grad, name=f"const({c})")
 
 
 @dataclass(frozen=True)
@@ -160,9 +180,17 @@ def parse_field(src: str, dim) -> FieldExpression:
 
 
 def expression_to_field(fe: FieldExpression) -> ScalarField:
-    dim = fe.dim
     syms = fe.symbols
-    radial = syms <= {"r"}
+
+    def evaluate(env, shape):
+        vals = np.asarray(expr_mod.evaluate(fe.ast, env), dtype=float)
+        return np.full(shape, float(vals)) if vals.ndim == 0 else vals
+
+    if syms <= {"r"}:
+        f = radial_field(lambda r: evaluate({s: r for s in syms}, np.shape(r)), fe.dim,
+                         name=fe.source)
+        _radial_spot_check(f)
+        return f
 
     def fn(pts):
         env = {}
@@ -171,15 +199,9 @@ def expression_to_field(fe: FieldExpression) -> ScalarField:
                 env["r"] = np.sqrt(np.einsum("ij,ij->i", pts, pts))
             else:
                 env[s] = pts[:, int(s[1:]) - 1]
-        vals = np.asarray(expr_mod.evaluate(fe.ast, env), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(len(pts), float(vals))
-        return vals
+        return evaluate(env, (len(pts),))
 
-    f = ScalarField(dim=dim, fn=fn, caps=FieldCaps(is_radial=radial), name=fe.source)
-    if radial:
-        _radial_spot_check(f)
-    return f
+    return ScalarField(dim=fe.dim, fn=fn, name=fe.source)
 
 
 def field_from_expression(src: str, dim) -> ScalarField:
@@ -187,23 +209,21 @@ def field_from_expression(src: str, dim) -> ScalarField:
 
 
 def radial_field(phi, dim, support_radius=None, laplacian_chain=None,
-                 gradient=None, name="", spot_check=False) -> ScalarField:
-    """Field x -> phi(|x|) from a vectorized radial function phi."""
+                 gradient=None, name="") -> ScalarField:
+    """Field x -> phi(|x|) from a vectorized radial function phi, which the
+    field keeps as its profile."""
     dim = as_dimension(dim)
 
     def fn(pts):
         r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
         return np.asarray(phi(r), dtype=float)
 
-    f = ScalarField(
+    return ScalarField(
         dim=dim, fn=fn,
-        caps=FieldCaps(is_radial=True, support_radius=support_radius,
+        caps=FieldCaps(profile=phi, support_radius=support_radius,
                        laplacian_chain=laplacian_chain, gradient=gradient),
         name=name or "radial",
     )
-    if spot_check:
-        _radial_spot_check(f)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +255,14 @@ def _radial_spot_check(f: ScalarField, radii=(0.17, 0.9, 3.7, 21.0, 140.0),
                 f"(relative deviation {err:.2e} > {tol:.0e})")
 
 
-def restrict_radial(f: ScalarField, r_max=SPLINE_R_MAX, use_spline=False) -> "RadialProfile":
+def restrict_radial(f: ScalarField) -> "RadialProfile":
     """Radial profile phi with phi(|x|) = f(x).
 
-    If f is not flagged radial, rotation sampling at validation radii must
-    pass (tolerance 1e-10) or NotRadialError is raised.
+    Rotation sampling at validation radii must pass (tolerance 1e-10) or
+    NotRadialError is raised.
     """
     _radial_spot_check(f)
-
-    n = f.dim.n
-
-    def phi(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        pts = np.zeros((r.size, n))
-        pts[:, 0] = r
-        return f(pts)
-
-    return RadialProfile(fn=phi, r_max=r_max, use_spline=use_spline,
-                         name=f.name, support_radius=f.caps.support_radius)
+    return RadialProfile(fn=f.along_ray(), name=f.name)
 
 
 class RadialProfile:
@@ -265,13 +275,10 @@ class RadialProfile:
     over (callers set it when the far field is known to be logarithmic).
     """
 
-    def __init__(self, fn, r_max=SPLINE_R_MAX, use_spline=False, name="",
-                 support_radius=None, validate_tol=1e-7):
+    def __init__(self, fn, r_max=SPLINE_R_MAX, use_spline=False, name=""):
         self.fn = fn
         self.r_max = float(r_max)
         self.name = name
-        self.support_radius = support_radius
-        self.validate_tol = validate_tol
         self._spline = None
         self._value0 = None
         self._asymptote = None  # (a, b): phi(r) ~ a*log r + b beyond r_max
@@ -305,10 +312,10 @@ class RadialProfile:
         direct = np.asarray(self.fn(mids), dtype=float)
         interp = self._spline(np.log(mids))
         err = np.max(np.abs(direct - interp) / np.maximum(1.0, np.abs(direct)))
-        if err > self.validate_tol:
+        if err > SPLINE_VALIDATE_TOL:
             raise QflatError(
                 f"radial spline for {self.name!r} misses validation tolerance "
-                f"({err:.2e} > {self.validate_tol:.0e})")
+                f"({err:.2e} > {SPLINE_VALIDATE_TOL:.0e})")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)

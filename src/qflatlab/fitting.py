@@ -87,10 +87,10 @@ def fit_linear_logx(radii, values) -> GrowthEstimate:
     return _split_fit(np.log(radii), values, radii)
 
 
-def require_window(radii, decades=MIN_WINDOW_DECADES, what="radii"):
+def require_window(radii, what="radii"):
     radii = np.asarray(radii, dtype=float)
-    if np.max(radii) / np.min(radii) < 10.0 ** decades * (1 - 1e-9):
+    if np.max(radii) / np.min(radii) < 10.0 ** MIN_WINDOW_DECADES * (1 - 1e-9):
         raise QflatError(
-            f"insufficient window: {what} must span >= {decades} decades "
+            f"insufficient window: {what} must span >= {MIN_WINDOW_DECADES} decades "
             f"(got [{np.min(radii):g}, {np.max(radii):g}])")
     return radii

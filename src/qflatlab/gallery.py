@@ -29,8 +29,8 @@ import numpy as np
 from .constants import cohn_vossen_bound, sphere_constants
 from .errors import DimensionError, InputError
 from .expr import smooth_cutoff
-from .fields import (Dimension, FieldCaps, RadialProfile, ScalarField,
-                     as_dimension, constant_field, radial_field)
+from .fields import (Dimension, FieldCaps, ScalarField, as_dimension,
+                     constant_field, radial_field)
 from .geometry import MetricContext
 from .polynomials import Polynomial, apply_laplacian_poly, poly_gradient
 from .potential import PotentialEvaluator
@@ -142,7 +142,7 @@ def _build_flat(params, dim):
     n = dim.n
     u = constant_field(0.0, dim)
     density = constant_field(0.0, dim)
-    ctx = MetricContext(u=u, dim=dim, completeness_hint=None,
+    ctx = MetricContext(u=u, completeness_hint=None,
                         density=density, density_tractable=True, label=f"flat[n={n}]")
     facts = {
         "alpha0": Fact(0.0, "TRIVIAL"),
@@ -176,8 +176,8 @@ def _build_sphere(params, dim):
         return qg * (2.0 / (1.0 + np.asarray(r, dtype=float) ** 2)) ** n
 
     density = radial_field(density_phi, dim, name="sphere-density")
-    ctx = MetricContext(u=u, dim=dim, radial_profile=RadialProfile(fn=phi, name="sphere"),
-                        density=density, density_tractable=True, label=f"sphere[n={n}]")
+    ctx = MetricContext(u=u, density=density, density_tractable=True,
+                        label=f"sphere[n={n}]")
     s_n = sphere_constants(n).sphere_volume
     facts = {
         "alpha0": Fact(2.0, "DERIVED", tol=1e-3,
@@ -222,8 +222,7 @@ def _build_cone(params, dim):
     sign = (-1.0) ** m
     top = chain[-1]
     density = radial_field(lambda r: sign * top(r), dim, name=f"cone-density(a={a})")
-    ctx = MetricContext(u=u, dim=dim, radial_profile=RadialProfile(fn=phi, name="cone"),
-                        density=density, density_tractable=True,
+    ctx = MetricContext(u=u, density=density, density_tractable=True,
                         label=f"cone(a={a})[n={n}]")
     diam_finite = a > 1.0
     facts = {
@@ -331,8 +330,7 @@ def _build_huber(params, dim):
     w = _huber_profile(c)
     u = radial_field(w, dim, name=f"huber(c={c})")
     density = radial_field(_huber_density(c, n), dim, name=f"huber-density(c={c})")
-    ctx = MetricContext(u=u, dim=dim, radial_profile=RadialProfile(fn=w, name="huber"),
-                        density=density, density_tractable=False,
+    ctx = MetricContext(u=u, density=density, density_tractable=False,
                         label=f"huber(c={c})[n={n}]")
     facts = {
         "alpha0": Fact(1.0, "PAPER", tol=0.02,
@@ -366,8 +364,7 @@ def _build_gaussian(params, dim):
     ev = PotentialEvaluator(density)
     prof = ev.profile()
     u = radial_field(prof, dim, name=f"gaussian_source(mass={mass})")
-    ctx = MetricContext(u=u, dim=dim, radial_profile=prof,
-                        density=density, density_tractable=True,
+    ctx = MetricContext(u=u, density=density, density_tractable=True,
                         label=f"gaussian_source(mass={mass})[n={n}]")
     facts = {
         "alpha0": Fact(mass, "DERIVED", tol=1e-6,
@@ -433,10 +430,9 @@ def _build_planted(params, dim):
         return (dphi / safe)[:, None] * pts + grad_poly(pts)
 
     u = ScalarField(dim=dim, fn=fn,
-                    caps=FieldCaps(is_radial=False, laplacian_chain=(lap,),
-                                   gradient=grad),
+                    caps=FieldCaps(laplacian_chain=(lap,), gradient=grad),
                     name=f"planted(seed={seed},deg={degree})")
-    ctx = MetricContext(u=u, dim=dim, density=density, density_tractable=True,
+    ctx = MetricContext(u=u, density=density, density_tractable=True,
                         label=f"planted(seed={seed},deg={degree})[n={n}]")
     facts = {
         "alpha0": Fact(mass, "DERIVED", tol=1e-6,

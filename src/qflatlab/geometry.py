@@ -21,16 +21,15 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 from scipy.special import logsumexp
 
+from .calculus import ball_integral
 from .constants import sphere_constants
 from .errors import GridError, QflatError, RangeOverflowError
-from .fields import RadialProfile, ScalarField, check_point
+from .fields import ScalarField, check_point, radial_field
 from .fitting import GrowthEstimate, fit_loglog, require_window
-from .quadrature import (TailClassification, ball_integral_generic,
-                         classify_log_blocks, cumulative_radial,
-                         integrate_radial, log_condensation_blocks,
-                         offset_ball_integral_radial, sphere_rule, sphere_shell)
+from .quadrature import (TailClassification, classify_log_blocks,
+                         cumulative_radial, integrate_radial,
+                         log_condensation_blocks, sphere_rule)
 
-MAX_LOG2_RADIUS = 256.0   # condensation blocks stop at r = 2^256 ~ 1.2e77
 EXP_OVERFLOW = 700.0
 VOLUME_REL_TOL = 1e-6     # conformal volumes behind tau and measure distances
 RAY_REL_TOL = 1e-8        # ray lengths and the head of total volumes
@@ -49,8 +48,6 @@ class MetricContext:
     """
 
     u: ScalarField
-    dim: object
-    radial_profile: RadialProfile | None = None
     completeness_hint: bool | None = None
     density: ScalarField | None = None
     density_tractable: bool = False
@@ -77,20 +74,6 @@ class MetricContext:
     def is_radial(self):
         return self.u.caps.is_radial
 
-    def u_radial(self):
-        if self.radial_profile is not None:
-            return self.radial_profile
-        if not self.is_radial:
-            raise QflatError(f"metric {self.label!r} is not radial")
-        return self.u.along_ray()
-
-    def ray_log_speed(self, direction=None):
-        """t -> u(t * direction): log of the length density along a ray."""
-        if direction is None and self.is_radial:
-            phi = self.u_radial()
-            return lambda t: np.asarray(phi(np.asarray(t, dtype=float)), dtype=float)
-        return self.u.along_ray(direction)
-
 
 def _guarded_exp(exponents, what):
     exponents = np.asarray(exponents, dtype=float)
@@ -104,41 +87,28 @@ def _guarded_exp(exponents, what):
 # volumes
 # ---------------------------------------------------------------------------
 
+def _volume_field(ctx: MetricContext) -> ScalarField:
+    """e^{nu} as a field; radial when the metric is."""
+    n = ctx.n
+    name = f"e^({n}u)"
+    if ctx.is_radial:
+        phi = ctx.u.along_ray()
+        return radial_field(lambda t: _guarded_exp(n * phi(t), "conformal volume"),
+                            ctx.u.dim, name=name)
+    return ScalarField(dim=ctx.u.dim, name=name,
+                       fn=lambda pts: _guarded_exp(n * ctx.u(pts), "conformal volume"))
+
+
 def conformal_volume(ctx: MetricContext, R, center=None,
                      rel_tol=VOLUME_REL_TOL) -> float:
     """Volume of the euclidean ball B_R(center) in the metric e^{2u}|dx|^2."""
     if R <= 0:
         raise QflatError(f"volume radius must be positive, got {R}")
-    n = ctx.n
-    area = sphere_constants(n).boundary_area
-    if ctx.is_radial:
-        phi = ctx.u_radial()
-
-        def density(t):
-            t = np.asarray(t, dtype=float)
-            return _guarded_exp(n * np.asarray(phi(t), dtype=float), "conformal volume")
-
-        c_norm = 0.0 if center is None else float(np.linalg.norm(center))
-        if c_norm == 0.0:
-            return integrate_radial(
-                lambda t: density(t) * area * np.asarray(t) ** (n - 1),
-                0.0, R, rel_tol=rel_tol)
-        return offset_ball_integral_radial(density, n, c_norm, R, rel_tol=rel_tol)
-
-    center = np.zeros(n) if center is None else check_point(center, ctx.u.dim)
-    vol_density = ScalarField(
-        dim=ctx.u.dim,
-        fn=lambda pts: _guarded_exp(n * ctx.u(pts), "conformal volume"),
-        name=f"e^({n}u)")
-    if n == 2:
-        def shell(t):
-            return sphere_shell(vol_density, n, center, t, rel_tol / 10)
-
-        return integrate_radial(shell, 0.0, R, rel_tol=rel_tol)
-    val, err = ball_integral_generic(vol_density, n, R, center=center)
+    center = np.zeros(ctx.n) if center is None else check_point(center, ctx.u.dim)
+    val, err = ball_integral(_volume_field(ctx), center, R, rel_tol)
     if err > 5e-3:
         raise QflatError(
-            f"volume quadrature for non-radial metric in n={n} did not settle "
+            f"volume quadrature for non-radial metric in n={ctx.n} did not settle "
             f"(relative change {err:.2e})")
     return val
 
@@ -153,7 +123,7 @@ def volume_growth(ctx: MetricContext, radii) -> GrowthEstimate:
     n = ctx.n
     omega = sphere_constants(n).unit_ball_volume
     if ctx.is_radial:
-        phi = ctx.u_radial()
+        phi = ctx.u.along_ray()
         area = sphere_constants(n).boundary_area
 
         def integrand(t):
@@ -185,45 +155,43 @@ def measure_distance(ctx: MetricContext, x, y) -> float:
 # ray lengths and tail classification
 # ---------------------------------------------------------------------------
 
-def _ray_blocks(ctx, direction=None, r_start=2.0):
-    log_speed = ctx.ray_log_speed(direction)
-    return log_condensation_blocks(log_speed, r_start=r_start,
-                                   max_log2_r=MAX_LOG2_RADIUS)
-
-
 def _ray_speed(ctx, direction=None):
     """t -> e^{u(t * direction)}: the length density along a ray."""
-    log_speed = ctx.ray_log_speed(direction)
-
-    def speed(t):
-        t = np.asarray(t, dtype=float)
-        return _guarded_exp(np.asarray(log_speed(t), dtype=float), "ray length")
-
-    return speed
+    log_speed = ctx.u.along_ray(direction)
+    return lambda t: _guarded_exp(log_speed(t), "ray length")
 
 
 def classify_ray(ctx: MetricContext, direction=None) -> TailClassification:
     """Finite-vs-infinite classification of the ray integral to infinity."""
-    return classify_log_blocks(_ray_blocks(ctx, direction))
+    return classify_log_blocks(log_condensation_blocks(ctx.u.along_ray(direction)))
 
 
-def _ray_to_infinity(ctx, direction=None, r0=0.0):
-    """(classification, length) of the ray over [r0, inf), from one
-    condensation pass.  The length is inf for a divergent tail, None for an
-    inconclusive one, and head + blocks + extrapolated tail otherwise."""
-    start = max(2.0, 2.0 * max(r0, 1.0))
-    blocks = _ray_blocks(ctx, direction, r_start=start)
+def _condensed_total(log_f, r_start, head):
+    """(classification, total) of the positive integral of exp(log_f) from
+    one condensation pass over [r_start, inf).  The total is inf for a
+    divergent tail, None for an inconclusive one, and head() + blocks +
+    extrapolated tail otherwise; head() runs only in that last case."""
+    blocks = log_condensation_blocks(log_f, r_start=r_start)
     cls = classify_log_blocks(blocks)
     if cls.kind == "infinite":
         return cls, math.inf
     if cls.kind == "inconclusive":
         return cls, None
-    head = integrate_radial(_ray_speed(ctx, direction), r0, start,
-                            rel_tol=RAY_REL_TOL, abs_tol=1e-13)
+    first = head()
     with np.errstate(over="ignore"):
         body = float(np.sum(np.exp(blocks)))
     tail = math.exp(cls.log_tail_estimate) if np.isfinite(cls.log_tail_estimate) else 0.0
-    return cls, head + body + tail
+    return cls, first + body + tail
+
+
+def _ray_to_infinity(ctx, direction=None, r0=0.0):
+    """(classification, length) of the ray over [r0, inf): the head
+    [r0, start] plus the condensed total from start."""
+    start = max(2.0, 2.0 * max(r0, 1.0))
+    return _condensed_total(
+        ctx.u.along_ray(direction), start,
+        lambda: integrate_radial(_ray_speed(ctx, direction), r0, start,
+                                 rel_tol=RAY_REL_TOL, abs_tol=1e-13))
 
 
 def ray_length(ctx: MetricContext, direction=None, r0=0.0, r1=math.inf) -> float:
@@ -277,9 +245,8 @@ def diameter_estimate(ctx: MetricContext) -> DiameterReport:
         if cls.kind == "inconclusive":
             return DiameterReport("inconclusive", None, False,
                                   "condensation ratios in the undecidable band", rays)
-        phi = ctx.u_radial()
         probes = np.array([2.0 ** 32, 2.0 ** 64, 2.0 ** 128])
-        arc = probes * np.exp(np.asarray(phi(probes), dtype=float))
+        arc = probes * np.exp(ctx.u.along_ray()(probes))
         collapsed = bool(np.all(np.diff(arc) < 0) and arc[-1] < 1e-6 * total)
         if collapsed:
             return DiameterReport("finite", total, True, "collapsing ends", rays)
@@ -310,12 +277,11 @@ def volume_classification(ctx: MetricContext) -> DiameterReport:
     n = ctx.n
     area = sphere_constants(n).boundary_area
     if ctx.is_radial:
-        phi = ctx.u_radial()
+        phi = ctx.u.along_ray()
 
         def log_integrand(t):
             t = np.asarray(t, dtype=float)
-            return (n * np.asarray(phi(t), dtype=float)
-                    + (n - 1) * np.log(t) + math.log(area))
+            return n * phi(t) + (n - 1) * np.log(t) + math.log(area)
     else:
         dirs, wts = sphere_rule(n, 16)
         logw = np.log(wts)
@@ -326,18 +292,13 @@ def volume_classification(ctx: MetricContext) -> DiameterReport:
             uv = ctx.u(pts.reshape(-1, n)).reshape(len(t), len(wts))
             return logsumexp(n * uv + logw[None, :], axis=1) + (n - 1) * np.log(t)
 
-    blocks = log_condensation_blocks(log_integrand, r_start=2.0,
-                                     max_log2_r=MAX_LOG2_RADIUS)
-    cls = classify_log_blocks(blocks)
-    if cls.kind == "infinite":
-        return DiameterReport("infinite", None, True, "volume blocks diverge")
-    if cls.kind == "inconclusive":
+    _, total = _condensed_total(log_integrand, 2.0,
+                                lambda: conformal_volume(ctx, 2.0, rel_tol=RAY_REL_TOL))
+    if total is None:
         return DiameterReport("inconclusive", None, False, "")
-    head = conformal_volume(ctx, 2.0, rel_tol=RAY_REL_TOL)
-    with np.errstate(over="ignore"):
-        body = float(np.sum(np.exp(blocks)))
-    tail = math.exp(cls.log_tail_estimate) if np.isfinite(cls.log_tail_estimate) else 0.0
-    return DiameterReport("finite", head + body + tail, True, "")
+    if math.isinf(total):
+        return DiameterReport("infinite", None, True, "volume blocks diverge")
+    return DiameterReport("finite", total, True, "")
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def _curvature_density(ctx: MetricContext) -> ScalarField | None:
         return ctx.density
     if not ctx.is_radial:
         return None
-    phi = ctx.u_radial()
+    phi = ctx.u.along_ray()
     n = ctx.n
     m = n // 2
     sign = (-1.0) ** m
@@ -330,16 +330,16 @@ class Decomposition:
         return self.polynomial_part.coeffs.get(tuple(mi), 0.0)
 
 
-def decompose_samples(dim, seed=20250, n_radii=12, per_radius=8,
-                      r_min=0.1, r_max=1e3):
-    """Deterministic sample set: geometric radii over 4 decades, seeded
-    directions (recorded in the report for reproducibility)."""
+def decompose_samples(dim, seed=20250):
+    """Deterministic sample set: 12 geometric radii over the 4 decades
+    [0.1, 1e3], 8 seeded directions each (recorded in the report for
+    reproducibility)."""
     n = int(dim)
     rng = np.random.default_rng(seed)
-    radii = np.geomspace(r_min, r_max, n_radii)
+    radii = np.geomspace(0.1, 1e3, 12)
     pts = []
     for r in radii:
-        for _ in range(per_radius):
+        for _ in range(8):
             d = rng.normal(size=n)
             d /= np.linalg.norm(d)
             pts.append(r * d)
@@ -538,17 +538,17 @@ def analyze_normality(ctx: MetricContext, config: AnalysisConfig | None = None,
     tau_stable = (tau is not None
                   and tau.sup_exponent - tau.inf_exponent <= ENTROPY_STABILITY_GAP
                   and tau.residual <= ENTROPY_STABILITY_GAP)
-    if ctx.n == 2:
-        # finite total curvature + settled entropy forces a constant
-        # remainder directly in n = 2 (degree bound n - 2 = 0)
-        entropy_verdict = "normal" if tau_stable else "inconclusive"
+    # the entropy rule assumes finite total curvature: without alpha0 it
+    # supports no "normal" verdict
+    if not tau_stable:
+        entropy_verdict = "inconclusive"
+    elif ctx.n > 2 and completeness not in ("complete", "assumed_complete",
+                                             "complete_sampled"):
+        entropy_verdict = "not_applicable_incomplete"
     else:
-        if not tau_stable:
-            entropy_verdict = "inconclusive"
-        elif completeness in ("complete", "assumed_complete", "complete_sampled"):
-            entropy_verdict = "normal"
-        else:
-            entropy_verdict = "not_applicable_incomplete"
+        # in n = 2 finite total curvature + settled entropy forces a
+        # constant remainder directly (degree bound n - 2 = 0)
+        entropy_verdict = "normal" if alpha0 is not None else "inconclusive"
     criteria["entropy"] = {
         "verdict": entropy_verdict,
         "tau_stable": bool(tau_stable),

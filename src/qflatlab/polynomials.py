@@ -224,6 +224,22 @@ def _rank_mod_p(matrix, p=_RANK_PRIME):
     return rank
 
 
+def _polyharmonic_matrix(dim: Dimension, degree):
+    """(monomials of degree <= degree, integer matrix of Delta^{n/2} from
+    them to the monomials of degree <= degree - n); the matrix has no rows
+    when degree < n."""
+    n = dim.n
+    cols = monomials_upto(n, degree)
+    rows = {mi: i for i, mi in enumerate(monomials_upto(n, degree - n))} if degree >= n else {}
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, mi in enumerate(cols):
+        if rows and sum(mi) >= n:
+            image = apply_laplacian_poly(Polynomial(dim, {mi: 1.0}), n // 2)
+            for mi2, c in image.coeffs.items():
+                mat[rows[mi2], j] = int(round(c))
+    return cols, mat
+
+
 def ph_dimension(dim, d) -> int:
     """Dimension of polyharmonic polynomials of growth at most d.
 
@@ -236,23 +252,8 @@ def ph_dimension(dim, d) -> int:
         raise QflatError(f"growth exponent must be >= 0, got {d}")
     n = dim.n
     big_d = int(math.floor(d))
-    cols = monomials_upto(n, big_d)
-    m = n // 2
-    target_deg = big_d - n
-    rows_index = {mi: i for i, mi in enumerate(monomials_upto(n, max(target_deg, 0)))}
-    n_rows = len(rows_index) if target_deg >= 0 else 0
-
-    matrix_cols = []
-    for mi in cols:
-        col = [0] * n_rows
-        if n_rows and sum(mi) >= n:
-            image = apply_laplacian_poly(Polynomial(dim, {mi: 1.0}), m)
-            for mi2, c in image.coeffs.items():
-                col[rows_index[mi2]] = int(round(c))
-        matrix_cols.append(col)
-
-    rank = _rank_mod_p([list(r) for r in zip(*matrix_cols)]) if n_rows else 0
-    kernel_dim = len(cols) - rank
+    cols, mat = _polyharmonic_matrix(dim, big_d)
+    kernel_dim = len(cols) - _rank_mod_p(mat)
 
     closed = math.comb(n + big_d, n) - (math.comb(big_d, n) if big_d >= n else 0)
     if kernel_dim != closed:

@@ -28,12 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import ball_mean
 from .constants import sphere_constants
 from .errors import QflatError
 from .fields import RadialProfile, ScalarField
 from .fitting import fit_linear_logx, require_window
-from .quadrature import (decade_mass_integral, integrate_radial,
-                         offset_ball_integral_radial, sphere_shell)
+from .quadrature import decade_mass_integral, integrate_radial, sphere_shell
+
+KERNEL_QUADRATURE_ORDER = 64   # Gauss-Legendre nodes of the reference kernel
+ASYMPTOTE_BALL_RADIUS = 1.0    # ball means behind potential_asymptote
+ASYMPTOTE_REL_TOL = 1e-7
 
 
 def angular_log_kernel(dim, r, s):
@@ -59,12 +63,12 @@ def angular_log_kernel(dim, r, s):
     return float(out[0]) if scalar else out
 
 
-def angular_log_kernel_quadrature(dim, r, s, order=64):
+def angular_log_kernel_quadrature(dim, r, s):
     """Gauss-Legendre reference for the angular kernel (polar angle with
     sin^{n-2} weight).  Loses accuracy near r = s, where the integrand has
     a logarithmic singularity; kept as a cross-check, not the main path."""
     n = int(dim)
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = np.polynomial.legendre.leggauss(KERNEL_QUADRATURE_ORDER)
     th = 0.5 * (x + 1.0) * np.pi
     wt = w * 0.5 * np.pi * np.sin(th) ** (n - 2)
     norm = np.sum(wt)
@@ -200,8 +204,9 @@ class PotentialEvaluator:
             out[i] = self.gconst * (head + tail)
         return out
 
-    def profile(self, r_max=1e6, use_spline=True) -> RadialProfile:
-        """Radial profile of L(f) with the exact logarithmic far field.
+    def profile(self, r_max=1e6) -> RadialProfile:
+        """Radial profile of L(f) with the exact logarithmic far field: a
+        spline up to r_max.
 
         Beyond r_max the profile continues as -alpha log r + const, which
         is accurate once the mass outside r_max is negligible.
@@ -209,8 +214,7 @@ class PotentialEvaluator:
         if self._phi is None:
             raise QflatError("profiles exist only for radial densities")
         prof = RadialProfile(fn=lambda rr: self.value_radial(np.atleast_1d(rr)),
-                             r_max=r_max, use_spline=use_spline,
-                             name=f"L({self.f.name})")
+                             r_max=r_max, use_spline=True, name=f"L({self.f.name})")
         alpha = self.alpha
         kappa = float(self.value_radial(np.array([r_max]))[0]) + alpha * math.log(r_max)
         prof.set_asymptote(-alpha, kappa)
@@ -303,30 +307,23 @@ def total_mass_alpha(f: ScalarField) -> AlphaEstimate:
     )
 
 
-def potential_asymptote(f: ScalarField, radii, ball_radius=1.0,
-                        rel_tol=1e-7) -> AlphaEstimate:
+def potential_asymptote(f: ScalarField, radii) -> AlphaEstimate:
     """Fit of ball means of L(f) against log R; the slope estimates -alpha.
 
     Ball means of radius 1 rather than pointwise values keep mass
     concentrations from polluting the fit.
     """
     radii = require_window(np.asarray(radii, dtype=float), what="asymptote radii")
-    ev = PotentialEvaluator(f, rel_tol=max(rel_tol, 1e-9))
+    ev = PotentialEvaluator(f, rel_tol=ASYMPTOTE_REL_TOL)
     n = f.dim.n
-    vol = sphere_constants(n).unit_ball_volume * ball_radius ** n
     if f.caps.is_radial:
-        prof = ev.profile()
-        means = np.array([
-            offset_ball_integral_radial(prof, n, R, ball_radius, rel_tol=rel_tol) / vol
-            for R in radii
-        ])
+        potential = ev.profile().to_field(f.dim)
     else:
-        from .calculus import ball_mean
-        wrapper = ScalarField(dim=f.dim, fn=lambda pts: ev(pts), name=f"L({f.name})")
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        means = np.array([ball_mean(wrapper, R * e1, ball_radius, rel_tol=rel_tol)
-                          for R in radii])
+        potential = ScalarField(dim=f.dim, fn=lambda pts: ev(pts), name=f"L({f.name})")
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    means = np.array([ball_mean(potential, R * e1, ASYMPTOTE_BALL_RADIUS,
+                                rel_tol=ASYMPTOTE_REL_TOL) for R in radii])
     fit = fit_linear_logx(radii, means)
     return AlphaEstimate(
         alpha_hat=-fit.exponent,

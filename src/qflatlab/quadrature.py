@@ -40,6 +40,13 @@ from .errors import NonIntegrableError, QuadratureError
 Q_FINITE = 0.97
 Q_INFINITE = 0.999
 CONSECUTIVE_BLOCKS = 6
+# Condensation blocks: log2 R_{j+1} = 1.5 log2 R_j up to r = 2^256 ~ 1.2e77,
+# each integrated in t = log r with GL(24) on panels at most 4 wide.
+MAX_LOG2_RADIUS = 256.0
+CONDENSATION_GROWTH = 1.5
+CONDENSATION_ORDER = 24
+CONDENSATION_PANEL_WIDTH = 4.0
+MAX_DECADES = 130         # decade blocks of decade_mass_integral before the ratio test
 
 
 @lru_cache(maxsize=None)
@@ -141,8 +148,12 @@ def _radial(f, r0, r1, rel_tol, abs_tol, breakpoints, max_panels, strict):
             return np.asarray(f(r), dtype=float) * r
 
         bps = [math.log(p) for p in breakpoints if cut < p < r1]
-        v, e = _interval(g, math.log(cut), math.log(r1), rel_tol, abs_tol, bps,
-                         max_panels, strict)
+        try:
+            v, e = _interval(g, math.log(cut), math.log(r1), rel_tol, abs_tol, bps,
+                             max_panels, strict)
+        except QuadratureError as exc:
+            raise QuadratureError(
+                f"{exc} (bounds in t = log r; radii [{cut:g}, {r1:g}])") from exc
         total += v
         err += e
     return total, err
@@ -189,7 +200,7 @@ class MassResult:
 
 
 def decade_mass_integral(f, r0=0.0, rel_tol=1e-8, breakpoints=(),
-                         support_radius=None, max_decades=130, abs_tol=0.0):
+                         support_radius=None, abs_tol=0.0):
     """Signed integral of f over [r0, inf) by decade blocks.
 
     Convergence is judged on Cauchy-condensation groups of decades (decade
@@ -212,7 +223,7 @@ def decade_mass_integral(f, r0=0.0, rel_tol=1e-8, breakpoints=(),
     lo = first_hi
     running = decades[0]
     quiet = 0
-    for _ in range(max_decades):
+    for _ in range(MAX_DECADES):
         hi = lo * 10.0
         bps = [p for p in breakpoints if lo < p < hi]
         # decades contributing below the tolerance floor need no relative
@@ -270,34 +281,34 @@ class TailClassification:
     log_tail_estimate: float     # log of extrapolated remainder (finite case)
 
 
-def log_condensation_blocks(log_f, r_start=2.0, max_log2_r=256.0, growth=1.5,
-                            order=24, max_panel_width=4.0):
+def log_condensation_blocks(log_f, r_start=2.0):
     """Log-space block integrals of exp(log_f(r)) dr over [R_j, R_{j+1}],
-    where log2 R_{j+1} = growth * log2 R_j starting from R_0 = r_start.
+    where log2 R_{j+1} = 1.5 log2 R_j starting from R_0 = r_start, up to
+    MAX_LOG2_RADIUS.
 
-    For integrands 1/(t log^{-c} t) the block ratios tend to growth^{c+1},
+    For integrands 1/(t log^{-c} t) the block ratios tend to 1.5^{c+1},
     so the finite/infinite thresholds translate into a narrow honest
-    undecidable band around the true boundary c = -1.  growth = 1.5 yields
-    enough blocks that startup transients (cutoff regions) fall out of the
-    tail window.
+    undecidable band around the true boundary c = -1.  The growth 1.5
+    yields enough blocks that startup transients (cutoff regions) fall out
+    of the tail window.
 
     Each block is integrated in t = log r on sub-panels of width at most
-    ``max_panel_width`` (a single rule cannot follow exponential decay
-    across a block spanning dozens of e-folds), reduced with log-sum-exp
-    so factors like e^{n u} r^{n-1} never overflow.  ``log_f`` receives
-    radii and returns the log of the (positive) integrand.
+    4 (a single rule cannot follow exponential decay across a block
+    spanning dozens of e-folds), reduced with log-sum-exp so factors like
+    e^{n u} r^{n-1} never overflow.  ``log_f`` receives radii and returns
+    the log of the (positive) integrand.
     """
     exps = []
     e = math.log2(r_start)
-    while e <= max_log2_r:
+    while e <= MAX_LOG2_RADIUS:
         exps.append(e)
-        e *= growth
-    x, w = gl_rule(order)
+        e *= CONDENSATION_GROWTH
+    x, w = gl_rule(CONDENSATION_ORDER)
     logw = np.log(w)
     logs = []
     for lo_e, hi_e in zip(exps[:-1], exps[1:]):
         ta, tb = lo_e * math.log(2.0), hi_e * math.log(2.0)
-        n_panels = max(1, int(math.ceil((tb - ta) / max_panel_width)))
+        n_panels = max(1, int(math.ceil((tb - ta) / CONDENSATION_PANEL_WIDTH)))
         edges = np.linspace(ta, tb, n_panels + 1)
         pieces = []
         for pa, pb in zip(edges[:-1], edges[1:]):
@@ -310,8 +321,10 @@ def log_condensation_blocks(log_f, r_start=2.0, max_log2_r=256.0, growth=1.5,
     return np.array(logs)
 
 
-def classify_log_blocks(log_blocks, need=CONSECUTIVE_BLOCKS):
-    """Classify an improper positive integral from its condensation blocks."""
+def classify_log_blocks(log_blocks):
+    """Classify an improper positive integral from its condensation blocks:
+    the verdict rests on the last CONSECUTIVE_BLOCKS ratios."""
+    need = CONSECUTIVE_BLOCKS
     lb = np.asarray(log_blocks, dtype=float)
     finite_mask = np.isfinite(lb)
     if np.sum(finite_mask) < need + 1:
@@ -424,19 +437,6 @@ def shell_product_rule(f, n, center, a, b, resolution, order):
     pts = center[None, None, :] + t[:, None, None] * dirs[None, :, :]
     vals = np.asarray(f(pts.reshape(-1, n)), dtype=float).reshape(len(t), len(wts))
     return float(np.einsum("i,j,ij->", wr, wts, vals))
-
-
-def ball_integral_generic(f, n, R, center):
-    """Integral of f over the ball B_R(center) via an (r x S^{n-1}) product rule.
-
-    Fixed-order rule refined once; intended for growth-exponent integrands,
-    not for high-accuracy targets.  Returns (value, est_rel_error).
-    """
-    center = np.asarray(center, dtype=float)
-    v1 = shell_product_rule(f, n, center, 0.0, R, 24, 24)
-    v2 = shell_product_rule(f, n, center, 0.0, R, 36, 36)
-    err = abs(v2 - v1) / max(abs(v2), 1e-300)
-    return v2, err
 
 
 def cap_angle_integral(n, x):

@@ -22,8 +22,7 @@ from .geometry import (diameter_estimate, distance_growth_exponent, ray_length,
 from .normality import (AnalysisConfig, analyze_normality, cohn_vossen_check,
                         decompose, normality_condition_a,
                         normality_scalar_criterion)
-from .polynomials import (Polynomial, apply_laplacian_poly, monomials_upto,
-                          ph_dimension)
+from .polynomials import Polynomial, _polyharmonic_matrix, ph_dimension
 from .calculus import pizzetti_check
 from .potential import PotentialEvaluator, total_mass_alpha
 
@@ -260,19 +259,12 @@ def case_polyharmonic_dimensions(result: CaseResult):
 
 def _polyharmonic_basis(dim, degree):
     """Basis of ker Delta^{n/2} on polynomials of degree <= degree."""
-    n = dim.n
-    monos = monomials_upto(n, degree)
-    m = n // 2
-    rows_idx = {mi: i for i, mi in enumerate(monomials_upto(n, max(degree - n, 0)))}
-    n_rows = len(rows_idx) if degree >= n else 0
-    mat = np.zeros((max(n_rows, 1), len(monos)))
-    for j, mi in enumerate(monos):
-        if n_rows and sum(mi) >= n:
-            img = apply_laplacian_poly(Polynomial(dim, {mi: 1.0}), m)
-            for mi2, c in img.coeffs.items():
-                mat[rows_idx[mi2], j] = c
+    monos, lap = _polyharmonic_matrix(dim, degree)
+    # a zero row stands in for an empty matrix (degree < n)
+    mat = np.zeros((max(len(lap), 1), len(monos)))
+    mat[:len(lap)] = lap
     _, s, vt = np.linalg.svd(mat)
-    rank = int(np.sum(s > 1e-9 * max(s[0], 1.0))) if n_rows else 0
+    rank = int(np.sum(s > 1e-9 * max(s[0], 1.0))) if len(lap) else 0
     null = vt[rank:].T
     basis = []
     for k in range(null.shape[1]):

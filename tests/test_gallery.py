@@ -106,7 +106,7 @@ class TestGaussianAndPlanted:
 
     def test_gaussian_potential_farfield(self):
         ctx = gallery("gaussian_source", {"mass": 0.7}, 2)
-        prof = ctx.radial_profile
+        prof = ctx.u.caps.profile
         slope = (prof(2e5) - prof(1e5)) / math.log(2.0)
         assert slope == pytest.approx(-0.7, abs=1e-6)
 

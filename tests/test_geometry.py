@@ -33,9 +33,9 @@ class TestConformalVolume:
             conformal_volume(flat2, -1.0)
 
     def test_overflow_reported(self):
-        from qflatlab import MetricContext, radial_field, Dimension
+        from qflatlab import MetricContext, radial_field
         u = radial_field(lambda r: np.asarray(r, dtype=float) ** 2, 2, name="blow")
-        ctx = MetricContext(u=u, dim=Dimension(2))
+        ctx = MetricContext(u=u)
         from qflatlab import RangeOverflowError
         with pytest.raises(RangeOverflowError):
             conformal_volume(ctx, 50.0)

@@ -213,8 +213,7 @@ class TestCohnVossen:
 
         prof = RadialProfile(fn=phi, name="nan-tail")
         dim = Dimension(2)
-        ctx = MetricContext(u=prof.to_field(dim), dim=dim, radial_profile=prof,
-                            label="nan-tail")
+        ctx = MetricContext(u=prof.to_field(dim), label="nan-tail")
         with pytest.raises(DomainEvalError):
             cohn_vossen_check(ctx)
 
@@ -295,6 +294,15 @@ class TestAnalyzeNormality:
         assert rep.completeness == "unknown"
         json.loads(rep.to_json())
 
+    def test_entropy_verdict_needs_total_curvature(self):
+        # u = log r has no finite total curvature (alpha0 fails), so a
+        # settled entropy alone does not make the metric normal
+        ctx = context_from_document({"n": 2, "kind": "expression", "u": "log(r)"})
+        rep = analyze_normality(ctx)
+        assert rep.alpha0 is None and "alpha0" in rep.errors
+        assert rep.criteria["entropy"]["verdict"] == "inconclusive"
+        assert rep.verdict != "NORMAL"
+
     def test_shared_stages_run_once(self, monkeypatch):
         # alpha0, the volume class and condition (a) feed both their own
         # stages and Cohn-Vossen; each is computed once per context
@@ -323,13 +331,29 @@ class TestAnalyzeNormality:
                 == rep.criteria["condition_a"].verdict)
 
 
-def test_traced_stages_exist():
-    # the bench tracer wraps these names of the normality module, one per
-    # stage of analyze_normality, and fails to install if one is missing
+def _layertrace():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
     spec = importlib.util.spec_from_file_location("layertrace_stages", path)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace
+
+
+def test_traced_stages_exist():
+    # the bench tracer wraps these names of the normality module, one per
+    # stage of analyze_normality, and fails to install if one is missing
     normality = importlib.import_module("qflatlab.normality")
-    for name in layertrace.STAGES:
+    for name in _layertrace().STAGES:
         assert inspect.isfunction(getattr(normality, name, None)), name
+
+
+def test_traced_methods_exist():
+    # the bench tracer also wraps these methods, looked up by class name in
+    # each layer's module
+    for layer, classes in _layertrace().METHODS.items():
+        module = importlib.import_module(f"qflatlab.{layer}")
+        for cls_name, methods in classes.items():
+            cls = getattr(module, cls_name, None)
+            assert inspect.isclass(cls), f"{layer}.{cls_name}"
+            for meth in methods:
+                assert inspect.isfunction(vars(cls).get(meth)), f"{layer}.{cls_name}.{meth}"

@@ -88,3 +88,14 @@ def test_nonfinite_integrand_raises(walk):
             integrate_radial_estimate(f, 0.0, 100.0)
         else:
             decade_mass_integral(f)
+
+
+def test_log_piece_error_names_radii():
+    # beyond r = 1 the integral runs in t = log r; an error there must name
+    # the radii, not only the log-radius bound 18.42 of r = 1e8
+    def f(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 1e5, np.nan, np.exp(-r))
+
+    with pytest.raises(QuadratureError, match=r"1e\+08"):
+        integrate_radial_estimate(f, 0.0, 1e8)
