@@ -417,17 +417,18 @@ def _build_planted(params, dim):
         r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
         return np.asarray(prof(r), dtype=float) + poly(pts)
 
+    # product-rule shells put many points on few radii: jets are fitted
+    # once per distinct radius and scattered back
     def lap(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        return radial_laplacian_batch(prof, r, n, 1) + lap_poly(pts)
+        r, back = np.unique(np.sqrt(np.einsum("ij,ij->i", pts, pts)), return_inverse=True)
+        return radial_laplacian_batch(prof, r, n, 1)[back] + lap_poly(pts)
 
     def grad(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        dphi = radial_jet(prof, r, n).radial_derivative()
-        safe = np.maximum(r, 1e-300)
-        return (dphi / safe)[:, None] * pts + grad_poly(pts)
+        r, back = np.unique(np.sqrt(np.einsum("ij,ij->i", pts, pts)), return_inverse=True)
+        dphi = radial_jet(prof, r, n).radial_derivative() / np.maximum(r, 1e-300)
+        return dphi[back][:, None] * pts + grad_poly(pts)
 
     u = ScalarField(dim=dim, fn=fn,
                     caps=FieldCaps(laplacian_chain=(lap,), gradient=grad),

@@ -14,13 +14,24 @@ Radial densities reduce to one dimension through the angular kernel
 
 for which every even dimension has a closed form:
 
-    k_n(r, s) = log M + sum_{j=1..(n-2)/2} (-1)^{j+1} (m/M)^{2j} / (2j)
-                                          * C(n-2, (n-2)/2 - j) / C(n-2, (n-2)/2)
+    k_n(r, s) = log M + sum_{j=1..(n-2)/2} c_j (m/M)^{2j},
+    c_j = (-1)^{j+1} / (2j) * C(n-2, (n-2)/2 - j) / C(n-2, (n-2)/2),
 
 with M = max(r, s), m = min(r, s).  (Expand log|e_1 - t w| in cos(k theta)
 Fourier modes and integrate against the finite cosine expansion of
 sin^{n-2} theta; only modes k = 2, 4, ..., n-2 survive.)  For n = 2 the sum
 is empty and k_2 = log max(r, s), the mean-value property of log.
+
+On each side of s = r the kernel is a finite sum of separable terms, so the
+potential of a radial density at every radius follows from running moments
+of dmu = f(s) s^{n-1} ds (the degenerate-kernel step of the 1-D fast
+multipole method, Greengard & Rokhlin, J. Comput. Phys. 73, 1987):
+
+    L(f)(r) = g_n |S^{n-1}| [ I_log(r) - log r * I_0(r)
+              - sum_j c_j ( r^{-2j} I_2j(r) + r^{2j} T_2j(r) ) ],
+
+    I_k(r) = int_0^r s^k dmu,  I_log(r) = int_0^r log s dmu,
+    T_2j(r) = int_r^inf s^{-2j} dmu.
 """
 
 import math
@@ -33,11 +44,20 @@ from .constants import sphere_constants
 from .errors import QflatError
 from .fields import RadialProfile, ScalarField
 from .fitting import fit_linear_logx, require_window
-from .quadrature import decade_mass_integral, integrate_radial, sphere_shell
+from .quadrature import (decade_mass_integral, integrate_radial, segment_integrals,
+                         sphere_shell)
 
 KERNEL_QUADRATURE_ORDER = 64   # Gauss-Legendre nodes of the reference kernel
 ASYMPTOTE_BALL_RADIUS = 1.0    # ball means behind potential_asymptote
 ASYMPTOTE_REL_TOL = 1e-7
+POTENTIAL_FLOOR = 1e-13        # absolute error floor of the radial moments
+
+
+def _kernel_coefficients(n):
+    """c_j, j = 1..(n-2)/2, of k_n(r, s) = log M + sum_j c_j (m/M)^{2j}."""
+    lam = (n - 2) // 2
+    return [(-1.0) ** (j + 1) / (2 * j) * math.comb(2 * lam, lam - j) / math.comb(2 * lam, lam)
+            for j in range(1, lam + 1)]
 
 
 def angular_log_kernel(dim, r, s):
@@ -45,7 +65,6 @@ def angular_log_kernel(dim, r, s):
 
     Symmetric in (r, s); (0, 0) is outside the domain.
     """
-    n = int(dim)
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     scalar = r.ndim == 0 and s.ndim == 0
@@ -56,10 +75,8 @@ def angular_log_kernel(dim, r, s):
     small = np.minimum(r, s)
     t2 = (small / big) ** 2
     out = np.log(big)
-    lam = (n - 2) // 2
-    for j in range(1, lam + 1):
-        out = out + (-1.0) ** (j + 1) * t2 ** j / (2 * j) \
-            * math.comb(2 * lam, lam - j) / math.comb(2 * lam, lam)
+    for j, c in enumerate(_kernel_coefficients(int(dim)), start=1):
+        out = out + c * t2 ** j
     return float(out[0]) if scalar else out
 
 
@@ -100,9 +117,15 @@ class PotentialEvaluator:
     Radial densities use the exact kernel reduction
 
         L(f)(x) = g_n |S^{n-1}| * integral over s of
-                  (log s - k_n(|x|, s)) f(s) s^{n-1} ds;
+                  (log s - k_n(|x|, s)) f(s) s^{n-1} ds,
 
-    for n = 2 the integrand vanishes identically for s > |x|.  General
+    evaluated at all requested radii at once through the moment identity
+    of the module docstring: one vectorized quadrature pass over the
+    segments between the sorted radii (plus breakpoints, capped at the
+    support) gives every moment on every segment, prefix sums give I and
+    suffix sums T.  Beyond the largest radius only T is read; it takes one
+    integral per j up to the support, or a decade walk when the support is
+    unknown.  For n = 2 there are no T moments.  General
     densities are split around the singularity: the ball B_eps(x) with
     eps = min(1, 1/(1+|x|)) gets the subtraction
     f(x) * integral_{B_eps} log(1/|z|) dz plus a smooth remainder, the rest
@@ -118,6 +141,7 @@ class PotentialEvaluator:
         self.gconst = sphere_constants(self.n).green_constant
         self.area = sphere_constants(self.n).boundary_area
         self._phi = f.along_ray() if f.caps.is_radial else None
+        self._coeffs = _kernel_coefficients(self.n)
         self._log_moment_cache = None
         self._mass_cache = None
 
@@ -156,52 +180,69 @@ class PotentialEvaluator:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self._value_single(x)
-        return np.array([self._value_single(p) for p in x])
-
-    def _value_single(self, x):
-        r = float(np.linalg.norm(x))
         if self._phi is not None:
-            return self.value_radial(np.array([r]))[0]
-        return self._value_general(x)
+            r = np.linalg.norm(np.atleast_2d(x), axis=1)
+            out = self.value_radial(r)
+            return out[0] if x.ndim == 1 else out
+        if x.ndim == 1:
+            return self._value_general(x)
+        return np.array([self._value_general(p) for p in x])
 
     def value_radial(self, radii):
-        """L(f)(|x|) for a radial density, vectorized over radii."""
+        """L(f)(|x|) for a radial density at every radius at once, from the
+        running moments of the class docstring."""
         if self._phi is None:
             raise QflatError("value_radial needs a radial density")
-        n, area, phi = self.n, self.area, self._phi
+        n, phi = self.n, self._phi
+        radii = np.asarray(radii, dtype=float)
+        out = np.zeros(len(radii))
+        pos = radii > 0.0
+        if not np.any(pos):
+            return out
+        powers = 2.0 * np.arange(1, len(self._coeffs) + 1)
         supp = self.f.caps.support_radius
         if supp is None:
-            # truncation radius learned from the mass integral
             supp = self._effective_support()
-        out = np.empty(len(radii))
-        for i, r in enumerate(np.asarray(radii, dtype=float)):
-            if r == 0.0:
-                out[i] = 0.0
-                continue
+        rr = radii[pos]
+        r = rr if supp is None else np.minimum(rr, supp)
+        top = float(r.max())
+        edges = np.unique(np.concatenate(
+            ([0.0], r, [p for p in self.breakpoints if 0.0 < p < top])))
+        # moments of dmu = phi(s) s^{n-1} ds: log s, 1, s^{2j}, s^{-2j}
+        expo = np.concatenate(([n - 1.0, n - 1.0], n - 1.0 + powers, n - 1.0 - powers))
 
-            def integrand(s, r=r):
-                s = np.asarray(s, dtype=float)
-                kern = angular_log_kernel(n, np.full_like(s, r), s)
-                return (np.log(s) - kern) * np.asarray(phi(s), dtype=float) * area * s ** (n - 1)
+        def integrand(s):
+            vals = s ** expo[:, None]
+            vals *= np.asarray(phi(s), dtype=float)
+            vals[0] *= np.log(s)
+            return vals
 
-            # n = 2: the integrand vanishes identically for s > r
-            cut = min(r, supp) if supp is not None else r
-            head = integrate_radial(integrand, 0.0, cut, rel_tol=self.rel_tol,
-                                    abs_tol=1e-13, breakpoints=self.breakpoints)
-            tail = 0.0
-            if self.n > 2 and (supp is None or supp > cut):
-                # 1e-12 absolute floor: far below every downstream tolerance
-                budget = max(self.rel_tol * abs(head), 1e-12)
-                if supp is None:
-                    tail = decade_mass_integral(integrand, r0=cut, rel_tol=self.rel_tol,
-                                                abs_tol=budget,
-                                                breakpoints=self.breakpoints).value
-                else:
-                    tail = integrate_radial(integrand, cut, supp, rel_tol=self.rel_tol,
-                                            abs_tol=budget, breakpoints=self.breakpoints)
-            out[i] = self.gconst * (head + tail)
+        # each floor in units of the potential: I_2j on [a, b] is read with
+        # r^{-2j} <= b^{-2j}, T_2j with r^{2j} <= a^{2j}
+        weight = np.vstack([np.ones((2, len(edges) - 1)),
+                            edges[None, 1:] ** -powers[:, None],
+                            edges[None, :-1] ** powers[:, None]])
+        with np.errstate(divide="ignore"):
+            floor = POTENTIAL_FLOOR / np.minimum(weight, 1.0)
+        moments = segment_integrals(integrand, edges, self.rel_tol, floor)
+        k = np.searchsorted(edges, r)
+        inner = np.cumsum(moments[:2 + len(powers)], axis=1)[:, k - 1]
+        outer = np.cumsum(moments[2 + len(powers):, ::-1], axis=1)[:, ::-1]
+        outer = np.hstack([outer, np.zeros((len(powers), 1))])[:, k]
+        if supp is None or supp > top:
+            # T_2j beyond the largest radius, where no I moment is read: up
+            # to the support, or by decades when it is unknown
+            bps = [p for p in self.breakpoints if p > top]
+            for i, q in enumerate(powers):
+                far = decade_mass_integral(
+                    lambda s, q=q: top ** q * s ** (n - 1.0 - q) * np.asarray(phi(s), dtype=float),
+                    r0=top, rel_tol=self.rel_tol, abs_tol=POTENTIAL_FLOOR,
+                    breakpoints=bps, support_radius=supp)
+                outer[i] += far.value * top ** -q
+        value = inner[0] - np.log(rr) * inner[1]
+        for i, c in enumerate(self._coeffs):
+            value -= c * (rr ** -powers[i] * inner[2 + i] + rr ** powers[i] * outer[i])
+        out[pos] = self.gconst * self.area * value
         return out
 
     def profile(self, r_max=1e6) -> RadialProfile:

@@ -9,8 +9,9 @@ Four layers:
 
 * panel-adaptive Gauss-Legendre on finite intervals and radial ranges
   (``adaptive_estimate``, ``integrate_radial_estimate`` and its strict
-  form ``integrate_radial``), and the running radial integrals over
-  sorted radii (``cumulative_radial``);
+  form ``integrate_radial``), the running radial integrals over sorted
+  radii (``cumulative_radial``), and vector-valued integrals over many
+  radial segments in one vectorized pass (``segment_integrals``);
 * signed improper integrals over [r0, inf) driven by decade blocks with a
   Cauchy-condensation convergence test (``decade_mass_integral``);
 * finite-vs-infinite classification of positive improper integrals through
@@ -47,6 +48,8 @@ CONDENSATION_GROWTH = 1.5
 CONDENSATION_ORDER = 24
 CONDENSATION_PANEL_WIDTH = 4.0
 MAX_DECADES = 130         # decade blocks of decade_mass_integral before the ratio test
+MAX_BISECTIONS = 4096     # panel splits of one segment_integrals call
+PANEL_BLOCK = 128         # panels (46 nodes each) per integrand call of segment_integrals
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +148,10 @@ def _radial(f, r0, r1, rel_tol, abs_tol, breakpoints, max_panels, strict):
     if r1 > cut:
         def g(t):
             r = np.exp(t)
-            return np.asarray(f(r), dtype=float) * r
+            # an overflow here leaves an inf that the non-finite check of
+            # adaptive_estimate turns into a QuadratureError
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.asarray(f(r), dtype=float) * r
 
         bps = [math.log(p) for p in breakpoints if cut < p < r1]
         try:
@@ -185,6 +191,80 @@ def cumulative_radial(f, radii, rel_tol, abs_tol=0.0):
     starts = np.concatenate(([0.0], radii[:-1]))
     return np.cumsum([integrate_radial(f, a, b, rel_tol=rel_tol, abs_tol=abs_tol)
                       for a, b in zip(starts, radii)])
+
+
+def segment_integrals(f, edges, rel_tol, abs_tol):
+    """Integrals of a vector-valued f over every segment between the
+    sorted edges, all segments at once.
+
+    ``f`` maps a 1-D array of radii to an array of shape (K, len(radii)).
+    Each segment gets GL(15/31), linear in r below 1 and in t = log r above
+    1 (a segment straddling 1 is split there, as in integrate_radial); every
+    panel whose error misses ``max(rel_tol * |value|, abs_tol)`` on any
+    component is bisected.  f is called on the nodes of PANEL_BLOCK panels
+    at a time.
+    ``abs_tol`` broadcasts against (K, segments).  Returns the (K, segments)
+    integrals.  Raises QuadratureError, naming the segments, when a value
+    is not finite or MAX_BISECTIONS splits do not settle every panel.
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    split = (lo < 1.0) & (hi > 1.0)
+    seg = np.concatenate([np.arange(len(lo)), np.flatnonzero(split)])
+    a = np.concatenate([lo, np.ones(int(split.sum()))])
+    b = np.concatenate([np.where(split, 1.0, hi), hi[split]])
+    in_log = a >= 1.0
+    a[in_log], b[in_log] = np.log(a[in_log]), np.log(b[in_log])
+    x15, w15 = gl_rule(15)
+    x31, w31 = gl_rule(31)
+    nodes = np.concatenate([x15, x31])
+    weights = np.zeros((len(nodes), 2))     # columns: GL(15), GL(31)
+    weights[:15, 0], weights[15:, 1] = w15, w31
+
+    def rules(a, b, in_log):
+        """GL(15) and GL(31) values of each panel: shape (2, K, panels)."""
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        r = mid[:, None] + half[:, None] * nodes[None, :]
+        r[in_log] = np.exp(r[in_log])
+        vals = np.asarray(f(r.ravel()), dtype=float).reshape(-1, *r.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals[:, in_log] *= r[in_log]
+            return np.moveaxis(half[:, None] * (vals @ weights), -1, 0)
+
+    total, floor, bisections = None, None, 0
+    while len(a):
+        # f sees PANEL_BLOCK panels at a time, which bounds the memory
+        coarse, fine = np.concatenate(
+            [rules(a[i:i + PANEL_BLOCK], b[i:i + PANEL_BLOCK], in_log[i:i + PANEL_BLOCK])
+             for i in range(0, len(a), PANEL_BLOCK)], axis=-1)
+        with np.errstate(invalid="ignore"):
+            err = np.abs(fine - coarse)
+        if total is None:
+            total = np.zeros((len(fine), len(lo)))
+            floor = np.broadcast_to(abs_tol, total.shape)
+        bad = ~np.all(np.isfinite(fine), axis=0)
+        if np.any(bad):
+            raise QuadratureError(
+                f"non-finite segment integral on {_segment_list(edges, seg[bad])}")
+        done = np.all(err <= np.maximum(rel_tol * np.abs(fine), floor[:, seg]), axis=0)
+        np.add.at(total.T, seg[done], fine[:, done].T)
+        a, b, seg, in_log = a[~done], b[~done], seg[~done], in_log[~done]
+        mid = 0.5 * (a + b)
+        bisections += len(a)
+        if bisections > MAX_BISECTIONS:
+            raise QuadratureError(
+                f"segment quadrature did not settle within {MAX_BISECTIONS} "
+                f"bisections on {_segment_list(edges, seg)}")
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        seg, in_log = np.tile(seg, 2), np.tile(in_log, 2)
+    return total
+
+
+def _segment_list(edges, seg, shown=3):
+    seg = np.unique(seg)
+    spans = ", ".join(f"[{edges[i]:g}, {edges[i + 1]:g}]" for i in seg[:shown])
+    more = f" and {len(seg) - shown} more" if len(seg) > shown else ""
+    return f"radii {spans}{more}"
 
 
 # ---------------------------------------------------------------------------

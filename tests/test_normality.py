@@ -357,3 +357,21 @@ def test_traced_methods_exist():
             assert inspect.isclass(cls), f"{layer}.{cls_name}"
             for meth in methods:
                 assert inspect.isfunction(vars(cls).get(meth)), f"{layer}.{cls_name}.{meth}"
+
+
+def test_traced_counters_name_real_code():
+    # each counter of the bench tracer hangs on a wrapped function or method
+    # named "<layer>.<function>" or "<layer>.<Class>.<method>"; a name that
+    # no longer exists would make its count read 0 without any error
+    layertrace = _layertrace()
+    for key in layertrace.Tracer()._counters():
+        layer, *path = key.split(".")
+        module = importlib.import_module(f"qflatlab.{layer}")
+        if len(path) == 1:
+            fn = vars(module).get(path[0])
+            assert inspect.isfunction(fn) and fn.__module__ == module.__name__, key
+            assert not hasattr(fn, "cache_info"), key
+        else:
+            cls_name, meth = path
+            assert meth in layertrace.METHODS.get(layer, {}).get(cls_name, ()), key
+            assert inspect.isfunction(vars(getattr(module, cls_name)).get(meth)), key

@@ -10,6 +10,7 @@ from qflatlab import (NonIntegrableError, PotentialEvaluator,
                       potential_asymptote, potential_bound_check, radial_field,
                       total_mass_alpha)
 from qflatlab.fitting import fit_loglog
+from qflatlab.quadrature import decade_mass_integral, integrate_radial
 
 
 def indicator_density(scale=2.0):
@@ -233,3 +234,65 @@ class TestGrowthLemmas:
             vols.append(acc)
         fit = fit_loglog(radii, vols, abscissa=math.pi * radii ** 2)
         assert fit.exponent == pytest.approx(0.5, abs=0.05)
+
+
+def _per_radius_reference(ev, phi, n, r, support, breakpoints):
+    """L(f)(r) by one adaptive integral of the kernel per radius, plus its
+    tail: the path the moment pass replaced."""
+    if r == 0.0:
+        return 0.0
+
+    def integrand(s):
+        s = np.asarray(s, dtype=float)
+        kern = angular_log_kernel(n, np.full_like(s, r), s)
+        return (np.log(s) - kern) * phi(s) * s ** (n - 1)
+
+    hi = r if support is None else min(r, support)
+    total = integrate_radial(integrand, 0.0, hi, rel_tol=1e-10, abs_tol=1e-14,
+                             breakpoints=breakpoints)
+    if n > 2 and support is None:   # n = 2: the integrand vanishes beyond r
+        total += decade_mass_integral(integrand, r0=r, rel_tol=1e-10, abs_tol=1e-14,
+                                      breakpoints=breakpoints).value
+    elif n > 2 and support > hi:
+        total += integrate_radial(integrand, hi, support, rel_tol=1e-10, abs_tol=1e-14,
+                                  breakpoints=breakpoints)
+    return ev.gconst * ev.area * total
+
+
+class TestMomentPass:
+    # unsorted, with duplicates, the origin, both sides of r = 1 and radii
+    # beyond the support of the indicator and of the Gaussian's effective
+    # support (1e5)
+    RADII = np.array([3.0, 0.0, 0.5, 3.0, 1e-3, 1.0, 40.0, 0.999, 2.5, 2e5, 0.5])
+
+    @staticmethod
+    def density(kind, n):
+        if kind == "gauss":
+            return (lambda r: np.exp(-np.asarray(r) ** 2)), None, ()
+        if kind == "indicator":
+            return (lambda r: np.where(np.asarray(r) <= 1.0, 1.0, 0.0)), 1.0, (1.0,)
+        # a slow tail: dmu ~ s^{-1.04} ds, no support, not even an effective
+        # one at n = 2
+        return (lambda r: (1.0 + np.asarray(r) ** 2) ** (-(n / 2 + 0.02))), None, ()
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("kind", ["gauss", "indicator", "tail"])
+    def test_matches_per_radius_reference(self, n, kind):
+        phi, support, bps = self.density(kind, n)
+        f = radial_field(phi, n, support_radius=support, name=kind)
+        ev = PotentialEvaluator(f, breakpoints=bps)
+        got = ev.value_radial(self.RADII)
+        ref = [_per_radius_reference(ev, phi, n, r, support, bps) for r in self.RADII]
+        assert np.max(np.abs(got - ref)) <= 1e-8
+        assert got[1] == 0.0 and got[0] == got[3]
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_points_are_one_pass_over_row_norms(self, n):
+        f = radial_field(lambda r: np.exp(-np.asarray(r) ** 2), n, name="gauss")
+        ev = PotentialEvaluator(f)
+        pts = np.random.default_rng(3).normal(size=(12, n)) * 4.0
+        pts[5] = 0.0
+        expected = ev.value_radial(np.linalg.norm(pts, axis=1))
+        assert np.array_equal(ev(pts), expected)
+        # one point alone gets other segment edges: equal up to rounding
+        assert ev(pts[2]) == pytest.approx(expected[2], abs=1e-13)

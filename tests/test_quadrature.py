@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from qflatlab import (Dimension, Polynomial, QuadratureError, ball_mean_poly,
                       sphere_constants)
 from qflatlab.quadrature import (cumulative_radial, decade_mass_integral,
                                  integrate_radial, integrate_radial_estimate,
-                                 shell_product_rule, sphere_shell)
+                                 segment_integrals, shell_product_rule, sphere_shell)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -99,3 +100,40 @@ def test_log_piece_error_names_radii():
 
     with pytest.raises(QuadratureError, match=r"1e\+08"):
         integrate_radial_estimate(f, 0.0, 1e8)
+
+
+def test_log_piece_overflow_raises_without_warning():
+    # f(r) * r overflows in the t = log r piece: a QuadratureError, and no
+    # numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError):
+            integrate_radial(lambda r: np.full_like(r, 1e307), 0.0, 1e3)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "jump"])
+def test_segment_integrals_match_integrate_radial(kind):
+    # two components, segments on both sides of r = 1 and one straddling it
+    if kind == "smooth":
+        phi = lambda r: np.exp(-r) * r ** 2
+        bps = ()
+    else:
+        phi = lambda r: np.where(r <= 2.5, 1.0 + r, 0.0)
+        bps = (2.5,)
+    f = lambda r: np.vstack([phi(r), np.log(r) * phi(r)])
+    edges = np.array([0.0, 0.3, 1.7, 2.5, 10.0, 1e3])
+    got = segment_integrals(f, edges, 1e-10, 1e-14)
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        for k in range(2):
+            ref = integrate_radial(lambda r: f(np.asarray(r, dtype=float))[k], a, b,
+                                   rel_tol=1e-12, abs_tol=1e-15, breakpoints=bps)
+            assert got[k, i] == pytest.approx(ref, rel=1e-10, abs=1e-13)
+
+
+def test_segment_integrals_raise_and_name_radii():
+    with pytest.raises(QuadratureError, match=r"radii \[2, 3\]"):
+        segment_integrals(lambda r: np.where(r > 2.0, np.cos(1e6 * r), r)[None, :],
+                          [0.0, 1.0, 2.0, 3.0], 1e-8, 1e-13)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        segment_integrals(lambda r: np.where(r > 5.0, np.nan, r)[None, :],
+                          [0.0, 1.0, 10.0], 1e-8, 1e-13)
