@@ -102,9 +102,12 @@ class RadialJet:
     def value(self):
         return self._polyval(self.coeffs)
 
-    def radial_derivative(self):
-        """phi'(r) = 2 r q'(s)."""
-        return 2.0 * self.r * self.q_derivative()
+    def radial_derivative(self, k=0):
+        """d/dr of Delta^k phi: 2 r q'(s) of the k-th iterated fit."""
+        c = self.coeffs
+        for _ in range(k):
+            c = self.laplacian_coeffs(c)
+        return 2.0 * self.r * (self._polyval(_poly_der(c)) / self.delta)
 
     def laplacian_coeffs(self, coeffs):
         """Coefficient-level Delta on a local even-part polynomial."""

@@ -66,13 +66,16 @@ class FieldCaps:
     profile, set for radial fields, is the vectorized phi with
     f(x) = phi(|x|); laplacian_chain holds vectorized evaluators of
     Delta^k f for k = 1 .. n/2 (index 0 is Delta f); gradient returns an
-    (m, n) array.
+    (m, n) array.  source, set for a radial density f = (-Delta)^{n/2} u
+    derived from a radial u, is the profile of u: the mass of f in a ball
+    is then a boundary flux of u.
     """
 
     profile: object | None = None
     support_radius: float | None = None
     laplacian_chain: tuple | None = None
     gradient: object | None = None
+    source: object | None = None
 
     @property
     def is_radial(self):
@@ -209,7 +212,7 @@ def field_from_expression(src: str, dim) -> ScalarField:
 
 
 def radial_field(phi, dim, support_radius=None, laplacian_chain=None,
-                 gradient=None, name="") -> ScalarField:
+                 gradient=None, source=None, name="") -> ScalarField:
     """Field x -> phi(|x|) from a vectorized radial function phi, which the
     field keeps as its profile."""
     dim = as_dimension(dim)
@@ -221,7 +224,8 @@ def radial_field(phi, dim, support_radius=None, laplacian_chain=None,
     return ScalarField(
         dim=dim, fn=fn,
         caps=FieldCaps(profile=phi, support_radius=support_radius,
-                       laplacian_chain=laplacian_chain, gradient=gradient),
+                       laplacian_chain=laplacian_chain, gradient=gradient,
+                       source=source),
         name=name or "radial",
     )
 

@@ -329,7 +329,8 @@ def _build_huber(params, dim):
     n = dim.n
     w = _huber_profile(c)
     u = radial_field(w, dim, name=f"huber(c={c})")
-    density = radial_field(_huber_density(c, n), dim, name=f"huber-density(c={c})")
+    density = radial_field(_huber_density(c, n), dim, source=u.along_ray(),
+                           name=f"huber-density(c={c})")
     ctx = MetricContext(u=u, density=density, density_tractable=False,
                         label=f"huber(c={c})[n={n}]")
     facts = {

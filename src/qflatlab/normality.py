@@ -34,7 +34,7 @@ from .fitting import GrowthEstimate
 from .geometry import (DiameterReport, MetricContext, diameter_estimate,
                        volume_classification, volume_growth)
 from .polynomials import Polynomial, monomials_upto
-from .potential import PotentialEvaluator, total_mass_alpha
+from .potential import FLUX_SETTLE_TOL, PotentialEvaluator, total_mass_alpha
 from .quadrature import cumulative_radial, decade_mass_integral, shell_product_rule
 
 # Verdict boundary: fitted slopes sit strictly below a clean power because
@@ -244,7 +244,7 @@ def _curvature_density(ctx: MetricContext) -> ScalarField | None:
     m = n // 2
     sign = (-1.0) ** m
     return radial_field(lambda r: sign * radial_laplacian_batch(phi, r, n, m), ctx.u.dim,
-                        name=f"density({ctx.label})")
+                        source=phi, name=f"density({ctx.label})")
 
 
 # Stage results that the report and cohn_vossen_check share, computed once
@@ -277,16 +277,21 @@ def cohn_vossen_check(ctx: MetricContext) -> CohnVossenReport:
     alpha0 >= 1.  Preconditions: finite volume, integrable negative
     curvature part, and for n >= 4 the o(R^n) growth of int_{B_R}
     |Delta u|.  Any failed precondition is reported and the verdict
-    withheld.
+    withheld.  Without alpha0 there is no total to bound, and the negative
+    part is not walked (its precondition reads None).
     """
     n = ctx.n
     bound = cohn_vossen_bound(n)
     pre = {}
     vol = _volume_class(ctx)
     pre["finite_volume"] = vol.classification
+    try:
+        alpha0 = _alpha_estimate(ctx).alpha_hat
+    except QflatError:
+        alpha0 = None
     density = _curvature_density(ctx)
     neg_ok = None
-    if density is not None and density.caps.is_radial:
+    if alpha0 is not None and density is not None and density.caps.is_radial:
         dens = density.along_ray()
         area = sphere_constants(n).boundary_area
         try:
@@ -307,7 +312,7 @@ def cohn_vossen_check(ctx: MetricContext) -> CohnVossenReport:
     total = satisfied = None
     if (vol.classification == "finite" and neg_ok is True
             and (n < 4 or pre.get("laplacian_growth") == "little_o")):
-        total = _alpha_estimate(ctx).alpha_hat / sphere_constants(n).green_constant
+        total = alpha0 / sphere_constants(n).green_constant
         satisfied = bool(total >= bound - COHN_VOSSEN_TOLERANCE)
     return CohnVossenReport(total=total, bound=bound, satisfied=satisfied,
                             preconditions=pre, tolerance=COHN_VOSSEN_TOLERANCE)
@@ -420,6 +425,7 @@ class AnalysisConfig:
         return {
             "margin": 0.25,                   # default of the growth criteria
             "mass_rel_tol": 1e-8,             # total_mass_alpha
+            "flux_settle_tol": FLUX_SETTLE_TOL,  # total_mass_alpha, boundary flux
             "entropy_stability_gap": ENTROPY_STABILITY_GAP,
             "identity_tolerance": 0.05,
             "cohn_vossen_tolerance": COHN_VOSSEN_TOLERANCE,
@@ -432,6 +438,7 @@ class NormalityReport:
     label: str
     alpha0: float | None
     alpha0_residual: float | None
+    alpha0_method: str | None        # "boundary_flux" | "mass_integral"
     tau: GrowthEstimate | None
     identity_residual: float | None
     verdict: str
@@ -457,6 +464,8 @@ class NormalityReport:
             "n": self.n,
             "label": self.label,
             "alpha0": clean(self.alpha0),
+            "alpha0_residual": clean(self.alpha0_residual),
+            "alpha0_method": self.alpha0_method,
             "tau": self.tau.to_json_dict() if self.tau is not None else None,
             "identity_residual": clean(self.identity_residual),
             "verdict": self.verdict,
@@ -514,7 +523,8 @@ def analyze_normality(ctx: MetricContext, config: AnalysisConfig | None = None,
             return None
 
     est = attempt("alpha0", lambda: _alpha_estimate(ctx))
-    alpha0, alpha0_res = (est.alpha_hat, est.residual) if est is not None else (None, None)
+    alpha0, alpha0_res, alpha0_method = ((est.alpha_hat, est.residual, est.method)
+                                         if est is not None else (None, None, None))
 
     # ball radii of the tau fit; non-radial metrics stop at 1e4
     radii = np.geomspace(10.0, 1e7, 26)
@@ -596,6 +606,7 @@ def analyze_normality(ctx: MetricContext, config: AnalysisConfig | None = None,
         label=ctx.label,
         alpha0=alpha0,
         alpha0_residual=alpha0_res,
+        alpha0_method=alpha0_method,
         tau=tau,
         identity_residual=identity_residual,
         verdict=verdict,

@@ -32,6 +32,16 @@ multipole method, Greengard & Rokhlin, J. Comput. Phys. 73, 1987):
 
     I_k(r) = int_0^r s^k dmu,  I_log(r) = int_0^r log s dmu,
     T_2j(r) = int_r^inf s^{-2j} dmu.
+
+The total mass of a radial density f = (-Delta)^m u, m = n/2, derived from
+a radial u (FieldCaps.source) needs no quadrature beyond the unit ball:
+the divergence theorem turns its mass in B_R into a boundary flux of u,
+
+    int_{B_R} (-Delta)^m u dx = (-1)^m |S^{n-1}| R^{n-1} d/dr (Delta^{m-1} u)(R),
+
+read from one batched radial jet of u at R = 10, 100, ...; alpha0 is the
+limit R -> inf, extrapolated in 1/log R (Sidi, Practical Extrapolation
+Methods, CUP 2003, ch. 1).
 """
 
 import math
@@ -39,18 +49,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import ball_mean
+from .calculus import ball_mean, radial_jet
 from .constants import sphere_constants
 from .errors import QflatError
 from .fields import RadialProfile, ScalarField
 from .fitting import fit_linear_logx, require_window
-from .quadrature import (decade_mass_integral, integrate_radial, segment_integrals,
-                         sphere_shell)
+from .quadrature import (decade_mass_integral, integrate_radial,
+                         integrate_radial_estimate, segment_integrals, sphere_shell)
 
 KERNEL_QUADRATURE_ORDER = 64   # Gauss-Legendre nodes of the reference kernel
 ASYMPTOTE_BALL_RADIUS = 1.0    # ball means behind potential_asymptote
 ASYMPTOTE_REL_TOL = 1e-7
 POTENTIAL_FLOOR = 1e-13        # absolute error floor of the radial moments
+FLUX_DECADES = 60              # boundary-flux radii R = 10^k, k = 1..60, for n <= 4
+FLUX_DECADES_HIGH_N = 12       # n >= 6: the window-jet error grows with log R
+FLUX_SETTLE_TOL = 1e-2         # largest residual of an accepted flux limit
 
 
 def _kernel_coefficients(n):
@@ -147,13 +160,16 @@ class PotentialEvaluator:
 
     # -- mass -------------------------------------------------------------
 
+    def _radial_mass_density(self, s):
+        """f(s) |S^{n-1}| s^{n-1}: the mass of f per unit radius."""
+        return np.asarray(self._phi(s), dtype=float) * self.area * s ** (self.n - 1)
+
     def mass(self):
         """integral of f over R^n (signed), with tail extrapolation."""
         if self._mass_cache is None:
             supp = self.f.caps.support_radius
             if self._phi is not None:
-                g = lambda s: np.asarray(self._phi(s), dtype=float) * self.area * s ** (self.n - 1)
-                res = decade_mass_integral(g, rel_tol=self.rel_tol,
+                res = decade_mass_integral(self._radial_mass_density, rel_tol=self.rel_tol,
                                            support_radius=supp,
                                            breakpoints=self.breakpoints)
             else:
@@ -332,13 +348,20 @@ def log_potential(f: ScalarField, x, evaluator: PotentialEvaluator | None = None
 
 
 def total_mass_alpha(f: ScalarField) -> AlphaEstimate:
-    """Normalized total mass g_n * integral(f), to relative tolerance 1e-8.
+    """Normalized total mass g_n * integral(f).
 
-    Radial densities reduce to a 1-D integral against |S^{n-1}| r^{n-1};
-    NonIntegrableError propagates when the condensed decade tails fail the
-    ratio test.
+    A radial density derived from a radial u (f.caps.source set) is read as
+    a boundary flux of u (module docstring; method "boundary_flux"): its
+    mass in the unit ball by quadrature, the rest as the flux difference
+    Phi(R) - Phi(1) at R = 10^k, extrapolated to R -> inf.  Every other
+    density is integrated to relative tolerance 1e-8 by decade blocks
+    (method "mass_integral"); radial ones reduce to a 1-D integral against
+    |S^{n-1}| r^{n-1}, and NonIntegrableError propagates when the
+    condensed decade tails fail the ratio test.
     """
     ev = PotentialEvaluator(f)
+    if f.caps.source is not None:
+        return _boundary_flux_alpha(ev)
     res = ev.mass()
     return AlphaEstimate(
         alpha_hat=ev.gconst * res.value,
@@ -346,6 +369,43 @@ def total_mass_alpha(f: ScalarField) -> AlphaEstimate:
         residual=abs(ev.gconst) * res.tail_estimate,
         method="mass_integral",
     )
+
+
+def _boundary_flux_alpha(ev: PotentialEvaluator) -> AlphaEstimate:
+    """alpha0 = g_n (inner + lim Phi(R) - Phi(1)) for f = (-Delta)^m u.
+
+    inner is f's mass in the unit ball, the first piece of the decade walk
+    (a singular origin raises there as it does in the walk).  Phi(R) is the
+    flux (-1)^m |S^{n-1}| R^{n-1} d/dr Delta^{m-1} u at R = 1 and 10^k.
+    The limit is the x -> 0 intercept of a quadratic fit in x = 1/log R over
+    the upper half of the radii; the residual is its distance from a linear
+    fit over the upper quarter, plus the quadrature error of inner.  A
+    non-finite flux or a residual above FLUX_SETTLE_TOL raises QflatError.
+    """
+    n = ev.n
+    m = n // 2
+    inner, inner_err = integrate_radial_estimate(ev._radial_mass_density, 0.0, 1.0,
+                                                 rel_tol=ev.rel_tol, max_panels=1024)
+    decades = FLUX_DECADES if n <= 4 else FLUX_DECADES_HIGH_N
+    radii = 10.0 ** np.arange(decades + 1)
+    with np.errstate(all="ignore"):
+        jet = radial_jet(ev.f.caps.source, radii, n, max_m=m)
+        flux = (-1.0) ** m * ev.area * radii ** (n - 1) * jet.radial_derivative(m - 1)
+    if not np.all(np.isfinite(flux)):
+        bad = radii[~np.isfinite(flux)]
+        raise QflatError(f"non-finite boundary flux of {ev.f.name} at R = {bad[0]:g}")
+    alpha = ev.gconst * (inner + flux[1:] - flux[0])
+    x = 1.0 / np.log(radii[1:])
+    half, quarter = decades // 2, 3 * decades // 4
+    limit = float(np.polynomial.Polynomial.fit(x[half:], alpha[half:], 2)(0.0))
+    linear = float(np.polynomial.Polynomial.fit(x[quarter:], alpha[quarter:], 1)(0.0))
+    residual = abs(limit - linear) + abs(ev.gconst) * inner_err
+    if not residual <= FLUX_SETTLE_TOL:
+        raise QflatError(
+            f"boundary flux of {ev.f.name} does not settle: residual {residual:.3g} "
+            f"> {FLUX_SETTLE_TOL:g} over R = {radii[half + 1]:g}..{radii[-1]:g}")
+    return AlphaEstimate(alpha_hat=limit, window=(float(radii[half + 1]), float(radii[-1])),
+                         residual=residual, method="boundary_flux")
 
 
 def potential_asymptote(f: ScalarField, radii) -> AlphaEstimate:

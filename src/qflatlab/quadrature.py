@@ -412,7 +412,8 @@ def classify_log_blocks(log_blocks):
         if not np.all(np.isfinite(lb[-need:])):
             return TailClassification("finite", lb, np.array([]), -np.inf)
         return TailClassification("inconclusive", lb, np.array([]), math.nan)
-    ratios = np.exp(np.diff(lb))
+    with np.errstate(over="ignore"):   # an overflowed ratio reads as growth
+        ratios = np.exp(np.diff(lb))
     last = ratios[-need:]
     if np.all(last <= Q_FINITE):
         rho = float(min(np.max(last), 0.98))
