@@ -22,7 +22,7 @@ import numpy as np
 from .constants import sphere_constants
 from .errors import (DimensionError, NotRadialError, QflatError,
                      QuadratureError, RangeOverflowError)
-from .fields import Dimension, ScalarField, as_dimension, check_point
+from .fields import Dimension, ScalarField, as_dimension, check_point, radial_field
 from .polynomials import (Polynomial, apply_laplacian_poly, ball_mean_poly,
                           radial_monomial)
 from .quadrature import (integrate_radial, offset_ball_integral_radial,
@@ -95,13 +95,6 @@ class RadialJet:
             out = out * y + c
         return out
 
-    def q_derivative(self):
-        """dq/ds evaluated at the batch points."""
-        return self._polyval(_poly_der(self.coeffs)) / self.delta
-
-    def value(self):
-        return self._polyval(self.coeffs)
-
     def radial_derivative(self, k=0):
         """d/dr of Delta^k phi: 2 r q'(s) of the k-th iterated fit."""
         c = self.coeffs
@@ -155,6 +148,18 @@ def radial_jet(phi, r, dim, max_m=1):
 def radial_laplacian_batch(phi, r, dim, m=1):
     """Delta^m of the radial function phi(|x|) at a batch of radii."""
     return radial_jet(phi, r, dim, max_m=m).laplacian_power(m)
+
+
+def jet_density(u: ScalarField, name="") -> ScalarField:
+    """The curvature density (-Delta)^{n/2} u of a radial u by radial jets,
+    as a radial field whose source is u's profile: total_mass_alpha reads
+    its mass as a boundary flux of u."""
+    phi = u.along_ray()
+    n = u.dim.n
+    m = n // 2
+    sign = (-1.0) ** m
+    return radial_field(lambda r: sign * radial_laplacian_batch(phi, r, n, m), u.dim,
+                        source=phi, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,9 @@ def sweep_csv(doc, param, values, seed=20250) -> str:
     for raw in values:
         row = {"value": raw, "error": ""}
         try:
-            value = float(raw)
             params = dict(doc.get("params", {}) or {})
-            params[param] = value
-            ctx = gallery(doc["name"], params, int(doc["n"]))
+            params[param] = float(raw)
+            ctx = context_from_document({**doc, "params": params})
             report = analyze_normality(ctx, cfg, provenance_spec=doc)
             try:
                 dist = distance_growth_exponent(

@@ -13,8 +13,11 @@ planted(seed, deg)   potential + planted polynomial         normal iff deg = 0
 
 The sphere and cone conformal factors have iterated Laplacians of the
 exact rational form A(s)/(1+s)^k in s = r^2; the chain is generated by
-coefficient-level recursion with Fraction arithmetic, so gallery
-curvatures carry no differencing error.  Every fact records provenance:
+coefficient-level recursion with Fraction arithmetic, so their
+curvatures carry no differencing error.  huber's curvature density is the
+jet density of u (calculus.jet_density), as for expression metrics: it
+vanishes on the plateau r <= 10, and total_mass_alpha reads its mass as a
+boundary flux of u.  Every fact records provenance:
 TRIVIAL (immediate), DERIVED (closed form or stated oracle), or PAPER
 (threshold classifications of the log-log example family).
 """
@@ -34,12 +37,11 @@ from .fields import (Dimension, FieldCaps, ScalarField, as_dimension,
 from .geometry import MetricContext
 from .polynomials import Polynomial, apply_laplacian_poly, poly_gradient
 from .potential import PotentialEvaluator
-from .calculus import radial_jet, radial_laplacian_batch
+from .calculus import jet_density, radial_jet, radial_laplacian_batch
 
 GALLERY_NAMES = ("flat", "sphere", "cone", "huber", "gaussian_source", "planted")
 
 HUBER_CUTOFF = (10.0, 20.0)   # eta = 1 inside r <= 10, 0 outside r >= 20
-HUBER_CLOSED_FORM_FROM = 30.0
 
 
 @dataclass(frozen=True)
@@ -263,74 +265,12 @@ def _huber_profile(c):
     return w
 
 
-def _span_laplacian(terms, n):
-    """One radial Laplacian on a span of r^a (log r)^b terms, exact:
-
-        Delta r^a log^b r = a(a+n-2) r^{a-2} log^b r
-                          + b(2a+n-2) r^{a-2} log^{b-1} r
-                          + b(b-1)    r^{a-2} log^{b-2} r.
-    """
-    out = {}
-    for (a, b), coef in terms.items():
-        for da_b, factor in (((a - 2, b), a * (a + n - 2)),
-                             ((a - 2, b - 1), b * (2 * a + n - 2)),
-                             ((a - 2, b - 2), b * (b - 1))):
-            if factor:
-                out[da_b] = out.get(da_b, 0.0) + coef * factor
-    return out
-
-
-def _huber_far_density_terms(c, n):
-    """Exact (-Delta)^{n/2} of -log r + c log log r where the cutoff is gone.
-
-    The log-log term leaves the r^a log^b span after one Laplacian only in
-    the sense that its own antiderivative does; its Laplacian is already in
-    the span, so iterate from there."""
-    m = n // 2
-    first = {(-2.0, 0.0): -(n - 2), (-2.0, -1.0): c * (n - 2), (-2.0, -2.0): -c}
-    terms = first
-    for _ in range(m - 1):
-        terms = _span_laplacian(terms, n)
-    sign = (-1.0) ** m
-    # density = (-1)^m Delta^m w = (-1)^m Delta^{m-1} (Delta w)
-    return {k: sign * v for k, v in terms.items()}
-
-
-def _huber_density(c, n):
-    """(-Delta)^{n/2} w: zero inside the plateau, numeric jets across the
-    transition annulus, exact span recursion beyond it."""
-    w = _huber_profile(c)
-    m = n // 2
-    sign = (-1.0) ** m
-    far_terms = _huber_far_density_terms(c, n)
-
-    def density(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.zeros_like(r)
-        far_start = HUBER_CLOSED_FORM_FROM
-        mid = (r > HUBER_CUTOFF[0]) & (r <= far_start)
-        far = r > far_start
-        if np.any(mid):
-            out[mid] = sign * radial_laplacian_batch(w, r[mid], n, m)
-        if np.any(far):
-            rf = r[far]
-            lg = np.log(rf)
-            acc = np.zeros_like(rf)
-            for (a, b), coef in far_terms.items():
-                acc += coef * rf ** a * lg ** b
-            out[far] = acc
-        return out
-
-    return density
-
-
 def _build_huber(params, dim):
     c = float(params.get("c", 0.0))
     n = dim.n
     w = _huber_profile(c)
     u = radial_field(w, dim, name=f"huber(c={c})")
-    density = radial_field(_huber_density(c, n), dim, source=u.along_ray(),
-                           name=f"huber-density(c={c})")
+    density = jet_density(u, name=f"huber-density(c={c})")
     ctx = MetricContext(u=u, density=density, density_tractable=False,
                         label=f"huber(c={c})[n={n}]")
     facts = {

@@ -28,7 +28,7 @@ from .fields import ScalarField, check_point, radial_field
 from .fitting import GrowthEstimate, fit_loglog, require_window
 from .quadrature import (TailClassification, classify_log_blocks,
                          cumulative_radial, integrate_radial,
-                         log_condensation_blocks, sphere_rule)
+                         log_condensation_blocks, shell_points)
 
 EXP_OVERFLOW = 700.0
 VOLUME_REL_TOL = 1e-6     # conformal volumes behind tau and measure distances
@@ -43,7 +43,8 @@ class MetricContext:
 
     completeness_hint is user-asserted and only recorded; density, when
     present, is the curvature density (-Delta)^{n/2} u as a ScalarField
-    (exact for gallery metrics), and density_tractable marks densities
+    (closed form for flat, sphere, cone, gaussian_source and planted, the
+    jet density of u for huber), and density_tractable marks densities
     whose potential is cheap enough for decomposition fits.
     """
 
@@ -283,14 +284,13 @@ def volume_classification(ctx: MetricContext) -> DiameterReport:
             t = np.asarray(t, dtype=float)
             return n * phi(t) + (n - 1) * np.log(t) + math.log(area)
     else:
-        dirs, wts = sphere_rule(n, 16)
-        logw = np.log(wts)
+        origin = np.zeros(n)
 
         def log_integrand(t):
             t = np.atleast_1d(np.asarray(t, dtype=float))
-            pts = t[:, None, None] * dirs[None, :, :]
-            uv = ctx.u(pts.reshape(-1, n)).reshape(len(t), len(wts))
-            return logsumexp(n * uv + logw[None, :], axis=1) + (n - 1) * np.log(t)
+            pts, wts = shell_points(n, 16, origin, t)
+            uv = ctx.u(pts).reshape(len(t), len(wts))
+            return logsumexp(n * uv + np.log(wts)[None, :], axis=1) + (n - 1) * np.log(t)
 
     _, total = _condensed_total(log_integrand, 2.0,
                                 lambda: conformal_volume(ctx, 2.0, rel_tol=RAY_REL_TOL))

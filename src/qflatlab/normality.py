@@ -26,16 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import radial_jet, radial_laplacian_batch
+from .calculus import jet_density, radial_jet, radial_laplacian_batch
 from .constants import cohn_vossen_bound, sphere_constants
-from .errors import DimensionError, NonIntegrableError, QflatError
-from .fields import ScalarField, radial_field
+from .errors import DimensionError, QflatError
+from .fields import ScalarField
 from .fitting import GrowthEstimate
 from .geometry import (DiameterReport, MetricContext, diameter_estimate,
                        volume_classification, volume_growth)
 from .polynomials import Polynomial, monomials_upto
 from .potential import FLUX_SETTLE_TOL, PotentialEvaluator, total_mass_alpha
-from .quadrature import cumulative_radial, decade_mass_integral, shell_product_rule
+from .quadrature import cumulative_radial, shell_product_rule
 
 # Verdict boundary: fitted slopes sit strictly below a clean power because
 # lower-order terms bias finite windows; a small guard absorbs that bias
@@ -233,18 +233,13 @@ class CohnVossenReport:
 
 def _curvature_density(ctx: MetricContext) -> ScalarField | None:
     """The curvature density (-Delta)^{n/2} u of the metric as a field:
-    ctx.density when set, else the radial jet of u for radial metrics, else
-    None."""
+    ctx.density when set, else the jet density of u for radial metrics,
+    else None."""
     if ctx.density is not None:
         return ctx.density
     if not ctx.is_radial:
         return None
-    phi = ctx.u.along_ray()
-    n = ctx.n
-    m = n // 2
-    sign = (-1.0) ** m
-    return radial_field(lambda r: sign * radial_laplacian_batch(phi, r, n, m), ctx.u.dim,
-                        source=phi, name=f"density({ctx.label})")
+    return jet_density(ctx.u, name=f"density({ctx.label})")
 
 
 # Stage results that the report and cohn_vossen_check share, computed once
@@ -277,8 +272,10 @@ def cohn_vossen_check(ctx: MetricContext) -> CohnVossenReport:
     alpha0 >= 1.  Preconditions: finite volume, integrable negative
     curvature part, and for n >= 4 the o(R^n) growth of int_{B_R}
     |Delta u|.  Any failed precondition is reported and the verdict
-    withheld.  Without alpha0 there is no total to bound, and the negative
-    part is not walked (its precondition reads None).
+    withheld.  The negative part counts as integrable when alpha0 was
+    computed and its tail cancels between signs by at most FLUX_SETTLE_TOL:
+    a tail of one sign whose signed limit exists is absolutely integrable.
+    Otherwise that precondition reads None.  Nothing is integrated here.
     """
     n = ctx.n
     bound = cohn_vossen_bound(n)
@@ -286,22 +283,13 @@ def cohn_vossen_check(ctx: MetricContext) -> CohnVossenReport:
     vol = _volume_class(ctx)
     pre["finite_volume"] = vol.classification
     try:
-        alpha0 = _alpha_estimate(ctx).alpha_hat
+        est = _alpha_estimate(ctx)
     except QflatError:
-        alpha0 = None
-    density = _curvature_density(ctx)
+        est = None
     neg_ok = None
-    if alpha0 is not None and density is not None and density.caps.is_radial:
-        dens = density.along_ray()
-        area = sphere_constants(n).boundary_area
-        try:
-            decade_mass_integral(
-                lambda t: np.maximum(-np.asarray(dens(t), dtype=float), 0.0)
-                * area * np.asarray(t) ** (n - 1),
-                rel_tol=1e-6, abs_tol=1e-10, support_radius=density.caps.support_radius)
-            neg_ok = True
-        except NonIntegrableError:
-            neg_ok = False
+    if (est is not None and est.cancellation is not None
+            and est.cancellation <= FLUX_SETTLE_TOL):
+        neg_ok = True
     pre["negative_part_integrable"] = neg_ok
     if n >= 4:
         try:
@@ -312,7 +300,7 @@ def cohn_vossen_check(ctx: MetricContext) -> CohnVossenReport:
     total = satisfied = None
     if (vol.classification == "finite" and neg_ok is True
             and (n < 4 or pre.get("laplacian_growth") == "little_o")):
-        total = alpha0 / sphere_constants(n).green_constant
+        total = est.alpha_hat / sphere_constants(n).green_constant
         satisfied = bool(total >= bound - COHN_VOSSEN_TOLERANCE)
     return CohnVossenReport(total=total, bound=bound, satisfied=satisfied,
                             preconditions=pre, tolerance=COHN_VOSSEN_TOLERANCE)

@@ -37,10 +37,6 @@ class Polynomial:
                 clean[mi] = float(c)
         object.__setattr__(self, "coeffs", clean)
 
-    @property
-    def degree(self):
-        return max((sum(mi) for mi in self.coeffs), default=0)
-
     def __call__(self, x):
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(len(pts))

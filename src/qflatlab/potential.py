@@ -55,7 +55,8 @@ from .errors import QflatError
 from .fields import RadialProfile, ScalarField
 from .fitting import fit_linear_logx, require_window
 from .quadrature import (decade_mass_integral, integrate_radial,
-                         integrate_radial_estimate, segment_integrals, sphere_shell)
+                         integrate_radial_estimate, segment_integrals,
+                         sign_cancellation, sphere_shell)
 
 KERNEL_QUADRATURE_ORDER = 64   # Gauss-Legendre nodes of the reference kernel
 ASYMPTOTE_BALL_RADIUS = 1.0    # ball means behind potential_asymptote
@@ -112,16 +113,22 @@ def angular_log_kernel_quadrature(dim, r, s):
 
 @dataclass(frozen=True)
 class AlphaEstimate:
-    """Normalized total mass g_n * integral(f), or its asymptote-fit twin."""
+    """Normalized total mass g_n * integral(f), or its asymptote-fit twin.
+
+    cancellation is g_n times the tail mass that cancels between signs
+    (quadrature.sign_cancellation of the flux steps or tail decades that
+    total_mass_alpha read); None for the asymptote fit."""
 
     alpha_hat: float
     window: tuple
     residual: float
     method: str
+    cancellation: float | None
 
     def to_json_dict(self):
         return {"alpha_hat": self.alpha_hat, "window": list(self.window),
-                "residual": self.residual, "method": self.method}
+                "residual": self.residual, "method": self.method,
+                "cancellation": self.cancellation}
 
 
 class PotentialEvaluator:
@@ -368,6 +375,7 @@ def total_mass_alpha(f: ScalarField) -> AlphaEstimate:
         window=(0.0, res.r_reached),
         residual=abs(ev.gconst) * res.tail_estimate,
         method="mass_integral",
+        cancellation=abs(ev.gconst) * res.cancellation,
     )
 
 
@@ -381,6 +389,8 @@ def _boundary_flux_alpha(ev: PotentialEvaluator) -> AlphaEstimate:
     the upper half of the radii; the residual is its distance from a linear
     fit over the upper quarter, plus the quadrature error of inner.  A
     non-finite flux or a residual above FLUX_SETTLE_TOL raises QflatError.
+    The cancellation is read from the flux steps Phi(10^{k+1}) - Phi(10^k)
+    over the fitted radii.
     """
     n = ev.n
     m = n // 2
@@ -405,7 +415,8 @@ def _boundary_flux_alpha(ev: PotentialEvaluator) -> AlphaEstimate:
             f"boundary flux of {ev.f.name} does not settle: residual {residual:.3g} "
             f"> {FLUX_SETTLE_TOL:g} over R = {radii[half + 1]:g}..{radii[-1]:g}")
     return AlphaEstimate(alpha_hat=limit, window=(float(radii[half + 1]), float(radii[-1])),
-                         residual=residual, method="boundary_flux")
+                         residual=residual, method="boundary_flux",
+                         cancellation=abs(ev.gconst) * sign_cancellation(np.diff(flux[half + 1:])))
 
 
 def potential_asymptote(f: ScalarField, radii) -> AlphaEstimate:
@@ -431,6 +442,7 @@ def potential_asymptote(f: ScalarField, radii) -> AlphaEstimate:
         window=fit.window,
         residual=fit.residual,
         method="asymptote_fit",
+        cancellation=None,
     )
 
 

@@ -19,8 +19,9 @@ Four layers:
   which stay decisive even for borderline tails like 1/(t log^c t)
   (``log_condensation_blocks``, ``classify_log_blocks``);
 * sphere shells and balls: the adaptive shell integral ``sphere_shell``,
-  the fixed radius-times-sphere product rule ``shell_product_rule``, and
-  the exact 1-D reduction for radial integrands over offset balls
+  the fixed radius-times-sphere product rule ``shell_product_rule``, both
+  evaluated on ``shell_points`` within POINT_BUDGET points, and the exact
+  1-D reduction for radial integrands over offset balls
   (``offset_ball_integral_radial``).
 """
 
@@ -50,6 +51,10 @@ CONDENSATION_PANEL_WIDTH = 4.0
 MAX_DECADES = 130         # decade blocks of decade_mass_integral before the ratio test
 MAX_BISECTIONS = 4096     # panel splits of one segment_integrals call
 PANEL_BLOCK = 128         # panels (46 nodes each) per integrand call of segment_integrals
+# Most points of one sphere-rule grid or shell evaluation: about 400 MB of
+# coordinates at n = 6.  The largest evaluation at n <= 4, sphere_shell at
+# resolution 48 on 31 radii, has 6.3M points.
+POINT_BUDGET = 2 ** 23
 
 
 @lru_cache(maxsize=None)
@@ -277,6 +282,14 @@ class MassResult:
     tail_estimate: float    # magnitude of the extrapolated remainder
     r_reached: float
     converged_early: bool   # decade contributions hit the tolerance floor
+    cancellation: float     # (sum |d| - |sum d|) / 2 over the tail decades d
+
+
+def sign_cancellation(steps):
+    """(sum |d| - |sum d|) / 2: the mass of the steps d that cancels between
+    signs (0 when they share one sign)."""
+    steps = np.asarray(steps, dtype=float)
+    return 0.5 * (float(np.sum(np.abs(steps))) - abs(float(np.sum(steps))))
 
 
 def decade_mass_integral(f, r0=0.0, rel_tol=1e-8, breakpoints=(),
@@ -287,13 +300,15 @@ def decade_mass_integral(f, r0=0.0, rel_tol=1e-8, breakpoints=(),
     indices [2^j, 2^{j+1})), which separates summable tails like
     1/(r log^2 r) from divergent ones like 1/r even though both have
     decade-ratio -> 1.  Raises NonIntegrableError when the condensed
-    blocks fail to decay.
+    blocks fail to decay.  ``cancellation`` is the sign_cancellation of the
+    decades after the first piece (0 with a support radius).
     """
     if support_radius is not None:
         hi = max(support_radius, r0)
         val = integrate_radial(f, r0, hi * (1 + 1e-12) if hi > 0 else 1.0,
                                rel_tol=rel_tol, breakpoints=breakpoints)
-        return MassResult(value=val, tail_estimate=0.0, r_reached=hi, converged_early=True)
+        return MassResult(value=val, tail_estimate=0.0, r_reached=hi, converged_early=True,
+                          cancellation=0.0)
 
     first_hi = max(1.0, 10.0 * max(r0, 0.1))
     d0, quad_err = integrate_radial_estimate(f, r0, first_hi, rel_tol=rel_tol,
@@ -322,7 +337,8 @@ def decade_mass_integral(f, r0=0.0, rel_tol=1e-8, breakpoints=(),
             quiet += 1
             if quiet >= 3:
                 return MassResult(value=running, tail_estimate=abs(d) + quad_err,
-                                  r_reached=lo, converged_early=True)
+                                  r_reached=lo, converged_early=True,
+                                  cancellation=sign_cancellation(decades[1:]))
         else:
             quiet = 0
 
@@ -346,7 +362,8 @@ def decade_mass_integral(f, r0=0.0, rel_tol=1e-8, breakpoints=(),
     tail_mag = mags[-1] * rho / (1.0 - rho)
     tail_signed = math.copysign(tail_mag, groups[-1])
     return MassResult(value=running + tail_signed, tail_estimate=tail_mag + quad_err,
-                      r_reached=lo, converged_early=False)
+                      r_reached=lo, converged_early=False,
+                      cancellation=sign_cancellation(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +445,24 @@ def classify_log_blocks(log_blocks):
 # Sphere product rules and ball integrals
 # ---------------------------------------------------------------------------
 
+def _rule_size(n, resolution):
+    """Number of directions of sphere_rule(n, resolution)."""
+    if n == 2:
+        return 4 * resolution
+    size = max(2 * resolution, 8)
+    for k in range(n - 2):
+        size *= max(resolution - 4 * k, 8)
+    return size
+
+
+def _check_budget(n, resolution, radii):
+    points = _rule_size(n, resolution) * radii
+    if points > POINT_BUDGET:
+        raise QuadratureError(
+            f"sphere rule of resolution {resolution} in n = {n} on {radii} radii needs "
+            f"{points:.3g} points, over the budget of {POINT_BUDGET:.3g}")
+
+
 @lru_cache(maxsize=None)
 def sphere_rule(n, resolution):
     """Product quadrature on the unit sphere S^{n-1} in R^n.
@@ -435,8 +470,10 @@ def sphere_rule(n, resolution):
     Returns (directions, weights) with sum(weights) = |S^{n-1}|.  For n = 2
     this is the trapezoid rule on the circle (spectrally accurate); higher
     n use Gauss-Legendre in each polar angle with the sin^k weight folded
-    into the quadrature weight.
+    into the quadrature weight.  Raises QuadratureError, before building
+    the grid, when it would have more than POINT_BUDGET directions.
     """
+    _check_budget(n, resolution, 1)
     if n == 2:
         m = 4 * resolution
         th = 2.0 * np.pi * np.arange(m) / m
@@ -476,6 +513,18 @@ def sphere_rule(n, resolution):
     return dirs, wts
 
 
+def shell_points(n, resolution, center, radii):
+    """The points center + rho w, for each rho in radii (outer) and each
+    direction w of sphere_rule(n, resolution) (inner), as an (m, n) array,
+    and the rule's weights.  Raises QuadratureError, before the rule is
+    built, when there would be more than POINT_BUDGET points."""
+    radii = np.asarray(radii, dtype=float)
+    _check_budget(n, resolution, len(radii))
+    dirs, wts = sphere_rule(n, resolution)
+    pts = np.asarray(center, dtype=float)[None, None, :] + radii[:, None, None] * dirs[None, :, :]
+    return pts.reshape(-1, n), wts
+
+
 def sphere_shell(f, n, center, radii, tol):
     """rho^{n-1} * integral of f(center + rho w) over unit directions w, for
     each rho in radii.
@@ -487,9 +536,8 @@ def sphere_shell(f, n, center, radii, tol):
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
 
     def at(resolution):
-        dirs, wts = sphere_rule(n, resolution)
-        pts = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
-        vals = np.asarray(f(pts.reshape(-1, n)), dtype=float).reshape(len(radii), len(wts))
+        pts, wts = shell_points(n, resolution, center, radii)
+        vals = np.asarray(f(pts), dtype=float).reshape(len(radii), len(wts))
         return (vals @ wts) * radii ** (n - 1)
 
     # n = 2: the trapezoid rules with 32 to 4096 points.  n >= 4: each
@@ -510,13 +558,12 @@ def shell_product_rule(f, n, center, a, b, resolution, order):
     """Integral of f over the shell a <= |y - center| <= b by a fixed
     product rule: Gauss-Legendre of the given order in the radius times
     sphere_rule(n, resolution)."""
-    dirs, wts = sphere_rule(n, resolution)
     x, w = gl_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     t = mid + half * x
     wr = w * half * t ** (n - 1)
-    pts = center[None, None, :] + t[:, None, None] * dirs[None, :, :]
-    vals = np.asarray(f(pts.reshape(-1, n)), dtype=float).reshape(len(t), len(wts))
+    pts, wts = shell_points(n, resolution, center, t)
+    vals = np.asarray(f(pts), dtype=float).reshape(len(t), len(wts))
     return float(np.einsum("i,j,ij->", wr, wts, vals))
 
 

@@ -14,11 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from qflatlab import MetricContext, analyze_normality, gallery, gallery_facts, total_mass_alpha
+from qflatlab import (AlphaEstimate, MetricContext, analyze_normality, gallery,
+                      gallery_facts, total_mass_alpha)
 from qflatlab.calculus import radial_jet
 from qflatlab.cli import context_from_document, run_analysis
-from qflatlab.constants import sphere_constants
-from qflatlab.normality import _curvature_density
+from qflatlab.constants import cohn_vossen_bound, sphere_constants
+from qflatlab.gallery import gallery_fresh
+from qflatlab.normality import _curvature_density, cohn_vossen_check
+from qflatlab.potential import FLUX_SETTLE_TOL
 
 FLUX_CASES = (
     *((name, params, n) for n in (2, 4)
@@ -125,3 +128,40 @@ def test_expression_alpha0_calls_the_traced_stage_once(monkeypatch):
     assert calls == {"total_mass_alpha": 1}
     assert methods == ["boundary_flux"]
     assert rep.alpha0 == pytest.approx(0.0, abs=1e-3)
+
+
+# Cohn-Vossen reads its negative-part precondition from the alpha0 stage
+
+
+def test_sphere_expression_n4_satisfies_cohn_vossen_fast():
+    start = time.perf_counter()
+    rep = run_analysis({"n": 4, "kind": "expression", "u": "log(2/(1+r^2))"})
+    elapsed = time.perf_counter() - start
+    assert rep.errors == {}
+    cv = rep.cohn_vossen
+    assert cv.preconditions["negative_part_integrable"] is True
+    assert cv.satisfied is True
+    assert cv.total == pytest.approx(2.0 * cohn_vossen_bound(4), abs=1e-3)
+    assert elapsed < 5.0
+
+
+def test_cancelling_tail_withholds_cohn_vossen():
+    ctx = gallery_fresh("sphere", {}, 2)[0]
+    est = AlphaEstimate(alpha_hat=2.0, window=(0.0, 1e3), residual=0.0,
+                        method="boundary_flux", cancellation=10.0 * FLUX_SETTLE_TOL)
+    ctx.cached("alpha0", lambda: est)
+    cv = cohn_vossen_check(ctx)
+    assert cv.preconditions["finite_volume"] == "finite"
+    assert cv.preconditions["negative_part_integrable"] is None
+    assert cv.satisfied is None and cv.total is None
+
+
+@pytest.mark.parametrize("name,params,n,method", (
+    ("sphere", {}, 2, "mass_integral"),
+    ("huber", {"c": 0.0}, 2, "boundary_flux"),
+    ("huber", {"c": 0.0}, 6, "boundary_flux"),
+))
+def test_one_signed_tails_barely_cancel(name, params, n, method):
+    est = total_mass_alpha(gallery(name, params, n).density)
+    assert est.method == method
+    assert 0.0 <= est.cancellation <= FLUX_SETTLE_TOL

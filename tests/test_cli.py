@@ -224,3 +224,19 @@ class TestVerifyAndGallery:
         doc = json.loads(out)
         assert doc["cases"][0]["id"] == "potential_golden"
         assert doc["failed"] == 0
+
+
+class TestDocumentPaths:
+    def test_sweep_reads_builtin_documents_as_analyze_does(self):
+        doc = {"n": 2, "kind": "builtin", "name": "cone",
+               "params": {"completeness_hint": True}}
+        rows = cli.sweep_csv(doc, "a", ["0.5", "2"]).strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.endswith(",") for row in rows), rows
+        assert cli.run_analysis(doc).errors == {}
+
+    def test_non_radial_n6_hits_the_point_budget(self):
+        rep = cli.run_analysis({"n": 6, "kind": "expression", "u": "0.1*x1"})
+        doc = json.loads(rep.to_json())
+        assert "budget" in doc["errors"]["tau"]
+        assert "budget" in doc["errors"]["volume"]

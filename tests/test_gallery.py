@@ -6,7 +6,7 @@ import pytest
 from qflatlab import (DimensionError, InputError, Polynomial, eval_field,
                       gallery, gallery_entries, gallery_facts, total_mass_alpha)
 from qflatlab.calculus import radial_laplacian_batch
-from qflatlab.gallery import _huber_far_density_terms, _huber_profile, _log_one_plus_s_chain
+from qflatlab.gallery import _log_one_plus_s_chain
 
 
 class TestBuilders:
@@ -84,15 +84,6 @@ class TestExactChains:
                 ctx = gallery("cone", {"a": a}, n)
                 assert total_mass_alpha(ctx.density).alpha_hat == pytest.approx(
                     a, abs=1e-6), (n, a)
-
-    def test_huber_far_density_matches_jets_n2(self):
-        c = -0.8
-        w = _huber_profile(c)
-        terms = _huber_far_density_terms(c, 2)
-        for r in (35.0, 80.0):
-            jet = -radial_laplacian_batch(w, np.array([r]), 2, 1)[0]
-            span = sum(coef * r ** a * math.log(r) ** b for (a, b), coef in terms.items())
-            assert span == pytest.approx(jet, rel=1e-7)
 
     def test_huber_density_zero_inside_plateau(self):
         ctx = gallery("huber", {"c": -1.0}, 2)

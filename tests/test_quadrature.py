@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 
 from qflatlab import (Dimension, Polynomial, QuadratureError, ball_mean_poly,
                       sphere_constants)
-from qflatlab.quadrature import (cumulative_radial, decade_mass_integral,
+from qflatlab.quadrature import (POINT_BUDGET, cumulative_radial, decade_mass_integral,
                                  integrate_radial, integrate_radial_estimate,
-                                 segment_integrals, shell_product_rule, sphere_shell)
+                                 segment_integrals, shell_points, shell_product_rule,
+                                 sphere_rule, sphere_shell)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -137,3 +139,21 @@ def test_segment_integrals_raise_and_name_radii():
     with pytest.raises(QuadratureError, match="non-finite"):
         segment_integrals(lambda r: np.where(r > 5.0, np.nan, r)[None, :],
                           [0.0, 1.0, 10.0], 1e-8, 1e-13)
+
+
+def test_sphere_rule_over_budget_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="budget"):
+            sphere_rule(6, 36)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_point_budget_admits_n4_shells():
+    # sphere_shell at n = 4, resolution 48, on 31 radii (one GL(15/31) panel)
+    assert len(sphere_rule(4, 48)[1]) * 31 <= POINT_BUDGET
+    with pytest.raises(QuadratureError, match="budget"):
+        shell_points(6, 24, np.zeros(6), np.ones(24))
