@@ -354,7 +354,7 @@ def pizzetti_coeffs(dim, m: int) -> PizzettiCoefficients:
         p = radial_monomial(dim, i)
         b[i] = ball_mean_poly(p, origin, 1.0)
         for j in range(m):
-            a[i, j] = apply_laplacian_poly(p, j)(origin) if j > 0 else p(origin)
+            a[i, j] = apply_laplacian_poly(p, j)(origin)
     c = np.linalg.solve(a, b)
     if abs(c[0] - 1.0) > 1e-12 or np.any(c <= 0):
         raise QflatError(f"Pizzetti solve produced invalid coefficients {c}")
@@ -368,8 +368,7 @@ def pizzetti_check(p: Polynomial, center, R) -> float:
     laps = [p]
     while laps[-1].coeffs:
         laps.append(apply_laplacian_poly(laps[-1], 1))
-    m = len(laps) - 1  # Delta^m p = 0
-    m = max(m, 1)
+    m = max(len(laps) - 1, 1)  # Delta^m p = 0
     coeffs = pizzetti_coeffs(p.dim, m)
     lhs = ball_mean_poly(p, center, R)
     rhs = coeffs.mean([q(center) for q in laps[:m]], R)

@@ -22,7 +22,7 @@ margin, not_little_o at the threshold, and inconclusive in between.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -363,13 +363,9 @@ def decompose(w: ScalarField, f: ScalarField, sample_set=None, max_degree=None,
     pot = ev(pts)
     y = w(pts) - pot
 
-    cols = np.empty((len(pts), len(basis)))
-    for j, mi in enumerate(basis):
-        col = np.ones(len(pts))
-        for i, k in enumerate(mi):
-            if k:
-                col = col * pts[:, i] ** k
-        cols[:, j] = col
+    # a C-ordered column per monomial: the fit's rounding depends on the layout
+    monomials = Polynomial._of(w.dim, np.array(basis), np.ones(len(basis)))
+    cols = monomials.terms(pts).T.copy()
     scale = np.max(np.abs(cols), axis=0)
     scale[scale == 0] = 1.0
     sol, _, _, _ = np.linalg.lstsq(cols / scale, y, rcond=None)
@@ -381,21 +377,13 @@ def decompose(w: ScalarField, f: ScalarField, sample_set=None, max_degree=None,
     gram_inv = np.linalg.pinv((cols / scale).T @ (cols / scale))
     se = np.sqrt(np.maximum(np.diag(gram_inv), 0.0) * sigma2) / scale
 
-    nonconstant = False
-    std_errors = {}
-    poly_coeffs = {}
-    for j, mi in enumerate(basis):
-        poly_coeffs[mi] = float(coeffs[j])
-        std_errors[mi] = float(se[j])
-        if sum(mi) >= 1 and abs(coeffs[j]) > max(NONCONSTANT_SE_FACTOR * se[j],
-                                                 NONCONSTANT_FLOOR):
-            nonconstant = True
+    significant = np.abs(coeffs) > np.maximum(NONCONSTANT_SE_FACTOR * se, NONCONSTANT_FLOOR)
     return Decomposition(
-        polynomial_part=Polynomial(w.dim, poly_coeffs),
+        polynomial_part=Polynomial._of(w.dim, monomials.exps, coeffs),
         potential_part=ev,
         fit_residual=rms,
-        nonconstant=nonconstant,
-        std_errors=std_errors,
+        nonconstant=bool(np.any(significant & (monomials.exps.sum(axis=1) >= 1))),
+        std_errors=dict(zip(basis, se.tolist())),
         sample_spec=f"seed={seed}, {len(pts)} points, radii [{radii.min():g}, {radii.max():g}]",
     )
 
@@ -440,32 +428,24 @@ class NormalityReport:
     provenance: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        def clean(x):
+        """The report as JSON values: a non-finite number at any depth
+        becomes null, with an errors entry keyed by its path."""
+        errors = dict(self.errors)
+
+        def clean(x, path):
+            x = x.to_json_dict() if hasattr(x, "to_json_dict") else x
             if isinstance(x, float) and not math.isfinite(x):
+                errors.setdefault(path, f"non-finite value {x} reported as null")
                 return None
+            if isinstance(x, dict):
+                return {k: clean(v, f"{path}.{k}" if path else str(k)) for k, v in x.items()}
+            if isinstance(x, (list, tuple)):
+                return [clean(v, f"{path}[{i}]") for i, v in enumerate(x)]
             return x
 
-        crit = {}
-        for key, val in self.criteria.items():
-            crit[key] = val.to_json_dict() if hasattr(val, "to_json_dict") else val
-        return {
-            "n": self.n,
-            "label": self.label,
-            "alpha0": clean(self.alpha0),
-            "alpha0_residual": clean(self.alpha0_residual),
-            "alpha0_method": self.alpha0_method,
-            "tau": self.tau.to_json_dict() if self.tau is not None else None,
-            "identity_residual": clean(self.identity_residual),
-            "verdict": self.verdict,
-            "criteria": crit,
-            "cohn_vossen": self.cohn_vossen.to_json_dict() if self.cohn_vossen else None,
-            "diameter": self.diameter.to_json_dict() if self.diameter else None,
-            "volume": self.volume.to_json_dict() if self.volume else None,
-            "decomposition": self.decomposition,
-            "completeness": self.completeness,
-            "errors": dict(self.errors),
-            "provenance": dict(self.provenance),
-        }
+        out = clean({f.name: getattr(self, f.name) for f in fields(self)}, "")
+        out["errors"] = errors
+        return out
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())

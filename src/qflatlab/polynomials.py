@@ -1,16 +1,17 @@
 """Multi-index polynomials, exact Laplacians, ball means and kernel ranks.
 
-Everything here is coefficient-level and exact up to float rounding; no
-quadrature.  The dimension count of degree-bounded polyharmonic
-polynomials (kernel of Delta^{n/2}) is computed as an exact matrix rank
-over a large prime field and cross-checked against the closed form
-C(n+D, n) - C(D, n).
+A Polynomial is an int64 exponent matrix (a row per term) plus a float
+coefficient vector, and its algebra runs on whole arrays: equal rows merge
+through one integer key per row, at their first occurrence and summed in
+term order, as term-by-term dict arithmetic would.  The kernel dimension of
+Delta^{n/2} on degree <= D is an exact rank mod a large prime, one
+homogeneous-degree block at a time, checked against C(n+D, n) - C(D, n).
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
+from types import MappingProxyType
 
 import numpy as np
 
@@ -18,109 +19,148 @@ from .errors import QflatError
 from .fields import Dimension, as_dimension
 
 _RANK_PRIME = 2_147_483_647  # 2^31 - 1; entries of Laplacian matrices are tiny integers
+_EVAL_BLOCK = 1 << 18        # terms x points evaluated at once
 
 
-@dataclass(frozen=True)
 class Polynomial:
-    """Polynomial on R^n as a map multi-index -> coefficient."""
+    """Exponent rows `exps` (terms x n) with nonzero coefficients `vals`; a
+    dict passed in is validated, and `coeffs` is a read-only dict view."""
 
-    dim: Dimension
-    coeffs: dict = field(default_factory=dict)
+    __slots__ = ("dim", "exps", "vals")
 
-    def __post_init__(self):
+    def __init__(self, dim: Dimension, coeffs=None):
         clean = {}
-        for mi, c in self.coeffs.items():
+        for mi, c in (coeffs or {}).items():
             mi = tuple(int(k) for k in mi)
-            if len(mi) != self.dim.n or any(k < 0 for k in mi):
-                raise QflatError(f"bad multi-index {mi} for dimension {self.dim.n}")
+            if len(mi) != dim.n or any(k < 0 for k in mi):
+                raise QflatError(f"bad multi-index {mi} for dimension {dim.n}")
             if c != 0.0:
                 clean[mi] = float(c)
-        object.__setattr__(self, "coeffs", clean)
+        self._set(dim, np.fromiter(chain.from_iterable(clean), np.int64).reshape(-1, dim.n),
+                  np.fromiter(clean.values(), float, len(clean)))
+
+    def _set(self, dim, exps, vals):
+        keep = slice(None) if np.all(vals) else vals != 0.0  # no copy when no term drops
+        self.dim, self.exps, self.vals = dim, exps[keep], vals[keep]
+        return self
+
+    @classmethod
+    def _of(cls, dim, exps, vals):
+        return cls.__new__(cls)._set(dim, exps, vals)
+
+    @property
+    def coeffs(self):
+        return MappingProxyType(dict(zip(map(tuple, self.exps.tolist()), self.vals.tolist())))
+
+    def terms(self, pts):
+        """c * x_1^k_1 * ... * x_n^k_n per term (rows) and point (columns)."""
+        out = np.repeat(self.vals[:, None], len(pts), axis=1)
+        for i, col in enumerate(self.exps.T.tolist()):
+            for k in set(col) - {0}:
+                out[self.exps[:, i] == k] *= pts[:, i] ** k
+        return out
 
     def __call__(self, x):
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         out = np.zeros(len(pts))
-        for mi, c in self.coeffs.items():
-            term = np.full(len(pts), c)
-            for i, k in enumerate(mi):
-                if k:
-                    term = term * pts[:, i] ** k
-            out += term
+        step = max(_EVAL_BLOCK // max(len(self.vals), 1), 1)
+        for s in range(0, len(pts), step):
+            # term after term from 0.0, as a loop of += adds them
+            terms, part = self.terms(pts[s:s + step]), out[s:s + step]
+            if len(terms) > terms.shape[1]:  # many terms, few points
+                part += np.cumsum(terms, axis=0)[-1]
+            else:
+                for row in terms:
+                    part += row
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
             other = Polynomial(self.dim, {(0,) * self.dim.n: float(other)})
-        merged = dict(self.coeffs)
-        for mi, c in other.coeffs.items():
-            merged[mi] = merged.get(mi, 0.0) + c
-        return Polynomial(self.dim, merged)
+        if other.dim.n != self.dim.n:
+            raise QflatError(f"cannot add polynomials on R^{self.dim.n} and R^{other.dim.n}")
+        exps = np.concatenate((self.exps, other.exps))
+        keep, vals = _merge(exps, np.concatenate((self.vals, other.vals)))
+        return Polynomial._of(self.dim, exps[keep], vals)
 
     def scale(self, a):
-        return Polynomial(self.dim, {mi: a * c for mi, c in self.coeffs.items()})
+        return Polynomial._of(self.dim, self.exps, a * self.vals)
 
     def shift(self, center):
         """p(x + center), expanded exactly via per-variable binomials."""
         center = np.asarray(center, dtype=float)
-        out = {}
-        for mi, c in self.coeffs.items():
-            expansions = [_binomial_shift(k, center[i]) for i, k in enumerate(mi)]
-            partial = {(): c}
-            for terms in expansions:
-                nxt = {}
-                for prefix, pc in partial.items():
-                    for j, bc in terms:
-                        key = prefix + (j,)
-                        nxt[key] = nxt.get(key, 0.0) + pc * bc
-                partial = nxt
-            for mi2, c2 in partial.items():
-                out[mi2] = out.get(mi2, 0.0) + c2
-        return Polynomial(self.dim, out)
+        owner, vals = np.arange(len(self.vals)), self.vals
+        exps = np.zeros((len(owner), 0), dtype=np.int64)
+        for i in range(self.dim.n):
+            # a term with x_i^k spreads over (x_i + c)^k = sum_j C(k, j) c^(k-j) x_i^j
+            rep = self.exps[owner, i] + 1
+            j = np.arange(rep.sum()) - np.repeat(np.cumsum(rep) - rep, rep)
+            owner, vals, exps, k = (np.repeat(a, rep, axis=0)
+                                    for a in (owner, vals, exps, rep - 1))
+            size = range(int(rep.max(initial=1)))
+            table = np.array([[math.comb(kk, jj) * center[i] ** (kk - jj) if jj <= kk else 0.0
+                               for jj in size] for kk in size])
+            vals, exps = vals * table[k, j], np.column_stack((exps, j))
+        keep, vals = _merge(exps, vals)
+        return Polynomial._of(self.dim, exps[keep], vals)
 
 
-def _binomial_shift(k, c):
-    """(t + c)^k as [(j, coeff of t^j)]."""
-    return [(j, math.comb(k, j) * c ** (k - j)) for j in range(k + 1)]
+def _row_keys(exps, owner=None):
+    """One int64 key per row of a nonnegative integer matrix (and its owner,
+    when given): equal rows of one owner, equal keys."""
+    base, top = int(exps.max(initial=0)) + 1, 0 if owner is None else int(owner.max(initial=0))
+    span = base ** exps.shape[1]
+    if span * (top + 1) < 2 ** 63:
+        keys = exps @ base ** np.arange(exps.shape[1], dtype=np.int64)
+        return keys if owner is None else owner * span + keys
+    rows = exps if owner is None else np.column_stack((owner, exps))
+    return np.unique(rows, axis=0, return_inverse=True)[1]
+
+
+def _merge(exps, vals, owner=None):
+    """Sum vals over equal rows of exps (of one owner, when given): the index
+    of each distinct row's first occurrence, in row order, and its sum,
+    taken in row order."""
+    _, first, inverse = np.unique(_row_keys(exps, owner), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    return first[order], np.bincount(slot[inverse], weights=vals, minlength=len(order))
 
 
 @lru_cache(maxsize=None)
 def monomials_upto(n, max_degree):
     """All multi-indices in n variables of total degree <= max_degree,
     ordered by (degree, lexicographic)."""
-    out = [(0,) * n]
-    for d in range(1, max_degree + 1):
-        block = set()
-        for combo in combinations_with_replacement(range(n), d):
-            mi = [0] * n
-            for i in combo:
-                mi[i] += 1
-            block.add(tuple(mi))
-        out.extend(sorted(block))
-    return tuple(out)
+    return tuple(mi for d in range(max(max_degree, 0) + 1) for mi in sorted(
+        {tuple(combo.count(i) for i in range(n))
+         for combo in combinations_with_replacement(range(n), d)}))
+
+
+def _laplacian(owner, exps, vals, m):
+    """Delta^m of the polynomials whose terms are the rows (owner, exps,
+    vals): each step adds c * k * (k - 1) per term and variable, in that
+    order, and merges per owner."""
+    for _ in range(m):
+        t, i = np.nonzero(exps >= 2)
+        k, exps = exps[t, i], exps[t] - 2 * np.eye(exps.shape[1], dtype=np.int64)[i]
+        keep, vals = _merge(exps, vals[t] * k * (k - 1), owner[t])
+        owner, exps = owner[t][keep], exps[keep]
+    return owner, exps, vals
 
 
 def apply_laplacian_poly(p: Polynomial, m: int = 1) -> Polynomial:
     """Exact coefficient-level Delta^m p."""
-    coeffs = dict(p.coeffs)
-    for _ in range(m):
-        nxt = {}
-        for mi, c in coeffs.items():
-            for i, k in enumerate(mi):
-                if k >= 2:
-                    mi2 = mi[:i] + (k - 2,) + mi[i + 1:]
-                    nxt[mi2] = nxt.get(mi2, 0.0) + c * k * (k - 1)
-        coeffs = nxt
-    return Polynomial(p.dim, coeffs)
+    _, exps, vals = _laplacian(np.zeros(len(p.vals), dtype=np.int64), p.exps, p.vals, m)
+    return Polynomial._of(p.dim, exps, vals)
 
 
 def poly_partial(p: Polynomial, i: int) -> Polynomial:
     """Exact partial derivative d p / d x_i."""
-    out = {}
-    for mi, c in p.coeffs.items():
-        if mi[i]:
-            mi2 = mi[:i] + (mi[i] - 1,) + mi[i + 1:]
-            out[mi2] = out.get(mi2, 0.0) + c * mi[i]
-    return Polynomial(p.dim, out)
+    has = p.exps[:, i] > 0
+    exps = p.exps[has] - np.eye(p.dim.n, dtype=np.int64)[i]
+    return Polynomial._of(p.dim, exps, p.vals[has] * p.exps[has, i])
 
 
 def poly_gradient(p: Polynomial):
@@ -135,55 +175,33 @@ def poly_gradient(p: Polynomial):
 
 
 def radial_monomial(dim, power2) -> Polynomial:
-    """|x|^{2*power2} as an exact polynomial."""
+    """|x|^{2*power2} as an exact polynomial, multiplied out one |x|^2 at a time."""
     dim = as_dimension(dim)
-    base = {tuple(2 if j == i else 0 for j in range(dim.n)): 1.0 for i in range(dim.n)}
-    p = Polynomial(dim, {(0,) * dim.n: 1.0})
-    r2 = Polynomial(dim, base)
+    exps, vals = np.zeros((1, dim.n), dtype=np.int64), np.ones(1)
     for _ in range(power2):
-        p = _poly_mul(p, r2)
-    return p
-
-
-def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    out = {}
-    for mi1, c1 in a.coeffs.items():
-        for mi2, c2 in b.coeffs.items():
-            mi = tuple(x + y for x, y in zip(mi1, mi2))
-            out[mi] = out.get(mi, 0.0) + c1 * c2
-    return Polynomial(a.dim, out)
-
-
-# ---------------------------------------------------------------------------
-# exact ball means
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _unit_ball_monomial_mean(mi):
-    """Mean of z^mi over the unit ball B_1(0) in R^{len(mi)} (exact formula)."""
-    n = len(mi)
-    if any(k % 2 for k in mi):
-        return 0.0
-    total = sum(mi)
-    if total == 0:
-        return 1.0
-    s_beta = 2.0
-    for k in mi:
-        s_beta *= math.gamma((k + 1) / 2)
-    s_beta /= math.gamma((n + total) / 2)
-    omega = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    return s_beta / ((n + total) * omega)
+        exps = (exps[:, None, :] + 2 * np.eye(dim.n, dtype=np.int64)).reshape(-1, dim.n)
+        keep, vals = _merge(exps, np.repeat(vals, dim.n))
+        exps = exps[keep]
+    return Polynomial._of(dim, exps, vals)
 
 
 def ball_mean_poly(p: Polynomial, center, R) -> float:
-    """Exact mean of p over B_R(center)."""
-    shifted = p.shift(np.asarray(center, dtype=float))
-    total = 0.0
-    for mi, c in shifted.coeffs.items():
-        mean1 = _unit_ball_monomial_mean(mi)
-        if mean1:
-            total += c * mean1 * R ** sum(mi)
-    return total
+    """Exact mean of p over B_R(center).  Over the unit ball of R^n, z^mi
+    has mean 0 for odd mi, else 2 prod_i Gamma((k_i+1)/2) /
+    (Gamma((n+|mi|)/2) (n+|mi|) omega_n)."""
+    q = p.shift(np.asarray(center, dtype=float))
+    n, total = p.dim.n, q.exps.sum(axis=1)
+    top = int(total.max(initial=0))
+    gamma = np.array([1.0] + [math.gamma(j / 2) for j in range(1, n + top + 1)])
+    mean = np.full(len(total), 2.0)
+    for i in range(n):
+        mean = mean * gamma[q.exps[:, i] + 1]
+    mean /= gamma[n + total]
+    omega = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    mean = np.where(total == 0, 1.0, mean / ((n + total) * omega))
+    on = ~np.any(q.exps % 2 == 1, axis=1) & (mean != 0.0)
+    terms = q.vals[on] * mean[on] * np.array([R ** d for d in range(top + 1)])[total[on]]
+    return float(np.cumsum(terms)[-1]) + 0.0 if len(terms) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +214,7 @@ def _rank_mod_p(matrix, p=_RANK_PRIME):
     int64 is safe: entries stay in [0, p) with p = 2^31 - 1, so products
     fit well below 2^63.
     """
-    mat = np.asarray(matrix, dtype=np.int64)
-    if mat.size == 0:
-        return 0
-    mat = mat % p
+    mat = np.asarray(matrix, dtype=np.int64) % p
     n_rows, n_cols = mat.shape
     rank = 0
     for col in range(n_cols):
@@ -209,30 +224,35 @@ def _rank_mod_p(matrix, p=_RANK_PRIME):
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
-        if piv != rank:
-            mat[[rank, piv]] = mat[[piv, rank]]
+        mat[[rank, piv]] = mat[[piv, rank]]
         inv = pow(int(mat[rank, col]), p - 2, p)
         below = mat[rank + 1:, col] != 0
-        if np.any(below):
-            factors = (mat[rank + 1:, col][below] * inv) % p
-            mat[rank + 1:][below] = (mat[rank + 1:][below] - factors[:, None] * mat[rank]) % p
+        factors = (mat[rank + 1:, col][below] * inv) % p
+        mat[rank + 1:][below] = (mat[rank + 1:][below] - factors[:, None] * mat[rank]) % p
         rank += 1
     return rank
 
 
-def _polyharmonic_matrix(dim: Dimension, degree):
-    """(monomials of degree <= degree, integer matrix of Delta^{n/2} from
-    them to the monomials of degree <= degree - n); the matrix has no rows
-    when degree < n."""
-    n = dim.n
+def _polyharmonic_entries(n, degree):
+    """Delta^{n/2} of every monomial of degree <= degree in one pass: columns,
+    rows (degree <= degree - n) and the row, column, value of each entry."""
     cols = monomials_upto(n, degree)
-    rows = {mi: i for i, mi in enumerate(monomials_upto(n, degree - n))} if degree >= n else {}
+    rows = np.array(monomials_upto(n, degree - n) if degree >= n else (),
+                    dtype=np.int64).reshape(-1, n)
+    col, img, val = _laplacian(np.arange(len(cols)), np.array(cols, dtype=np.int64),
+                               np.ones(len(cols)), n // 2)
+    keys = _row_keys(np.concatenate((rows, img)))
+    order = np.argsort(keys[:len(rows)])
+    row = order[np.searchsorted(keys[:len(rows)], keys[len(rows):], sorter=order)]
+    return cols, rows, row, col, np.rint(val).astype(np.int64)
+
+
+def _polyharmonic_matrix(dim: Dimension, degree):
+    """(monomials of degree <= degree, integer matrix of Delta^{n/2} from them
+    to the monomials of degree <= degree - n, with no rows when degree < n)."""
+    cols, rows, row, col, val = _polyharmonic_entries(dim.n, degree)
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, mi in enumerate(cols):
-        if rows and sum(mi) >= n:
-            image = apply_laplacian_poly(Polynomial(dim, {mi: 1.0}), n // 2)
-            for mi2, c in image.coeffs.items():
-                mat[rows[mi2], j] = int(round(c))
+    mat[row, col] = val
     return cols, mat
 
 
@@ -241,15 +261,20 @@ def ph_dimension(dim, d) -> int:
 
     Counts the kernel of Delta^{n/2} on polynomials of degree <= floor(d)
     by exact rank of the coefficient-level map, then cross-checks against
-    the closed form C(n + D, n) - C(D, n).
-    """
+    the closed form C(n + D, n) - C(D, n).  The map sends degree k to
+    degree k - n, so its matrix is block-diagonal and its rank is the sum
+    of the ranks of the blocks (cut to their nonzero rows and columns)."""
     dim = as_dimension(dim)
     if d < 0:
         raise QflatError(f"growth exponent must be >= 0, got {d}")
-    n = dim.n
-    big_d = int(math.floor(d))
-    cols, mat = _polyharmonic_matrix(dim, big_d)
-    kernel_dim = len(cols) - _rank_mod_p(mat)
+    n, big_d = dim.n, int(math.floor(d))
+    cols, rows, row, col, val = _polyharmonic_entries(n, big_d)
+    kernel_dim, degree = len(cols), rows.sum(axis=1)[row]
+    for k in np.unique(degree):
+        r, c = (np.unique(a[degree == k], return_inverse=True)[1] for a in (row, col))
+        block = np.zeros((r.max() + 1, c.max() + 1), dtype=np.int64)
+        block[r, c] = val[degree == k]
+        kernel_dim -= _rank_mod_p(block)
 
     closed = math.comb(n + big_d, n) - (math.comb(big_d, n) if big_d >= n else 0)
     if kernel_dim != closed:

@@ -265,12 +265,8 @@ def _polyharmonic_basis(dim, degree):
     mat[:len(lap)] = lap
     _, s, vt = np.linalg.svd(mat)
     rank = int(np.sum(s > 1e-9 * max(s[0], 1.0))) if len(lap) else 0
-    null = vt[rank:].T
-    basis = []
-    for k in range(null.shape[1]):
-        coeffs = {mi: null[j, k] for j, mi in enumerate(monos) if abs(null[j, k]) > 1e-13}
-        basis.append(Polynomial(dim, coeffs))
-    return basis
+    exps = np.array(monos, dtype=np.int64)
+    return [Polynomial._of(dim, exps, np.where(np.abs(v) > 1e-13, v, 0.0)) for v in vt[rank:]]
 
 
 def case_green_inverse(result: CaseResult):

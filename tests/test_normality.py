@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -264,6 +265,17 @@ class TestAnalyzeNormality:
         text = rep.to_json()
         from qflatlab import canonical_json
         assert canonical_json(json.loads(text)) == text
+
+    def test_nested_nonfinite_value_is_null_with_errors_entry(self, sphere2):
+        rep = analyze_normality(sphere2)
+        assert "tau.sup" not in rep.to_json_dict()["errors"]
+        rep.tau = dataclasses.replace(rep.tau, sup_exponent=math.nan,
+                                      window=(10.0, math.inf))
+        doc = json.loads(rep.to_json())
+        assert doc["tau"]["sup"] is None and doc["tau"]["window"] == [10.0, None]
+        assert doc["tau"]["exponent"] == rep.tau.exponent
+        assert "tau.sup" in doc["errors"] and "tau.window[1]" in doc["errors"]
+        assert "tau.sup" not in rep.errors  # the report itself is untouched
 
     def test_schema_fields_present(self, sphere2):
         doc = analyze_normality(sphere2).to_json_dict()

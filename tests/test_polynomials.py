@@ -8,6 +8,7 @@ from scipy import integrate
 from qflatlab import (Dimension, Polynomial, apply_laplacian_poly,
                       ball_mean_poly, monomials_upto, ph_dimension,
                       poly_partial, radial_monomial)
+from qflatlab.polynomials import _polyharmonic_matrix, _rank_mod_p
 
 
 def poly(n, coeffs):
@@ -117,3 +118,168 @@ class TestPhDimension:
         from qflatlab import QflatError
         with pytest.raises(QflatError):
             ph_dimension(Dimension(2), -1)
+
+
+# ---------------------------------------------------------------------------
+# the array algebra against a term-by-term dict reference
+# ---------------------------------------------------------------------------
+
+def ref_add(a, b):
+    out = dict(a)
+    for mi, c in b.items():
+        out[mi] = out.get(mi, 0.0) + c
+    return {mi: c for mi, c in out.items() if c != 0.0}
+
+
+def ref_shift(a, center):
+    out = {}
+    for mi, c in a.items():
+        partial = {(): c}
+        for i, k in enumerate(mi):
+            partial = {pre + (j,): pc * math.comb(k, j) * center[i] ** (k - j)
+                       for pre, pc in partial.items() for j in range(k + 1)}
+        for mi2, c2 in partial.items():
+            out[mi2] = out.get(mi2, 0.0) + c2
+    return {mi: c for mi, c in out.items() if c != 0.0}
+
+
+def ref_laplacian(a, m):
+    for _ in range(m):
+        out = {}
+        for mi, c in a.items():
+            for i, k in enumerate(mi):
+                if k >= 2:
+                    mi2 = mi[:i] + (k - 2,) + mi[i + 1:]
+                    out[mi2] = out.get(mi2, 0.0) + c * k * (k - 1)
+        a = out
+    return {mi: c for mi, c in a.items() if c != 0.0}
+
+
+def ref_partial(a, i):
+    return {mi[:i] + (mi[i] - 1,) + mi[i + 1:]: c * mi[i] for mi, c in a.items() if mi[i]}
+
+
+def ref_radial(n, power2):
+    out = {(0,) * n: 1.0}
+    for _ in range(power2):
+        nxt = {}
+        for mi, c in out.items():
+            for i in range(n):
+                mi2 = mi[:i] + (mi[i] + 2,) + mi[i + 1:]
+                nxt[mi2] = nxt.get(mi2, 0.0) + c
+        out = nxt
+    return out
+
+
+def ref_eval(a, pts):
+    return np.array([sum(c * math.prod(x ** k for x, k in zip(pt, mi))
+                         for mi, c in a.items()) for pt in pts])
+
+
+@st.composite
+def int_polynomials(draw, n):
+    keys = st.tuples(*[st.integers(0, 3)] * n)
+    return {mi: float(c) for mi, c in
+            draw(st.dictionaries(keys, st.integers(-4, 4), max_size=8)).items()}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(lambda n: st.tuples(
+    int_polynomials(n), int_polynomials(n), st.integers(-3, 3),
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    st.integers(0, n - 1), st.integers(0, 3))))
+def test_array_algebra_matches_dict_reference(case):
+    a, b, s, center, i, m = case
+    n = len(center)
+    p, q = poly(n, a), poly(n, b)
+
+    def same(got, want):  # same keys, values and first-occurrence order
+        assert list(got.coeffs.items()) == list(want.items())
+
+    same(p, {mi: c for mi, c in a.items() if c != 0.0})
+    same(p + q, ref_add(p.coeffs, q.coeffs))
+    same(p + 1.5, ref_add(p.coeffs, {(0,) * n: 1.5}))
+    same(p.scale(s), {mi: s * c for mi, c in p.coeffs.items() if s * c != 0.0})
+    same(p.shift(center), ref_shift(p.coeffs, center))
+    same(apply_laplacian_poly(p, m), ref_laplacian(p.coeffs, m))
+    same(poly_partial(p, i), ref_partial(p.coeffs, i))
+    same(radial_monomial(Dimension(n), m), ref_radial(n, m))
+    pts = np.random.default_rng(m).uniform(-1.5, 1.5, size=(7, n))
+    assert np.allclose(p(pts), ref_eval(p.coeffs, pts), rtol=1e-12, atol=1e-12)
+    assert p(pts[0]) == pytest.approx(ref_eval(p.coeffs, pts[:1])[0], rel=1e-12, abs=1e-12)
+
+
+def test_blocked_evaluation_matches_unblocked(monkeypatch):
+    import qflatlab.polynomials as polynomials
+    p = poly(4, {(2, 1, 0, 0): 1.5, (0, 0, 3, 1): -0.25, (0, 0, 0, 0): 2.0})
+    pts = np.random.default_rng(2).normal(size=(50, 4))
+    whole = p(pts)
+    monkeypatch.setattr(polynomials, "_EVAL_BLOCK", 7)  # 2 points per block
+    assert np.array_equal(p(pts), whole)
+
+
+# ---------------------------------------------------------------------------
+# kernel ranks: per-degree blocks, the full matrix and the per-monomial map
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_block_ranks_match_full_matrix_rank(n):
+    for d in range(0, 11):
+        cols, mat = _polyharmonic_matrix(Dimension(n), d)
+        assert ph_dimension(Dimension(n), d) == len(cols) - _rank_mod_p(mat), (n, d)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_matrix_matches_per_monomial_laplacian(n):
+    dim = Dimension(n)
+    for d in range(0, 9):
+        cols, mat = _polyharmonic_matrix(dim, d)
+        rows = {mi: i for i, mi in enumerate(monomials_upto(n, d - n))} if d >= n else {}
+        expect = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for j, mi in enumerate(cols):
+            if rows and sum(mi) >= n:
+                image = apply_laplacian_poly(Polynomial(dim, {mi: 1.0}), n // 2)
+                for mi2, c in image.coeffs.items():
+                    expect[rows[mi2], j] = int(round(c))
+        assert cols == monomials_upto(n, d)
+        assert np.array_equal(mat, expect), (n, d)
+
+
+def test_ph_dimension_builds_no_polynomial(monkeypatch):
+    # every Polynomial, built from a dict or from arrays, passes through _set once
+    built = []
+    real_set = Polynomial._set
+
+    def counting_set(self, *args):
+        built.append(self)
+        return real_set(self, *args)
+
+    monkeypatch.setattr(Polynomial, "_set", counting_set)
+    p = poly(2, {(1, 0): 2.0, (0, 0): -1.0})
+    assert len(built) == 1
+    assert list((p + 1.0).coeffs.items()) == [((1, 0), 2.0)]
+    assert len(built) == 3  # the constant and the sum
+    built.clear()
+    assert ph_dimension(Dimension(6), 10) == math.comb(16, 6) - math.comb(10, 6)
+    assert built == []
+
+
+@pytest.mark.parametrize("coeffs", [{(1,): 1.0}, {(-1, 0): 1.0}, {(0, 0, 0): 1.0}])
+def test_bad_multi_index_rejected(coeffs):
+    from qflatlab import QflatError
+    with pytest.raises(QflatError):
+        poly(2, coeffs)
+
+
+def test_coeffs_view_is_read_only():
+    p = poly(2, {(1, 0): 2.0, (0, 1): 0.0, (0, 0): -1})
+    assert list(p.coeffs.items()) == [((1, 0), 2.0), ((0, 0), -1.0)]
+    with pytest.raises(TypeError):
+        p.coeffs[(0, 0)] = 3.0
+
+
+def test_huge_exponents_merge_without_key_overflow():
+    # (2^40 + 1)^2 keys do not fit in int64: rows are compared directly
+    big = 2 ** 40
+    p = poly(2, {(big, 1): 1.0, (0, big): 2.0}) + poly(2, {(0, big): 3.0, (1, 0): 1.0})
+    assert list(p.coeffs.items()) == [((big, 1), 1.0), ((0, big), 5.0), ((1, 0), 1.0)]
