@@ -26,9 +26,8 @@ from .constants import sphere_constants
 from .errors import GridError, QflatError, RangeOverflowError
 from .fields import ScalarField, check_point, radial_field
 from .fitting import GrowthEstimate, fit_loglog, require_window
-from .quadrature import (TailClassification, classify_log_blocks,
-                         cumulative_radial, integrate_radial,
-                         log_condensation_blocks, shell_points)
+from .quadrature import (TailClassification, classify_log_blocks, integrate_radial,
+                         log_condensation_blocks, segment_integrals, shell_points)
 
 EXP_OVERFLOW = 700.0
 VOLUME_REL_TOL = 1e-6     # conformal volumes behind tau and measure distances
@@ -117,8 +116,8 @@ def conformal_volume(ctx: MetricContext, R, center=None,
 def volume_growth(ctx: MetricContext, radii) -> GrowthEstimate:
     """Fitted slope of log V_g(B_R) against log |B_R|.
 
-    For radial metrics the volumes are accumulated over radial segments in
-    one sweep.
+    For radial metrics the volumes are running sums of one segment_integrals
+    pass over the segments between 0 and the radii.
     """
     radii = np.sort(require_window(np.asarray(radii, dtype=float), what="volume radii"))
     n = ctx.n
@@ -128,12 +127,12 @@ def volume_growth(ctx: MetricContext, radii) -> GrowthEstimate:
         area = sphere_constants(n).boundary_area
 
         def integrand(t):
-            t = np.asarray(t, dtype=float)
             return _guarded_exp(
                 n * np.asarray(phi(t), dtype=float) + (n - 1) * np.log(np.maximum(t, 1e-300))
-                + math.log(area), "volume growth")
+                + math.log(area), "volume growth")[None, :]
 
-        vols = cumulative_radial(integrand, radii, rel_tol=VOLUME_REL_TOL)
+        vols = np.cumsum(segment_integrals(integrand, np.concatenate(([0.0], radii)),
+                                           VOLUME_REL_TOL, 0.0)[0])
     else:
         vols = np.array([conformal_volume(ctx, R) for R in radii])
     return fit_loglog(radii, vols, abscissa=omega * radii ** n)
@@ -439,7 +438,9 @@ def distance_growth_exponent(ctx: MetricContext, p, radii) -> GrowthEstimate:
     p = check_point(p, ctx.u.dim)
     if not ctx.is_radial:
         raise QflatError("distance growth exponent needs a radial metric")
-    dists = cumulative_radial(_ray_speed(ctx), radii, rel_tol=RAY_REL_TOL)
+    speed = _ray_speed(ctx)
+    dists = np.cumsum(segment_integrals(lambda t: speed(t)[None, :],
+                                        np.concatenate(([0.0], radii)), RAY_REL_TOL, 0.0)[0])
     return fit_loglog(radii, dists)
 
 

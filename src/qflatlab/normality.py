@@ -35,7 +35,7 @@ from .geometry import (DiameterReport, MetricContext, diameter_estimate,
                        volume_classification, volume_growth)
 from .polynomials import Polynomial, monomials_upto
 from .potential import FLUX_SETTLE_TOL, PotentialEvaluator, total_mass_alpha
-from .quadrature import cumulative_radial, shell_product_rule
+from .quadrature import segment_integrals, shell_product_rule
 
 # Verdict boundary: fitted slopes sit strictly below a clean power because
 # lower-order terms bias finite windows; a small guard absorbs that bias
@@ -118,8 +118,8 @@ def _growth_criterion(w: ScalarField, integrand, threshold, radii, margin,
     """int_{B_R} integrand(w) dx = o(R^threshold)?  (n >= 4)
 
     integrand(w) is the vectorized point integrand.  Radial fields sweep it
-    along t e_1 radially; other fields use product-rule shells
-    (classifier grade)."""
+    along t e_1 in one segment_integrals pass; other fields use
+    product-rule shells (classifier grade)."""
     n = w.dim.n
     if n < 4:
         raise DimensionError(f"{what} applies for n >= 4")
@@ -129,12 +129,12 @@ def _growth_criterion(w: ScalarField, integrand, threshold, radii, margin,
         area = sphere_constants(n).boundary_area
 
         def radial(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
             pts = np.zeros((t.size, n))
             pts[:, 0] = t
-            return g(pts) * area * t ** (n - 1)
+            return (g(pts) * area * t ** (n - 1))[None, :]
 
-        vals = cumulative_radial(radial, radii, rel_tol=1e-7, abs_tol=1e-12)
+        vals = np.cumsum(segment_integrals(radial, np.concatenate(([0.0], radii)),
+                                           1e-7, 1e-12)[0])
     else:
         origin = np.zeros(n)
         vals = np.cumsum([shell_product_rule(g, n, origin, a, b, 16, 12)

@@ -9,9 +9,9 @@ Four layers:
 
 * panel-adaptive Gauss-Legendre on finite intervals and radial ranges
   (``adaptive_estimate``, ``integrate_radial_estimate`` and its strict
-  form ``integrate_radial``), the running radial integrals over sorted
-  radii (``cumulative_radial``), and vector-valued integrals over many
-  radial segments in one vectorized pass (``segment_integrals``);
+  form ``integrate_radial``), and vector-valued integrals over many radial
+  segments in one vectorized pass (``segment_integrals``), whose cumulative
+  sums give running integrals over a sweep of radii;
 * signed improper integrals over [r0, inf) driven by decade blocks with a
   Cauchy-condensation convergence test (``decade_mass_integral``);
 * finite-vs-infinite classification of positive improper integrals through
@@ -188,26 +188,20 @@ def integrate_radial(f, r0, r1, rel_tol=1e-8, abs_tol=0.0, breakpoints=()):
     return _radial(f, r0, r1, rel_tol, abs_tol, breakpoints, 4096, strict=True)[0]
 
 
-def cumulative_radial(f, radii, rel_tol, abs_tol=0.0):
-    """Integrals of f(r) dr over [0, R] at each of the sorted radii R: one
-    integrate_radial per segment between consecutive radii, summed in
-    order."""
-    radii = np.asarray(radii, dtype=float)
-    starts = np.concatenate(([0.0], radii[:-1]))
-    return np.cumsum([integrate_radial(f, a, b, rel_tol=rel_tol, abs_tol=abs_tol)
-                      for a, b in zip(starts, radii)])
-
-
 def segment_integrals(f, edges, rel_tol, abs_tol):
     """Integrals of a vector-valued f over every segment between the
     sorted edges, all segments at once.
 
     ``f`` maps a 1-D array of radii to an array of shape (K, len(radii)).
     Each segment gets GL(15/31), linear in r below 1 and in t = log r above
-    1 (a segment straddling 1 is split there, as in integrate_radial); every
-    panel whose error misses ``max(rel_tol * |value|, abs_tol)`` on any
-    component is bisected.  f is called on the nodes of PANEL_BLOCK panels
-    at a time.
+    1 (a segment straddling 1 is split there, as in integrate_radial).  A
+    panel is accepted when, on every component, its error is within
+    ``max(rel_tol * |value|, abs_tol)`` or within its share of ``rel_tol``
+    times the magnitude of its segment's first estimate (the per-panel part
+    of a global error test, as in QUADPACK): the share halves at each
+    bisection and starts split evenly between the pieces of a segment.
+    Other panels are bisected.  f is called on the nodes of PANEL_BLOCK
+    panels at a time.
     ``abs_tol`` broadcasts against (K, segments).  Returns the (K, segments)
     integrals.  Raises QuadratureError, naming the segments, when a value
     is not finite or MAX_BISECTIONS splits do not settle every panel.
@@ -218,6 +212,7 @@ def segment_integrals(f, edges, rel_tol, abs_tol):
     seg = np.concatenate([np.arange(len(lo)), np.flatnonzero(split)])
     a = np.concatenate([lo, np.ones(int(split.sum()))])
     b = np.concatenate([np.where(split, 1.0, hi), hi[split]])
+    share = 1.0 / (1.0 + split[seg])
     in_log = a >= 1.0
     a[in_log], b[in_log] = np.log(a[in_log]), np.log(b[in_log])
     x15, w15 = gl_rule(15)
@@ -236,7 +231,7 @@ def segment_integrals(f, edges, rel_tol, abs_tol):
             vals[:, in_log] *= r[in_log]
             return np.moveaxis(half[:, None] * (vals @ weights), -1, 0)
 
-    total, floor, bisections = None, None, 0
+    total, bisections = None, 0
     while len(a):
         # f sees PANEL_BLOCK panels at a time, which bounds the memory
         coarse, fine = np.concatenate(
@@ -244,16 +239,22 @@ def segment_integrals(f, edges, rel_tol, abs_tol):
              for i in range(0, len(a), PANEL_BLOCK)], axis=-1)
         with np.errstate(invalid="ignore"):
             err = np.abs(fine - coarse)
-        if total is None:
-            total = np.zeros((len(fine), len(lo)))
-            floor = np.broadcast_to(abs_tol, total.shape)
         bad = ~np.all(np.isfinite(fine), axis=0)
         if np.any(bad):
             raise QuadratureError(
                 f"non-finite segment integral on {_segment_list(edges, seg[bad])}")
-        done = np.all(err <= np.maximum(rel_tol * np.abs(fine), floor[:, seg]), axis=0)
+        if total is None:
+            total = np.zeros((len(fine), len(lo)))
+            floor = np.broadcast_to(abs_tol, total.shape)
+            first = total.copy()
+            np.add.at(first.T, seg, fine.T)
+            first = rel_tol * np.abs(first)
+        tol = np.maximum(np.maximum(rel_tol * np.abs(fine), floor[:, seg]),
+                         share * first[:, seg])
+        done = np.all(err <= tol, axis=0)
         np.add.at(total.T, seg[done], fine[:, done].T)
-        a, b, seg, in_log = a[~done], b[~done], seg[~done], in_log[~done]
+        keep = ~done
+        a, b, seg, in_log, share = a[keep], b[keep], seg[keep], in_log[keep], share[keep]
         mid = 0.5 * (a + b)
         bisections += len(a)
         if bisections > MAX_BISECTIONS:
@@ -261,7 +262,7 @@ def segment_integrals(f, edges, rel_tol, abs_tol):
                 f"segment quadrature did not settle within {MAX_BISECTIONS} "
                 f"bisections on {_segment_list(edges, seg)}")
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        seg, in_log = np.tile(seg, 2), np.tile(in_log, 2)
+        seg, in_log, share = np.tile(seg, 2), np.tile(in_log, 2), np.tile(0.5 * share, 2)
     return total
 
 
@@ -391,9 +392,10 @@ def log_condensation_blocks(log_f, r_start=2.0):
 
     Each block is integrated in t = log r on sub-panels of width at most
     4 (a single rule cannot follow exponential decay across a block
-    spanning dozens of e-folds), reduced with log-sum-exp so factors like
-    e^{n u} r^{n-1} never overflow.  ``log_f`` receives radii and returns
-    the log of the (positive) integrand.
+    spanning dozens of e-folds), reduced with log-sum-exp per panel and
+    then per block, so factors like e^{n u} r^{n-1} never overflow.
+    ``log_f`` receives the radii of all panels of one block at once and
+    returns the log of the (positive) integrand.
     """
     exps = []
     e = math.log2(r_start)
@@ -407,13 +409,10 @@ def log_condensation_blocks(log_f, r_start=2.0):
         ta, tb = lo_e * math.log(2.0), hi_e * math.log(2.0)
         n_panels = max(1, int(math.ceil((tb - ta) / CONDENSATION_PANEL_WIDTH)))
         edges = np.linspace(ta, tb, n_panels + 1)
-        pieces = []
-        for pa, pb in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
-            t = mid + half * x
-            r = np.exp(t)
-            ell = np.asarray(log_f(r), dtype=float) + t
-            pieces.append(logsumexp(ell + logw + math.log(half)))
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        t = mid[:, None] + half[:, None] * x
+        ell = np.asarray(log_f(np.exp(t).ravel()), dtype=float).reshape(t.shape) + t
+        pieces = logsumexp(ell + logw + np.log(half)[:, None], axis=1)
         logs.append(float(logsumexp(pieces)))
     return np.array(logs)
 

@@ -138,6 +138,22 @@ class TestConditionA:
         with pytest.raises(DimensionError):
             normality_condition_a(constant_field(0.0, 2))
 
+    def test_radial_sweep_work_is_bounded(self, monkeypatch):
+        # huber's |Delta u| has kinks at the cut-off edges; the one-pass
+        # sweep over [0, 2, ..., 1024] must not chase them panel by panel
+        normality = importlib.import_module("qflatlab.normality")
+        batch = normality.radial_laplacian_batch
+        points = []
+
+        def counted(phi, r, n, m):
+            points.append(len(r))
+            return batch(phi, r, n, m)
+
+        monkeypatch.setattr(normality, "radial_laplacian_batch", counted)
+        v = normality_condition_a(gallery("huber", {"c": 0.0}, 6).u)
+        assert v.verdict == "little_o"
+        assert sum(points) <= 10_000
+
 
 class TestConditionB:
     def test_normal_potential_little_o(self):

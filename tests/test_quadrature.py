@@ -7,10 +7,12 @@ import pytest
 
 from qflatlab import (Dimension, Polynomial, QuadratureError, ball_mean_poly,
                       sphere_constants)
-from qflatlab.quadrature import (POINT_BUDGET, cumulative_radial, decade_mass_integral,
-                                 integrate_radial, integrate_radial_estimate,
+from qflatlab.quadrature import (CONDENSATION_PANEL_WIDTH, POINT_BUDGET,
+                                 decade_mass_integral, gl_rule, integrate_radial,
+                                 integrate_radial_estimate, log_condensation_blocks,
                                  segment_integrals, shell_points, shell_product_rule,
                                  sphere_rule, sphere_shell)
+from scipy.special import logsumexp
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -67,16 +69,53 @@ def test_product_rule_matches_exact_ball_mean(n):
     assert got == pytest.approx(ball_mean_poly(p, center, R) * vol, abs=1e-12)
 
 
-def test_cumulative_sweep_is_chained_segments():
-    f = lambda r: np.exp(-np.asarray(r)) * np.asarray(r) ** 3
+def test_running_integrals_match_closed_form():
+    # int_0^R e^{-r} r^3 dr = 6 - e^{-R} (R^3 + 3R^2 + 6R + 6), as the
+    # cumulative sums of one segment_integrals pass over [0, R_1, ..., R_9]
     radii = np.geomspace(0.5, 1e3, 9)
-    expected, acc, prev = [], 0.0, 0.0
-    for R in radii:
-        acc += integrate_radial(f, prev, R, rel_tol=1e-7, abs_tol=1e-12)
-        prev = R
-        expected.append(acc)
-    got = cumulative_radial(f, radii, rel_tol=1e-7, abs_tol=1e-12)
-    assert got.tolist() == expected
+    got = np.cumsum(segment_integrals(lambda r: (np.exp(-r) * r ** 3)[None, :],
+                                      np.concatenate(([0.0], radii)), 1e-7, 1e-12)[0])
+    exact = 6.0 - np.exp(-radii) * (radii ** 3 + 3 * radii ** 2 + 6 * radii + 6)
+    assert np.allclose(got, exact, rtol=1e-7, atol=0.0)
+
+
+def _per_panel_blocks(log_f, r_start=2.0):
+    """log_condensation_blocks written panel by panel: one log_f call and
+    one log-sum-exp per panel."""
+    exps = [math.log2(r_start)]
+    while exps[-1] * 1.5 <= 256.0:
+        exps.append(exps[-1] * 1.5)
+    x, w = gl_rule(24)
+    logs = []
+    for lo_e, hi_e in zip(exps[:-1], exps[1:]):
+        ta, tb = lo_e * math.log(2.0), hi_e * math.log(2.0)
+        edges = np.linspace(ta, tb, max(1, math.ceil((tb - ta) / CONDENSATION_PANEL_WIDTH)) + 1)
+        pieces = []
+        for pa, pb in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
+            t = mid + half * x
+            ell = np.asarray(log_f(np.exp(t)), dtype=float) + t
+            pieces.append(logsumexp(ell + np.log(w) + math.log(half)))
+        logs.append(float(logsumexp(pieces)))
+    return np.array(logs)
+
+
+def _shell_log_integrand(r):
+    # log of the sphere-rule shell mass of e^{-|y - c|} |y|^3 in n = 4
+    pts, wts = shell_points(4, 8, np.zeros(4), r)
+    vals = -np.linalg.norm(pts - np.array([1.0, 0.5, 0.0, 0.0]), axis=1)
+    return logsumexp(vals.reshape(len(r), len(wts)) + np.log(wts), axis=1) + 3 * np.log(r)
+
+
+@pytest.mark.parametrize("log_f", [
+    lambda r: -0.5 * np.log1p(r ** 2),                   # radial ray speed
+    lambda r: -np.log(r) - 2.0 * np.log(np.log(r)),      # 1/(t log^2 t)
+    _shell_log_integrand,
+], ids=["radial", "log_squared", "shell"])
+def test_condensation_blocks_match_per_panel_loop(log_f):
+    got = log_condensation_blocks(log_f)
+    assert len(got) == 13
+    assert got.tolist() == _per_panel_blocks(log_f).tolist()
 
 
 @pytest.mark.parametrize("walk", ["estimate", "decades"])
