@@ -33,7 +33,7 @@ from .fields import ScalarField
 from .fitting import GrowthEstimate
 from .geometry import (DiameterReport, MetricContext, diameter_estimate,
                        volume_classification, volume_growth)
-from .polynomials import Polynomial, monomials_upto
+from .polynomials import Polynomial, monomials_upto, radial_monomial
 from .potential import FLUX_SETTLE_TOL, PotentialEvaluator, total_mass_alpha
 from .quadrature import segment_integrals, shell_product_rule
 
@@ -316,7 +316,7 @@ class Decomposition:
     potential_part: object            # callable (m, n) -> (m,)
     fit_residual: float
     nonconstant: bool
-    std_errors: dict
+    std_errors: dict                  # per basis term: multi-index, or "r^2j"
     sample_spec: str
 
     def coefficient(self, mi):
@@ -341,50 +341,75 @@ def decompose_samples(dim, seed=20250):
 
 def decompose(w: ScalarField, f: ScalarField, sample_set=None, max_degree=None,
               seed=20250, evaluator=None) -> Decomposition:
-    """Least-squares fit of w - L(f) in the monomial basis of degree <=
+    """Least-squares fit of w - L(f) in the polynomials of degree <=
     max_degree (default n - 2).
 
-    Flags NONCONSTANT when any degree >= 1 coefficient exceeds 10x its fit
-    standard error (with a small absolute floor against quadrature noise).
+    When w and f are both radial, so is w - L(f), and the fit runs in
+    span{r^2j : 2j <= max_degree} on the radii of decompose_samples (or the
+    norms of sample_set), with L(f) from one value_radial pass.  Otherwise
+    it runs in the monomial basis on the sample points.  Flags NONCONSTANT
+    when any degree >= 1 coefficient exceeds 10x its fit standard error
+    (with a small absolute floor against quadrature noise).
     """
     n = w.dim.n
     if max_degree is None:
         max_degree = n - 2
-    pts = decompose_samples(n, seed=seed) if sample_set is None else np.asarray(sample_set)
-    basis = monomials_upto(n, max_degree)
-    if len(pts) < 3 * len(basis):
+    if max_degree < 0:
+        raise QflatError(f"decomposition degree must be >= 0, got {max_degree}")
+    radial = w.caps.is_radial and f.caps.is_radial
+    if radial:
+        radii = (np.geomspace(0.1, 1e3, 12) if sample_set is None
+                 else np.linalg.norm(np.asarray(sample_set, dtype=float), axis=1))
+        terms = [radial_monomial(w.dim, j) for j in range(max_degree // 2 + 1)]
+        labels = [f"r^{2 * j}" for j in range(len(terms))]
+        samples = f"radial basis, {len(radii)} radii"
+    else:
+        pts = decompose_samples(n, seed=seed) if sample_set is None else np.asarray(sample_set)
+        radii = np.linalg.norm(pts, axis=1)
+        labels = monomials_upto(n, max_degree)
+        samples = f"seed={seed}, {len(pts)} points"
+    if len(radii) < 3 * len(labels):
         raise QflatError(
-            f"underdetermined decomposition: {len(pts)} samples for "
-            f"{len(basis)} monomials (need 3x)")
-    radii = np.linalg.norm(pts, axis=1)
+            f"underdetermined decomposition: {len(radii)} samples for "
+            f"{len(labels)} basis terms (need 3x)")
     if np.max(radii) / max(np.min(radii), 1e-300) < 100.0:
         raise QflatError("decomposition samples must span >= 2 decades of |x|")
     ev = evaluator if evaluator is not None else PotentialEvaluator(f)
-    pot = ev(pts)
-    y = w(pts) - pot
+    if radial:
+        y = w.along_ray()(radii) - ev.value_radial(radii)
+        cols = radii[:, None] ** (2.0 * np.arange(len(terms)))
+        degrees = 2 * np.arange(len(terms))
+    else:
+        y = w(pts) - ev(pts)
+        # a C-ordered column per monomial: the fit's rounding depends on the layout
+        monomials = Polynomial._of(w.dim, np.array(labels), np.ones(len(labels)))
+        cols = monomials.terms(pts).T.copy()
+        degrees = monomials.exps.sum(axis=1)
 
-    # a C-ordered column per monomial: the fit's rounding depends on the layout
-    monomials = Polynomial._of(w.dim, np.array(basis), np.ones(len(basis)))
-    cols = monomials.terms(pts).T.copy()
     scale = np.max(np.abs(cols), axis=0)
     scale[scale == 0] = 1.0
     sol, _, _, _ = np.linalg.lstsq(cols / scale, y, rcond=None)
     coeffs = sol / scale
     resid = y - cols @ coeffs
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    dof = max(len(pts) - len(basis), 1)
+    dof = max(len(y) - len(labels), 1)
     sigma2 = float(resid @ resid) / dof
     gram_inv = np.linalg.pinv((cols / scale).T @ (cols / scale))
     se = np.sqrt(np.maximum(np.diag(gram_inv), 0.0) * sigma2) / scale
 
     significant = np.abs(coeffs) > np.maximum(NONCONSTANT_SE_FACTOR * se, NONCONSTANT_FLOOR)
+    if radial:
+        part = Polynomial._of(w.dim, np.concatenate([t.exps for t in terms]),
+                              np.concatenate([c * t.vals for c, t in zip(coeffs, terms)]))
+    else:
+        part = Polynomial._of(w.dim, monomials.exps, coeffs)
     return Decomposition(
-        polynomial_part=Polynomial._of(w.dim, monomials.exps, coeffs),
+        polynomial_part=part,
         potential_part=ev,
         fit_residual=rms,
-        nonconstant=bool(np.any(significant & (monomials.exps.sum(axis=1) >= 1))),
-        std_errors=dict(zip(basis, se.tolist())),
-        sample_spec=f"seed={seed}, {len(pts)} points, radii [{radii.min():g}, {radii.max():g}]",
+        nonconstant=bool(np.any(significant & (degrees >= 1))),
+        std_errors=dict(zip(labels, se.tolist())),
+        sample_spec=f"{samples}, radii [{radii.min():g}, {radii.max():g}]",
     )
 
 

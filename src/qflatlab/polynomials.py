@@ -30,10 +30,13 @@ class Polynomial:
 
     def __init__(self, dim: Dimension, coeffs=None):
         clean = {}
-        for mi, c in (coeffs or {}).items():
-            mi = tuple(int(k) for k in mi)
-            if len(mi) != dim.n or any(k < 0 for k in mi):
-                raise QflatError(f"bad multi-index {mi} for dimension {dim.n}")
+        for key, c in (coeffs or {}).items():
+            try:
+                mi = tuple(int(k) for k in key)
+            except (TypeError, ValueError):
+                mi = None
+            if mi is None or len(mi) != dim.n or any(k < 0 for k in mi) or mi != tuple(key):
+                raise QflatError(f"bad multi-index {key} for dimension {dim.n}")
             if c != 0.0:
                 clean[mi] = float(c)
         self._set(dim, np.fromiter(chain.from_iterable(clean), np.int64).reshape(-1, dim.n),
@@ -132,8 +135,8 @@ def _merge(exps, vals, owner=None):
 @lru_cache(maxsize=None)
 def monomials_upto(n, max_degree):
     """All multi-indices in n variables of total degree <= max_degree,
-    ordered by (degree, lexicographic)."""
-    return tuple(mi for d in range(max(max_degree, 0) + 1) for mi in sorted(
+    ordered by (degree, lexicographic); none when max_degree < 0."""
+    return tuple(mi for d in range(max_degree + 1) for mi in sorted(
         {tuple(combo.count(i) for i in range(n))
          for combo in combinations_with_replacement(range(n), d)}))
 

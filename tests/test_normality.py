@@ -109,6 +109,29 @@ class TestDecompose:
         assert full.coefficient((1, 0)) == pytest.approx(1.0, abs=1e-6)
         assert full.nonconstant
 
+    def test_radial_r2_remainder_is_nonconstant(self):
+        # w - L(f) = 0.3 r^2 is radial: the fit runs in {1, r^2}
+        f = gauss_density(4)
+        ev = PotentialEvaluator(f)
+        w = radial_field(lambda r: ev.value_radial(r) + 0.3 * r ** 2, 4, name="L+0.3r^2")
+        dec = decompose(w, f, evaluator=ev)
+        assert dec.nonconstant
+        assert dec.coefficient((2, 0, 0, 0)) == pytest.approx(0.3, rel=1e-9)
+        assert dec.coefficient((0, 0, 0, 2)) == dec.coefficient((2, 0, 0, 0))
+        assert abs(dec.coefficient((0, 0, 0, 0))) <= 1e-9
+
+    def test_sphere_n6_constant_is_log2(self):
+        # 96 points could not fit the 210 monomials of degree <= 4 in n = 6
+        ctx = gallery("sphere", {}, 6)
+        dec = decompose(ctx.u, ctx.density)
+        assert dec.coefficient((0,) * 6) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert not dec.nonconstant
+
+    def test_negative_degree_rejected(self):
+        f = gauss_density(2)
+        with pytest.raises(QflatError, match="degree"):
+            decompose(constant_field(0.0, 2), f, max_degree=-1)
+
     def test_underdetermined_rejected(self):
         f = gauss_density(4)
         pts = np.random.default_rng(0).normal(size=(10, 4))

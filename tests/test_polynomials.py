@@ -271,6 +271,19 @@ def test_bad_multi_index_rejected(coeffs):
         poly(2, coeffs)
 
 
+@pytest.mark.parametrize("key", [(1.5, 0), ("a", 0)])
+def test_non_integer_exponent_rejected(key):
+    # an exponent is an integer, not truncated to one
+    from qflatlab import QflatError
+    with pytest.raises(QflatError, match="bad multi-index"):
+        poly(2, {key: 1.0})
+
+
+def test_no_monomials_below_degree_zero():
+    assert monomials_upto(2, -1) == ()
+    assert monomials_upto(2, 0) == ((0, 0),)
+
+
 def test_coeffs_view_is_read_only():
     p = poly(2, {(1, 0): 2.0, (0, 1): 0.0, (0, 0): -1})
     assert list(p.coeffs.items()) == [((1, 0), 2.0), ((0, 0), -1.0)]

@@ -1,0 +1,143 @@
+"""Report fields that differ between two checkouts of qflatlab.
+
+    python3 tools/report_diff.py PARENT_DIR CHANGE_DIR [--seeds 1,7]
+
+Each checkout regenerates the results of the gallery, expression and
+potential operations of its own ``perfbench/workloads.py`` (imported, not
+modified) at each seed, in a subprocess that imports qflatlab from that
+checkout's ``src/``.  The script then prints every field whose value moved,
+with its largest |change| over all operations and seeds and where that
+change occurred, and every ``errors`` key that appears or disappears.
+Changes of text, and values that appear or disappear, are counted apart.
+"""
+
+import argparse
+import csv
+import io
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("gallery", "expression", "potential")
+
+
+def _jsonable(result):
+    """An operation's result as JSON values: analyze reports as they are,
+    sweep CSVs as rows keyed by value, decompositions by their fields."""
+    if isinstance(result, dict):
+        return result
+    if isinstance(result, str):
+        rows = csv.DictReader(io.StringIO(result))
+        return {f"[{row['value']}]": {k: v for k, v in row.items() if k != "value"}
+                for row in rows}
+    _, dec, cond_a = result
+    return {"decomposition": {
+        "coeffs": {str(mi): c for mi, c in dec.polynomial_part.coeffs.items()},
+        "residual": dec.fit_residual,
+        "nonconstant": dec.nonconstant,
+        "samples": dec.sample_spec},
+        "condition_a": cond_a}
+
+
+def dump(seeds):
+    """Results of every operation of this checkout, as one JSON object."""
+    import workloads
+    out = {}
+    for seed in seeds:
+        for name in WORKLOADS:
+            for op in workloads.make_ops(name, seed):
+                try:
+                    res = _jsonable(op.run())
+                except Exception as e:  # noqa: BLE001 - a raise is a result
+                    res = {"raised": f"{type(e).__name__}: {e}"}
+                out[f"{op.label} (seed {seed})"] = res
+    return out
+
+
+def collect(checkout, seeds):
+    root = Path(checkout).resolve()
+    code = ("import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2], sys.argv[3]]; "
+            "import report_diff; print(json.dumps(report_diff.dump(json.loads(sys.argv[4]))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"), str(root / "perfbench"),
+         str(Path(__file__).resolve().parent), json.dumps(seeds)],
+        capture_output=True, text=True, check=True, cwd=root)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def flatten(obj, path=""):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from flatten(v, f"{path}.{k}" if path else str(k))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from flatten(v, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def _number(x):
+    if isinstance(x, bool) or x is None:
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def compare(before, after):
+    """(moved, errors).  moved maps a field path to a dict: the largest
+    numeric |change| and the operation where it occurred, the number of
+    numeric moves, and the number of other changes (text, or a value that
+    appears or disappears).  errors lists (sign, key, operation)."""
+    moved, errors = {}, []
+    for op in sorted(set(before) | set(after)):
+        old = dict(flatten(before.get(op, {})))
+        new = dict(flatten(after.get(op, {})))
+        for key in sorted(set(old) | set(new)):
+            a, b = old.get(key), new.get(key)
+            if key.startswith("errors.") or key.endswith(".error"):
+                if bool(a) != bool(b):
+                    errors.append(("+" if b else "-", key, op))
+                continue
+            if a == b:
+                continue
+            x, y = _number(a), _number(b)
+            if x is not None and y is not None and (x == y or math.isnan(x - y)):
+                continue
+            # sweep rows are keyed by their value: the column is the field
+            field = "sweep." + key.split("].", 1)[-1] if key.startswith("[") else key
+            entry = moved.setdefault(field, {"delta": 0.0, "where": op, "moved": 0,
+                                             "other": 0})
+            if x is None or y is None:
+                entry["other"] += 1
+                continue
+            entry["moved"] += 1
+            if abs(y - x) > entry["delta"]:
+                entry["delta"], entry["where"] = abs(y - x), op
+    return moved, errors
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--seeds", default="1,7")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    moved, errors = compare(collect(args.parent, seeds), collect(args.change, seeds))
+    if not moved and not errors:
+        print("no field moved")
+    for field, e in sorted(moved.items()):
+        size = f"{e['delta']:.2g} in {e['moved']}" if e["moved"] else "-"
+        other = f", {e['other']} other changes" if e["other"] else ""
+        print(f"{field:44s} max|d| {size}{other}  ({e['where']})")
+    for sign, key, op in errors:
+        print(f"{sign} {key}  ({op})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
