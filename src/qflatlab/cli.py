@@ -12,6 +12,7 @@ whenever the report was produced.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -65,15 +66,24 @@ def validate_spec_document(doc):
 
 
 def context_from_document(doc) -> MetricContext:
+    """The metric of a document.  params.completeness_hint, when given, is
+    a boolean recorded on the context of every kind; the other params are
+    builtin parameters."""
     validate_spec_document(doc)
     n = int(doc["n"])
     dim = Dimension(n)
-    params = doc.get("params", {}) or {}
+    params = dict(doc.get("params") or {})
+    hint = params.pop("completeness_hint", None)
+    if hint is not None and not isinstance(hint, bool):
+        raise InputError(f"spec document invalid: $.params.completeness_hint: must be "
+                         f"true or false, got {hint!r}")
     kind = doc["kind"]
     if kind == "builtin":
-        return gallery(doc["name"], {k: v for k, v in params.items()
-                                     if k != "completeness_hint"}, dim)
-    hint = params.get("completeness_hint")
+        ctx = gallery(doc["name"], params, dim)
+        return ctx if hint is None else dataclasses.replace(ctx, completeness_hint=hint)
+    if params:
+        raise InputError(f"spec document invalid: $.params: kind {kind!r} takes only "
+                         f"completeness_hint, got {sorted(params)}")
     if kind == "expression":
         return MetricContext(u=field_from_expression(doc["u"], dim),
                              completeness_hint=hint,
@@ -164,15 +174,21 @@ def sweep_csv(doc, param, values, seed=20250) -> str:
         raise InputError(
             f"template does not reference parameter {param!r}; "
             f"{doc['name']} takes {sorted(entry.params_doc)}")
+    parsed = []
+    for raw in values:
+        try:
+            parsed.append(float(raw))
+        except (TypeError, ValueError):
+            raise InputError(f"sweep value {raw!r} is not a number") from None
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
     cfg = AnalysisConfig(seed=seed)
-    for raw in values:
+    for raw, value in zip(values, parsed):
         row = {"value": raw, "error": ""}
         try:
             params = dict(doc.get("params", {}) or {})
-            params[param] = float(raw)
+            params[param] = value
             ctx = context_from_document({**doc, "params": params})
             report = analyze_normality(ctx, cfg, provenance_spec=doc)
             try:

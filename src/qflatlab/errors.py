@@ -32,8 +32,8 @@ class DomainEvalError(QflatError):
     """Evaluation left the function's domain (log/sqrt of a negative, 1/0, ...)."""
 
 
-class DimensionError(QflatError):
-    """Dimension is invalid or does not match between operands."""
+class DimensionError(InputError):
+    """Dimension is invalid, unsupported, or does not match between operands."""
 
 
 class NotRadialError(QflatError):

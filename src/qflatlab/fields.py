@@ -17,7 +17,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import expr as expr_mod
-from .errors import DimensionError, DomainEvalError, NotRadialError, QflatError
+from .errors import (DimensionError, DomainEvalError, InputError, NotRadialError,
+                     QflatError)
 
 RADIAL_CHECK_TOL = 1e-10
 SPLINE_NODES_PER_DECADE = 64
@@ -293,8 +294,11 @@ class RadialProfile:
     def from_table(cls, nodes, values, name="radial-table"):
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 4 or np.any(np.diff(nodes) <= 0):
-            raise QflatError("radial table needs >= 4 strictly increasing nodes")
+        if (nodes.ndim != 1 or nodes.size < 4 or values.shape != nodes.shape
+                or not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(values))
+                or nodes[0] < 0 or np.any(np.diff(nodes) <= 0)):
+            raise InputError("radial table needs >= 4 finite values at finite, "
+                             "nonnegative, strictly increasing radii")
         spline = CubicSpline(nodes, values, extrapolate=True)
         prof = cls(fn=lambda r: spline(np.maximum(r, nodes[0])),
                    r_max=nodes[-1], name=name)

@@ -23,6 +23,7 @@ TRIVIAL (immediate), DERIVED (closed form or stated oracle), or PAPER
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +43,8 @@ from .calculus import jet_density, radial_jet, radial_laplacian_batch
 GALLERY_NAMES = ("flat", "sphere", "cone", "huber", "gaussian_source", "planted")
 
 HUBER_CUTOFF = (10.0, 20.0)   # eta = 1 inside r <= 10, 0 outside r >= 20
+# integer parameters and their ranges [lo, hi); the others are finite floats
+INTEGER_PARAMS = {"seed": (0, 2 ** 32), "degree": (0, 2 ** 32)}
 
 
 @dataclass(frozen=True)
@@ -440,13 +443,31 @@ def _normalize(name, params, dim):
     unknown = set(params) - set(entry.params_doc)
     if unknown:
         raise InputError(f"{name} does not take parameters {sorted(unknown)}")
-    key = []
-    for k, v in sorted(params.items()):
-        if k in ("seed", "degree"):
-            key.append((k, int(v)))
-        else:
-            key.append((k, float(v)))
-    return name, tuple(key), dim.n
+    return name, tuple((k, _coerce(name, k, v)) for k, v in sorted(params.items())), dim.n
+
+
+def _coerce(name, key, value):
+    """A parameter as the builder reads it: seed and degree as integers in
+    range, the others as finite floats.  Anything else is an InputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} parameter {key} must be a number, got {value!r}")
+    if key in INTEGER_PARAMS:
+        lo, hi = INTEGER_PARAMS[key]
+        try:
+            whole = value == int(value) and lo <= value < hi
+        except (OverflowError, ValueError):   # inf, nan
+            whole = False
+        if not whole:
+            raise InputError(f"{name} parameter {key} must be an integer in "
+                             f"[{lo}, {hi}), got {value!r}")
+        return int(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InputError(f"{name} parameter {key} must be a finite number, got {value!r}")
+    return value
 
 
 def gallery(name, params=None, dim=2) -> MetricContext:

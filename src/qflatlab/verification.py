@@ -242,13 +242,11 @@ def case_polyharmonic_dimensions(result: CaseResult):
     rng = np.random.default_rng(512)
     for n in (2, 4, 6):
         dim = Dimension(n)
-        basis = _polyharmonic_basis(dim, degree=5)
+        exps, basis = _polyharmonic_basis(dim, degree=5)
         worst = 0.0
         for _ in range(50):
             coeff = rng.normal(size=len(basis))
-            p = Polynomial(dim, {})
-            for c, q in zip(coeff, basis):
-                p = p + q.scale(c)
+            p = Polynomial._of(dim, exps, coeff @ basis)
             center = rng.normal(size=n)
             radius = rng.uniform(0.5, 2.0)
             worst = max(worst, pizzetti_check(p, center, radius)
@@ -258,15 +256,17 @@ def case_polyharmonic_dimensions(result: CaseResult):
 
 
 def _polyharmonic_basis(dim, degree):
-    """Basis of ker Delta^{n/2} on polynomials of degree <= degree."""
+    """Basis of ker Delta^{n/2} on polynomials of degree <= degree: the
+    exponent rows of the monomials, and one coefficient row per basis
+    polynomial."""
     monos, lap = _polyharmonic_matrix(dim, degree)
     # a zero row stands in for an empty matrix (degree < n)
     mat = np.zeros((max(len(lap), 1), len(monos)))
     mat[:len(lap)] = lap
     _, s, vt = np.linalg.svd(mat)
     rank = int(np.sum(s > 1e-9 * max(s[0], 1.0))) if len(lap) else 0
-    exps = np.array(monos, dtype=np.int64)
-    return [Polynomial._of(dim, exps, np.where(np.abs(v) > 1e-13, v, 0.0)) for v in vt[rank:]]
+    null = vt[rank:]
+    return np.array(monos, dtype=np.int64), np.where(np.abs(null) > 1e-13, null, 0.0)
 
 
 def case_green_inverse(result: CaseResult):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -240,3 +241,84 @@ class TestDocumentPaths:
         doc = json.loads(rep.to_json())
         assert "budget" in doc["errors"]["tau"]
         assert "budget" in doc["errors"]["volume"]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("name,params", [
+        ("cone", {"a": "abc"}), ("cone", {"a": None}), ("cone", {"a": [1]}),
+        ("cone", {"a": 1e400}), ("huber", {"c": "nan"}), ("cone", {"a": True}),
+        ("planted", {"seed": 1.5}), ("planted", {"seed": -80000}),
+        ("planted", {"degree": -1}),
+    ])
+    def test_bad_builtin_params_exit_1(self, tmp_path, capsys, name, params):
+        spec = write_spec(tmp_path, {"n": 2, "kind": "builtin", "name": name,
+                                     "params": params})
+        code, _, err = run(capsys, "analyze", "--spec", spec)
+        assert code == 1
+        assert err.startswith("input error:") and "Traceback" not in err
+
+    def test_builtin_params_keep_their_labels(self):
+        assert cli.context_from_document(
+            {"n": 2, "kind": "builtin", "name": "cone", "params": {"a": 2}}).label == "cone(a=2.0)[n=2]"
+        assert cli.context_from_document(
+            {"n": 2, "kind": "builtin", "name": "planted",
+             "params": {"seed": 3.0, "degree": 0}}).label == "planted(seed=3,deg=0)[n=2]"
+
+    def test_unsupported_dimension_exits_1(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"n": 6, "kind": "builtin", "name": "gaussian_source"})
+        code, _, err = run(capsys, "analyze", "--spec", spec)
+        assert code == 1
+        assert "supports n" in err
+
+    @pytest.mark.parametrize("nodes", [
+        [[1.0, 0.0], [0.5, 0.0], [2.0, 0.0], [3.0, 0.0]],
+        [[0.1, 0.0], [0.5, 0.0], [2.0, 0.0], [1e400, 0.0]],
+        [[0.1, 0.0], [0.5, 1e400], [2.0, 0.0], [3.0, 0.0]],
+    ], ids=["decreasing", "infinite_radius", "infinite_value"])
+    def test_bad_radial_table_exits_1(self, tmp_path, capsys, nodes):
+        spec = write_spec(tmp_path, {"n": 2, "kind": "radial-table", "nodes": nodes})
+        code, _, err = run(capsys, "analyze", "--spec", spec)
+        assert code == 1
+        assert "radial table" in err
+
+    @pytest.mark.parametrize("kind", ["builtin", "expression"])
+    def test_completeness_hint_must_be_boolean(self, tmp_path, capsys, kind):
+        doc = {"n": 2, "kind": kind, "params": {"completeness_hint": "no"}}
+        doc.update({"name": "flat"} if kind == "builtin" else {"u": "0"})
+        code, _, err = run(capsys, "analyze", "--spec", write_spec(tmp_path, doc))
+        assert code == 1
+        assert "completeness_hint" in err
+
+    def test_builtin_honours_completeness_hint(self):
+        gallery_module = importlib.import_module("qflatlab.gallery")
+        gallery_module._build_cached.cache_clear()
+        doc = {"n": 2, "kind": "builtin", "name": "cone",
+               "params": {"a": 0.5, "completeness_hint": False}}
+        rep = cli.run_analysis(doc)
+        assert rep.completeness == "assumed_incomplete"
+        info = gallery_module._build_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+        # the hint stays on the document's context, not on the gallery's
+        assert qflatlab.gallery("cone", {"a": 0.5}, 2).completeness_hint is None
+
+    def test_other_params_rejected_for_expressions(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"n": 2, "kind": "expression", "u": "0",
+                                     "params": {"a": 1.0}})
+        code, _, err = run(capsys, "analyze", "--spec", spec)
+        assert code == 1
+        assert "$.params" in err
+
+    def test_sweep_value_not_a_number_exits_1(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"n": 2, "kind": "builtin", "name": "cone"})
+        code, out, err = run(capsys, "sweep", "--param", "a", "--values", "0.5,abc",
+                             "--spec", spec)
+        assert code == 1
+        assert "'abc' is not a number" in err and out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "1e400"])
+    def test_non_finite_sweep_value_is_a_row_error(self, tmp_path, capsys, value):
+        spec = write_spec(tmp_path, {"n": 2, "kind": "builtin", "name": "cone"})
+        code, out, _ = run(capsys, "sweep", "--param", "a", f"--values={value}",
+                           "--spec", spec)
+        assert code == 0
+        assert "finite number" in out.strip().splitlines()[1]
