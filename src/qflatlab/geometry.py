@@ -34,6 +34,7 @@ VOLUME_REL_TOL = 1e-6     # conformal volumes behind tau and measure distances
 RAY_REL_TOL = 1e-8        # ray lengths and the head of total volumes
 SAMPLED_RAYS = 8          # directions sampled for non-radial diameters
 SAMPLED_RAYS_SEED = 4099
+SHELL_RADII = 24          # radii per sphere-rule evaluation of non-radial volume blocks
 
 
 @dataclass(eq=False)
@@ -285,11 +286,18 @@ def volume_classification(ctx: MetricContext) -> DiameterReport:
     else:
         origin = np.zeros(n)
 
-        def log_integrand(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
+        def shells(t):
             pts, wts = shell_points(n, 16, origin, t)
             uv = ctx.u(pts).reshape(len(t), len(wts))
             return logsumexp(n * uv + np.log(wts)[None, :], axis=1) + (n - 1) * np.log(t)
+
+        def log_integrand(t):
+            # a condensation block asks for up to 12 panels of radii at
+            # once; shells of SHELL_RADII radii keep the points of one
+            # evaluation (150k at n = 4) as few as one panel needs
+            t = np.atleast_1d(np.asarray(t, dtype=float))
+            return np.concatenate([shells(t[i:i + SHELL_RADII])
+                                   for i in range(0, len(t), SHELL_RADII)])
 
     _, total = _condensed_total(log_integrand, 2.0,
                                 lambda: conformal_volume(ctx, 2.0, rel_tol=RAY_REL_TOL))
