@@ -367,7 +367,7 @@ def decompose(w: ScalarField, f: ScalarField, sample_set=None, max_degree=None,
         pts = decompose_samples(n, seed=seed) if sample_set is None else np.asarray(sample_set)
         radii = np.linalg.norm(pts, axis=1)
         labels = monomials_upto(n, max_degree)
-        samples = f"seed={seed}, {len(pts)} points"
+        samples = f"seed={seed}, {len(pts)} points, radii"
     if len(radii) < 3 * len(labels):
         raise QflatError(
             f"underdetermined decomposition: {len(radii)} samples for "
@@ -409,7 +409,7 @@ def decompose(w: ScalarField, f: ScalarField, sample_set=None, max_degree=None,
         fit_residual=rms,
         nonconstant=bool(np.any(significant & (degrees >= 1))),
         std_errors=dict(zip(labels, se.tolist())),
-        sample_spec=f"{samples}, radii [{radii.min():g}, {radii.max():g}]",
+        sample_spec=f"{samples} [{radii.min():g}, {radii.max():g}]",
     )
 
 

@@ -244,13 +244,11 @@ def segment_integrals(f, edges, rel_tol, abs_tol):
             raise QuadratureError(
                 f"non-finite segment integral on {_segment_list(edges, seg[bad])}")
         if total is None:
-            total = np.zeros((len(fine), len(lo)))
+            total, first = np.zeros((2, len(fine), len(lo)))
             floor = np.broadcast_to(abs_tol, total.shape)
-            first = total.copy()
             np.add.at(first.T, seg, fine.T)
-            first = rel_tol * np.abs(first)
         tol = np.maximum(np.maximum(rel_tol * np.abs(fine), floor[:, seg]),
-                         share * first[:, seg])
+                         share * rel_tol * np.abs(first[:, seg]))
         done = np.all(err <= tol, axis=0)
         np.add.at(total.T, seg[done], fine[:, done].T)
         keep = ~done
