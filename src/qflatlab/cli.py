@@ -20,6 +20,7 @@ import sys
 import numpy as np
 from jsonschema import Draft202012Validator
 
+from .constants import sphere_constants
 from .errors import InputError, QflatError
 from .fields import Dimension, RadialProfile, ScalarField, field_from_expression
 from .gallery import gallery, gallery_entries
@@ -72,6 +73,7 @@ def context_from_document(doc) -> MetricContext:
     validate_spec_document(doc)
     n = int(doc["n"])
     dim = Dimension(n)
+    sphere_constants(n)   # DimensionError when n is too large for doubles
     params = dict(doc.get("params") or {})
     hint = params.pop("completeness_hint", None)
     if hint is not None and not isinstance(hint, bool):

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import DimensionError
 from .fields import Dimension
 
 
@@ -31,11 +32,20 @@ class SphereConstants:
 
 @lru_cache(maxsize=None)
 def sphere_constants(n: int) -> SphereConstants:
+    """The constants of dimension n.  Raises DimensionError when one of them
+    is not a finite, nonzero double, as (n-1)! |S^n| overflows from n = 172."""
     Dimension(n)
-    s_n = 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
-    s_nm1 = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
-    omega = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    green = 2.0 / (math.factorial(n - 1) * s_n)
+    try:
+        s_n = 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
+        s_nm1 = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
+        omega = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+        green = 2.0 / (math.factorial(n - 1) * s_n)
+        usable = all(math.isfinite(c) and c != 0.0 for c in (s_n, s_nm1, omega, green))
+    except OverflowError:
+        usable = False
+    if not usable:
+        raise DimensionError(f"dimension {n} is too large: its sphere constants "
+                             "are not finite, nonzero doubles")
     return SphereConstants(
         dim=n,
         sphere_volume=s_n,

@@ -45,6 +45,8 @@ def _slope(t, y):
 
 
 def _split_fit(t, y, radii):
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise QflatError("exponent fit needs finite samples")
     order = np.argsort(t)
     t, y = t[order], y[order]
     if len(t) < 4:
@@ -70,12 +72,18 @@ def fit_loglog(radii, values, abscissa=None) -> GrowthEstimate:
     The window recorded (and the two-decade confidence rule) always refers
     to the radii.
     """
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
-    x = radii if abscissa is None else np.asarray(abscissa, dtype=float)
-    if np.any(values <= 0) or np.any(x <= 0):
+    x = np.asarray(radii if abscissa is None else abscissa, dtype=float)
+    if np.any(x <= 0):
         raise QflatError("log-log fit needs strictly positive samples")
-    return _split_fit(np.log(x), np.log(values), radii)
+    return fit_log_slope(np.log(x), values, radii)
+
+
+def fit_log_slope(t, values, radii) -> GrowthEstimate:
+    """Slope of log(values) against t, for an abscissa known by its log."""
+    values = np.asarray(values, dtype=float)
+    if np.any(values <= 0):
+        raise QflatError("log-log fit needs strictly positive samples")
+    return _split_fit(np.asarray(t, dtype=float), np.log(values), np.asarray(radii, dtype=float))
 
 
 def fit_linear_logx(radii, values) -> GrowthEstimate:

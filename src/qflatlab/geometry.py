@@ -25,7 +25,7 @@ from .calculus import ball_integral
 from .constants import sphere_constants
 from .errors import GridError, QflatError, RangeOverflowError
 from .fields import ScalarField, check_point, radial_field
-from .fitting import GrowthEstimate, fit_loglog, require_window
+from .fitting import GrowthEstimate, fit_log_slope, fit_loglog, require_window
 from .quadrature import (TailClassification, classify_log_blocks, integrate_radial,
                          log_condensation_blocks, segment_integrals, shell_points)
 
@@ -42,16 +42,14 @@ class MetricContext:
     """A conformally flat metric e^{2u}|dx|^2 plus cached structure.
 
     completeness_hint is user-asserted and only recorded; density, when
-    present, is the curvature density (-Delta)^{n/2} u as a ScalarField
-    (closed form for flat, sphere, cone, gaussian_source and planted, the
-    jet density of u for huber), and density_tractable marks densities
-    whose potential is cheap enough for decomposition fits.
+    present, is the curvature density (-Delta)^{n/2} u as a ScalarField:
+    closed form for flat, sphere, cone, gaussian_source and planted, the
+    jet density of u (caps.source set) for huber.
     """
 
     u: ScalarField
     completeness_hint: bool | None = None
     density: ScalarField | None = None
-    density_tractable: bool = False
     label: str = ""
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -136,7 +134,8 @@ def volume_growth(ctx: MetricContext, radii) -> GrowthEstimate:
                                            VOLUME_REL_TOL, 0.0)[0])
     else:
         vols = np.array([conformal_volume(ctx, R) for R in radii])
-    return fit_loglog(radii, vols, abscissa=omega * radii ** n)
+    # log |B_R| as log omega_n + n log R: omega_n R^n overflows at R = 1e7 from n = 46
+    return fit_log_slope(math.log(omega) + n * np.log(radii), vols, radii)
 
 
 def measure_distance(ctx: MetricContext, x, y) -> float:

@@ -568,7 +568,8 @@ def analyze_normality(ctx: MetricContext, config: AnalysisConfig | None = None,
         criteria[key] = result or {"verdict": "error", "error": errors[key]}
 
     decomposition = dec = None
-    if ctx.density is not None and ctx.density_tractable:
+    # a closed-form density; a jet density (huber's) has no cheap potential
+    if ctx.density is not None and ctx.density.caps.source is None:
         dec = attempt("decomposition", lambda: decompose(ctx.u, ctx.density, seed=cfg.seed))
     if dec is not None:
         decomposition = {

@@ -55,6 +55,8 @@ PANEL_BLOCK = 128         # panels (46 nodes each) per integrand call of segment
 # coordinates at n = 6.  The largest evaluation at n <= 4, sphere_shell at
 # resolution 48 on 31 radii, has 6.3M points.
 POINT_BUDGET = 2 ** 23
+# Points per integrand call of shell_product_rule: whole radii, at least one.
+PRODUCT_RULE_POINTS = 2 ** 17
 
 
 @lru_cache(maxsize=None)
@@ -554,14 +556,20 @@ def sphere_shell(f, n, center, radii, tol):
 def shell_product_rule(f, n, center, a, b, resolution, order):
     """Integral of f over the shell a <= |y - center| <= b by a fixed
     product rule: Gauss-Legendre of the given order in the radius times
-    sphere_rule(n, resolution)."""
+    sphere_rule(n, resolution).  f is called on as many whole radii as
+    fit in PRODUCT_RULE_POINTS points (one radius when none fit)."""
     x, w = gl_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     t = mid + half * x
     wr = w * half * t ** (n - 1)
-    pts, wts = shell_points(n, resolution, center, t)
-    vals = np.asarray(f(pts), dtype=float).reshape(len(t), len(wts))
-    return float(np.einsum("i,j,ij->", wr, wts, vals))
+    _check_budget(n, resolution, len(t))
+    step = max(PRODUCT_RULE_POINTS // _rule_size(n, resolution), 1)
+    total = 0.0
+    for i in range(0, len(t), step):
+        pts, wts = shell_points(n, resolution, center, t[i:i + step])
+        vals = np.asarray(f(pts), dtype=float).reshape(-1, len(wts))
+        total += float(np.einsum("i,j,ij->", wr[i:i + step], wts, vals))
+    return total
 
 
 def cap_angle_integral(n, x):

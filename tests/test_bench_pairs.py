@@ -1,0 +1,55 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+END_TO_END = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+              {"name": "ok_frac", "unit": "frac", "better": "higher", "bound": 0.02}]
+
+
+def run(wall, ok=1.0, correct=True):
+    return {"correct": correct, "failed": 0, "metrics": {"wall_s": wall, "ok_frac": ok}}
+
+
+def test_summary_of_hand_made_pairs():
+    pairs = [{"first": "parent", "parent": run(1.0), "change": run(0.9)},
+             {"first": "change", "parent": run(2.0), "change": run(2.5)},
+             {"first": "parent", "parent": run(3.0), "change": run(0.8, ok=0.5)},
+             {"first": "change", "parent": run(4.0), "change": run(0.7)},
+             {"first": "parent", "parent": run(5.0), "change": run(0.6)}]
+    s = bench_pairs.summarize(pairs, END_TO_END)
+    wall = s["wall_s"]
+    assert wall["parent_median"] == 3.0
+    assert wall["change_median"] == 0.8
+    assert wall["parent_iqr"] == pytest.approx(2.0)   # quartiles 2 and 4
+    assert wall["pairs_compared"] == 5
+    assert wall["change_wins"] == 4
+    assert (wall["better"], wall["bound"]) == ("lower", 0.25)
+    ok = s["ok_frac"]
+    assert (ok["parent_median"], ok["change_median"], ok["parent_iqr"]) == (1.0, 1.0, 0.0)
+    assert ok["change_wins"] == 0    # ties and losses are not wins
+
+
+def test_incorrect_runs_are_left_out():
+    pairs = [{"first": "parent", "parent": run(1.0), "change": run(9.0, correct=False)},
+             {"first": "change", "parent": run(2.0), "change": run(1.5)},
+             {"first": "parent", "parent": {"correct": False, "error": "exit 1: boom"},
+              "change": run(1.0)}]
+    wall = bench_pairs.summarize(pairs, END_TO_END)["wall_s"]
+    assert wall["parent_median"] == 1.5
+    assert wall["change_median"] == 1.25
+    assert wall["pairs_compared"] == 1
+    assert wall["change_wins"] == 1
+
+
+def test_no_correct_run_has_no_median():
+    pairs = [{"first": "parent", "parent": run(1.0, correct=False),
+              "change": run(1.0, correct=False)}]
+    wall = bench_pairs.summarize(pairs, END_TO_END)["wall_s"]
+    assert wall["parent_median"] is None and wall["change_median"] is None
+    assert wall["parent_iqr"] == 0.0 and wall["pairs_compared"] == 0

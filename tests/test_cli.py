@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import qflatlab
 from qflatlab import cli
+from qflatlab.geometry import volume_growth
 
 
 def run(capsys, *argv):
@@ -263,6 +265,21 @@ class TestInputContract:
         assert cli.context_from_document(
             {"n": 2, "kind": "builtin", "name": "planted",
              "params": {"seed": 3.0, "degree": 0}}).label == "planted(seed=3,deg=0)[n=2]"
+
+    def test_large_dimension_volume_growth_stays_finite(self):
+        # omega_n R^n overflows at n = 46 on the tau radii, which reach 1e7
+        ctx = cli.context_from_document({"n": 46, "kind": "expression",
+                                         "u": "-log(1+r^2)"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = volume_growth(ctx, np.geomspace(10.0, 1e7, 26))
+        assert tau.exponent == pytest.approx(0.0, abs=1e-9)
+
+    def test_dimension_beyond_doubles_exits_1(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"n": 172, "kind": "expression", "u": "-log(1+r^2)"})
+        code, _, err = run(capsys, "analyze", "--spec", spec)
+        assert code == 1
+        assert "too large" in err and "Traceback" not in err
 
     def test_unsupported_dimension_exits_1(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"n": 6, "kind": "builtin", "name": "gaussian_source"})

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qflatlab import (DimensionError, GrowthEstimate, cohn_vossen_bound,
+from qflatlab import (DimensionError, GrowthEstimate, QflatError, cohn_vossen_bound,
                       fit_loglog, sphere_constants)
 import numpy as np
 
@@ -30,6 +30,13 @@ def test_odd_dimension_rejected():
         sphere_constants(5)
 
 
+@pytest.mark.parametrize("n", [172, 400])
+def test_dimension_beyond_doubles_rejected(n):
+    # (n-1)! |S^n| overflows from n = 172, Gamma((n+1)/2) from n = 343
+    with pytest.raises(DimensionError, match="too large"):
+        sphere_constants(n)
+
+
 class TestFitEnvelope:
     def test_sup_inf_bracket(self):
         # a slope drifting upward: inf < full-window slope < sup
@@ -44,6 +51,14 @@ class TestFitEnvelope:
         radii = np.geomspace(1.0, 50.0, 12)
         est = fit_loglog(radii, radii ** 2)
         assert est.low_confidence
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_samples_rejected(self, bad):
+        radii = np.geomspace(1.0, 1e4, 16)
+        with pytest.raises(QflatError, match="finite"):
+            fit_loglog(radii, radii, abscissa=np.where(radii > 1e3, bad, radii))
+        with pytest.raises(QflatError, match="finite"):
+            fit_loglog(radii, np.where(radii > 1e3, bad, radii))
 
     def test_exact_powerlaw(self):
         radii = np.geomspace(1.0, 1e4, 16)

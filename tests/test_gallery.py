@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qflatlab import (DimensionError, InputError, Polynomial, eval_field,
-                      gallery, gallery_entries, gallery_facts, total_mass_alpha)
+from qflatlab import (DimensionError, InputError, Polynomial, analyze_normality,
+                      eval_field, gallery, gallery_entries, gallery_facts,
+                      total_mass_alpha)
 from qflatlab.calculus import radial_laplacian_batch
-from qflatlab.gallery import _log_one_plus_s_chain
 
 
 class TestBuilders:
@@ -64,11 +64,36 @@ class TestExactChains:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_sphere_chain_reproduces_curvature(self, n):
         m = n // 2
-        chain = _log_one_plus_s_chain(-1, n, m)
+        chain = gallery("sphere", {}, n).u.caps.laplacian_chain
         r = np.array([0.0, 0.7, 2.3, 11.0])
-        got = (-1.0) ** m * chain[-1](r)
+        got = (-1.0) ** m * chain[-1](np.outer(r, np.eye(n)[0]))
         want = math.factorial(n - 1) * (2.0 / (1.0 + r * r)) ** n
         assert np.allclose(got, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("name,params,a", [("flat", {}, 0.0), ("sphere", {}, 2.0),
+                                               ("cone", {"a": 0.5}, 0.5),
+                                               ("cone", {"a": 2.0}, 2.0)])
+    def test_log_family_chain_is_exact(self, name, params, a, n):
+        ctx = gallery(name, params, n)
+        r = np.array([0.0, 0.7, 2.3, 11.0, 1e3])
+        pts = np.outer(r, np.eye(n)[0])
+        s = r * r
+        chain = ctx.u.caps.laplacian_chain
+        assert len(chain) == n // 2
+        np.testing.assert_allclose(chain[0](pts),
+                                   -(a / 2) * (2 * n + (2 * n - 4) * s) / (1 + s) ** 2,
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose((-1.0) ** (n // 2) * chain[-1](pts), ctx.density(pts),
+                                   rtol=1e-13, atol=0)
+
+    def test_decomposition_needs_a_closed_form_density(self):
+        for name, params, n in (("flat", {}, 2), ("sphere", {}, 2), ("cone", {"a": 0.5}, 2),
+                                ("gaussian_source", {"mass": 0.5}, 2),
+                                ("planted", {"seed": 0, "degree": 0}, 2)):
+            report = analyze_normality(gallery(name, params, n))
+            assert report.decomposition is not None, name
+        assert analyze_normality(gallery("huber", {"c": 0.0}, 2)).decomposition is None
 
     def test_cone_chain_matches_jets(self):
         ctx = gallery("cone", {"a": 0.6}, 4)
@@ -133,8 +158,8 @@ class TestGaussianAndPlanted:
 
 
 def test_huber_n6_smoke():
-    # higher even dimensions are smoke-grade: the transition annulus uses
-    # numeric sixth-derivative jets, the far field the exact span recursion
+    # higher even dimensions are smoke-grade: alpha0 is the boundary flux of
+    # u read from numeric radial jets, over 12 decades only
     ctx = gallery("huber", {"c": -0.5}, 6)
     est = total_mass_alpha(ctx.density)
     assert est.alpha_hat == pytest.approx(1.0, abs=0.05)

@@ -69,6 +69,20 @@ def test_product_rule_matches_exact_ball_mean(n):
     assert got == pytest.approx(ball_mean_poly(p, center, R) * vol, abs=1e-12)
 
 
+def test_product_rule_evaluates_few_radii_at_a_time():
+    # int_{B_2} e^{-|y|^2} dy = pi^2 (1 - 5 e^{-4}) in n = 4; the rule has
+    # 36 radii of 82,944 directions, which one integrand call would hold
+    tracemalloc.start()
+    try:
+        got = shell_product_rule(lambda pts: np.exp(-np.einsum("ij,ij->i", pts, pts)),
+                                 4, np.zeros(4), 0.0, 2.0, 36, 36)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert got == pytest.approx(math.pi ** 2 * (1 - 5 * math.exp(-4)), rel=1e-13, abs=0)
+
+
 def test_running_integrals_match_closed_form():
     # int_0^R e^{-r} r^3 dr = 6 - e^{-R} (R^3 + 3R^2 + 6R + 6), as the
     # cumulative sums of one segment_integrals pass over [0, R_1, ..., R_9]

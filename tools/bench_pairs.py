@@ -1,0 +1,107 @@
+"""Paired benchmark runs of two checkouts of qflatlab.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out FILE
+        [--workloads all] [--pairs 5] [--seed 1]
+
+Each pair runs ``python3 perfbench/run.py --workload W --seed S --trace 0
+--seconds T`` once in each checkout, one process at a time, where T is the
+``run_seconds`` of the change's BENCHMARK.json.  The side that runs first
+alternates from pair to pair.  The output file holds every run's end-to-end
+metrics and, per workload and metric, the median of each side, the
+parent's interquartile range, the number of pairs the change won and the
+metric's bound from BENCHMARK.json.  A run whose result says
+``"correct": false``, or that ends without a result, is kept in the file
+but left out of the medians and the wins.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One run.py process in checkout: {"correct", "failed", "metrics"},
+    or {"correct": False, "error"} when it gives no result."""
+    cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--trace", "0", "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        return {"correct": bool(result["correct"]), "failed": result["failed"],
+                "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+    except (IndexError, KeyError, ValueError):
+        tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        return {"correct": False, "error": f"exit {proc.returncode}: {tail}"}
+
+
+def _quartile_spread(values):
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(pairs, end_to_end):
+    """Per metric of end_to_end (BENCHMARK.json entries with name, better
+    and bound): the median of each side over its correct runs, the
+    parent's interquartile range, the pairs where both runs are correct,
+    and how many of those the change won (strictly better)."""
+    out = {}
+    for spec in end_to_end:
+        name, lower = spec["name"], spec["better"] == "lower"
+        sides = {side: [p[side]["metrics"][name] for p in pairs
+                        if p[side]["correct"] and name in p[side]["metrics"]]
+                 for side in SIDES}
+        both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
+                if all(p[s]["correct"] and name in p[s]["metrics"] for s in SIDES)]
+        medians = {side: statistics.median(v) if v else None for side, v in sides.items()}
+        out[name] = {
+            "parent_median": medians["parent"],
+            "change_median": medians["change"],
+            "parent_iqr": _quartile_spread(sides["parent"]),
+            "pairs_compared": len(both),
+            "change_wins": sum((c < p) if lower else (c > p) for p, c in both),
+            "better": spec["better"],
+            "bound": spec["bound"],
+        }
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--workloads", default="all")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    bench = json.loads((Path(args.change) / "BENCHMARK.json").read_text())
+    names = ([w["name"] for w in bench["workloads"]] if args.workloads == "all"
+             else args.workloads.split(","))
+    checkouts = {"parent": args.parent, "change": args.change}
+    report = {"seed": args.seed, "run_seconds": bench["run_seconds"],
+              "pairs_per_workload": args.pairs, "workloads": {}}
+    for workload in names:
+        pairs = []
+        for i in range(args.pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run_once(checkouts[side], workload, args.seed,
+                                      bench["run_seconds"])
+                print(f"{workload} pair {i + 1} {side}: {pair[side]}", flush=True)
+            pairs.append(pair)
+        report["workloads"][workload] = {
+            "pairs": pairs, "summary": summarize(pairs, bench["end_to_end"])}
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
