@@ -138,7 +138,7 @@ def cmd_verify(args):
         print(canonical_json(summary.to_json_dict()))
     else:
         for case in summary.cases:
-            mark = "PASS" if case.status == "passed" else "FAIL"
+            mark = {"passed": "PASS", "failed": "FAIL"}.get(case.status, "INCONCLUSIVE")
             print(f"[{mark}] {case.id}: {case.description} ({case.elapsed:.1f}s)")
             for check in case.checks:
                 if not check.passed:

@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
-from scipy.special import logsumexp
 
 from .calculus import ball_integral
 from .constants import sphere_constants
@@ -27,7 +26,8 @@ from .errors import GridError, QflatError, RangeOverflowError
 from .fields import ScalarField, check_point, radial_field
 from .fitting import GrowthEstimate, fit_log_slope, fit_loglog, require_window
 from .quadrature import (TailClassification, classify_log_blocks, integrate_radial,
-                         log_condensation_blocks, segment_integrals, shell_points)
+                         log_condensation_blocks, log_sum_exp, segment_integrals,
+                         shell_points)
 
 EXP_OVERFLOW = 700.0
 VOLUME_REL_TOL = 1e-6     # conformal volumes behind tau and measure distances
@@ -288,12 +288,13 @@ def volume_classification(ctx: MetricContext) -> DiameterReport:
         def shells(t):
             pts, wts = shell_points(n, 16, origin, t)
             uv = ctx.u(pts).reshape(len(t), len(wts))
-            return logsumexp(n * uv + np.log(wts)[None, :], axis=1) + (n - 1) * np.log(t)
+            return log_sum_exp(n * uv + np.log(wts)[None, :], axis=1) + (n - 1) * np.log(t)
 
         def log_integrand(t):
-            # a condensation block asks for up to 12 panels of radii at
-            # once; shells of SHELL_RADII radii keep the points of one
-            # evaluation (150k at n = 4) as few as one panel needs
+            # a condensation pass asks for all of its panels' radii at
+            # once (984 from r = 2); shells of SHELL_RADII radii keep the
+            # points of one evaluation (150k at n = 4) as few as one panel
+            # needs
             t = np.atleast_1d(np.asarray(t, dtype=float))
             return np.concatenate([shells(t[i:i + SHELL_RADII])
                                    for i in range(0, len(t), SHELL_RADII)])

@@ -17,7 +17,8 @@ Four layers:
 * finite-vs-infinite classification of positive improper integrals through
   log-space condensation blocks over radii log2 R_{j+1} = 1.5 log2 R_j,
   which stay decisive even for borderline tails like 1/(t log^c t)
-  (``log_condensation_blocks``, ``classify_log_blocks``);
+  (``log_condensation_blocks``, ``classify_log_blocks``), reduced by
+  ``log_sum_exp``, scipy's log-sum-exp arithmetic without its dispatch;
 * sphere shells and balls: the adaptive shell integral ``sphere_shell``,
   the fixed radius-times-sphere product rule ``shell_product_rule``, both
   evaluated on ``shell_points`` within POINT_BUDGET points, and the exact
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NonIntegrableError, QuadratureError
 
@@ -379,6 +379,63 @@ class TailClassification:
     log_tail_estimate: float     # log of extrapolated remainder (finite case)
 
 
+def log_sum_exp(a, axis=None):
+    """log(sum(exp(a))) over axis (over every entry when axis is None),
+    bit for bit as scipy.special.logsumexp computes it for real input, but
+    without its per-call dispatch, which dominates on the short rows of a
+    condensation pass.
+
+    The entries equal to the maximum of a slice are counted (m) and left
+    out of the shifted sum s, which is then divided by m; the result is
+    log1p(s) + log(m) + max.  A slice whose result is not finite (a NaN,
+    a +inf, or only -inf entries) takes log(sum(exp(a))) instead, and an
+    empty slice gives -inf.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.size == 0:
+        return np.full(np.sum(a, axis=axis).shape, -np.inf)[()]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        top = a == a_max
+        m = np.sum(top, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not np.all(finite):
+            with np.errstate(over="ignore"):
+                direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    return np.squeeze(out, axis=axis)[()]
+
+
+@lru_cache(maxsize=8)
+def _condensation_grid(r_start):
+    """(t, log(half), bounds) of the condensation pass from r_start: the
+    GL nodes in t = log r of every panel of every block (one row per
+    panel), the log half-width of each panel, and the first panel of each
+    block followed by the panel count."""
+    exps = []
+    e = math.log2(r_start)
+    while e <= MAX_LOG2_RADIUS:
+        exps.append(e)
+        e *= CONDENSATION_GROWTH
+    x, _ = gl_rule(CONDENSATION_ORDER)
+    ts, halves, bounds = [np.empty((0, CONDENSATION_ORDER))], [np.empty(0)], [0]
+    for lo_e, hi_e in zip(exps[:-1], exps[1:]):
+        ta, tb = lo_e * math.log(2.0), hi_e * math.log(2.0)
+        n_panels = max(1, int(math.ceil((tb - ta) / CONDENSATION_PANEL_WIDTH)))
+        edges = np.linspace(ta, tb, n_panels + 1)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        ts.append(mid[:, None] + half[:, None] * x)
+        halves.append(half)
+        bounds.append(bounds[-1] + n_panels)
+    t, log_half = np.concatenate(ts), np.log(np.concatenate(halves))
+    for arr in (t, log_half):
+        arr.setflags(write=False)
+    return t, log_half, tuple(bounds)
+
+
 def log_condensation_blocks(log_f, r_start=2.0):
     """Log-space block integrals of exp(log_f(r)) dr over [R_j, R_{j+1}],
     where log2 R_{j+1} = 1.5 log2 R_j starting from R_0 = r_start, up to
@@ -394,27 +451,27 @@ def log_condensation_blocks(log_f, r_start=2.0):
     4 (a single rule cannot follow exponential decay across a block
     spanning dozens of e-folds), reduced with log-sum-exp per panel and
     then per block, so factors like e^{n u} r^{n-1} never overflow.
-    ``log_f`` receives the radii of all panels of one block at once and
-    returns the log of the (positive) integrand.
+    ``log_f`` receives the radii of every panel of every block in one call
+    (984 from r_start = 2) and returns the log of the (positive)
+    integrand; -inf is an exact zero, while NaN or +inf raises
+    QuadratureError naming the first such radius.
     """
-    exps = []
-    e = math.log2(r_start)
-    while e <= MAX_LOG2_RADIUS:
-        exps.append(e)
-        e *= CONDENSATION_GROWTH
-    x, w = gl_rule(CONDENSATION_ORDER)
-    logw = np.log(w)
-    logs = []
-    for lo_e, hi_e in zip(exps[:-1], exps[1:]):
-        ta, tb = lo_e * math.log(2.0), hi_e * math.log(2.0)
-        n_panels = max(1, int(math.ceil((tb - ta) / CONDENSATION_PANEL_WIDTH)))
-        edges = np.linspace(ta, tb, n_panels + 1)
-        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-        t = mid[:, None] + half[:, None] * x
-        ell = np.asarray(log_f(np.exp(t).ravel()), dtype=float).reshape(t.shape) + t
-        pieces = logsumexp(ell + logw + np.log(half)[:, None], axis=1)
-        logs.append(float(logsumexp(pieces)))
-    return np.array(logs)
+    t, log_half, bounds = _condensation_grid(float(r_start))
+    if not t.size:
+        return np.array([])
+    r = np.exp(t).ravel()
+    vals = np.asarray(log_f(r), dtype=float)
+    bad = np.isnan(vals) | (vals == np.inf)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise QuadratureError(
+            f"non-finite log integrand {vals[i]} at r = {r[i]:.6g} in the "
+            f"condensation blocks from r = {r_start:g}")
+    _, w = gl_rule(CONDENSATION_ORDER)
+    ell = vals.reshape(t.shape) + t
+    pieces = log_sum_exp(ell + np.log(w) + log_half[:, None], axis=1)
+    return np.array([float(log_sum_exp(pieces[lo:hi]))
+                     for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 def classify_log_blocks(log_blocks):

@@ -8,6 +8,7 @@ pass/fail record per check.
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +58,12 @@ class CaseResult:
 
     @property
     def status(self):
+        """failed on an error or a failed check; inconclusive when the
+        case checked nothing."""
         if self.error:
             return "failed"
+        if not self.checks:
+            return "inconclusive"
         return "passed" if all(c.passed for c in self.checks) else "failed"
 
     def expect_close(self, quantity, got, expected, tol):
@@ -374,7 +379,7 @@ def run_verification_suite(filter_str=None) -> SuiteSummary:
         if filter_str and filter_str not in cid and filter_str not in desc:
             continue
         cases.append(run_case(cid))
-    passed = sum(1 for c in cases if c.status == "passed")
-    failed = sum(1 for c in cases if c.status == "failed")
-    return SuiteSummary(passed=passed, failed=failed, inconclusive=0,
-                        cases=cases, elapsed=time.time() - t0)
+    tally = Counter(c.status for c in cases)
+    return SuiteSummary(passed=tally["passed"], failed=tally["failed"],
+                        inconclusive=tally["inconclusive"], cases=cases,
+                        elapsed=time.time() - t0)

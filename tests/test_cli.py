@@ -221,6 +221,24 @@ class TestVerifyAndGallery:
         assert code == 3
         assert "[FAIL]" in out
 
+    def test_case_without_checks_is_inconclusive(self, capsys, monkeypatch):
+        from qflatlab import verification
+        from qflatlab.verification import CaseResult
+
+        assert CaseResult(id="x", description="no checks").status == "inconclusive"
+        assert CaseResult(id="x", description="no checks", error="boom").status == "failed"
+        monkeypatch.setattr(verification, "CASES", [
+            ("empty", "checks nothing", lambda result: None, None),
+            ("one", "one passing check", lambda result: result.expect_true("q", True), None),
+        ])
+        summary = verification.run_verification_suite()
+        assert (summary.passed, summary.failed, summary.inconclusive) == (1, 0, 1)
+        assert summary.to_json_dict()["inconclusive"] == 1
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        assert "[INCONCLUSIVE] empty" in out
+        assert "1 passed, 0 failed, 1 inconclusive" in out
+
     def test_verify_json_mode(self, capsys):
         code, out, _ = run(capsys, "verify", "--filter", "potential_golden", "--json")
         assert code == 0

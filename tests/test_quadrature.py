@@ -10,7 +10,7 @@ from qflatlab import (Dimension, Polynomial, QuadratureError, ball_mean_poly,
 from qflatlab.quadrature import (CONDENSATION_PANEL_WIDTH, POINT_BUDGET,
                                  decade_mass_integral, gl_rule, integrate_radial,
                                  integrate_radial_estimate, log_condensation_blocks,
-                                 segment_integrals, shell_points, shell_product_rule,
+                                 log_sum_exp, segment_integrals, shell_points, shell_product_rule,
                                  sphere_rule, sphere_shell)
 from scipy.special import logsumexp
 
@@ -130,6 +130,73 @@ def test_condensation_blocks_match_per_panel_loop(log_f):
     got = log_condensation_blocks(log_f)
     assert len(got) == 13
     assert got.tolist() == _per_panel_blocks(log_f).tolist()
+
+
+def _log_sum_exp_cases():
+    """Seeded arrays for log_sum_exp: ties at the max, +-inf, NaN, rows of
+    -inf only and values near +-700, in 1-D and 2-D."""
+    rng = np.random.default_rng(20261019)
+    cases = [np.array([700.0, 700.0, -700.0]), np.array([-np.inf, -np.inf]),
+             np.array([np.inf, 1.0, np.inf]), np.array([np.nan, 0.0]),
+             np.array([-np.inf, 3.0]), np.array([np.inf, -np.inf]),
+             np.full((3, 5), -np.inf), np.array([[1.0, 1.0], [-np.inf, 709.0]])]
+    for i in range(400):
+        shape = (int(rng.integers(1, 30)),) if i % 2 else tuple(rng.integers(1, 12, size=2))
+        a = rng.normal(size=shape) * rng.choice([1.0, 30.0, 700.0])
+        if i % 3 == 0:
+            a = np.round(a)                              # ties
+        for value, share in ((np.max(a), 0.2), (-np.inf, 0.2), (np.inf, 0.05),
+                             (np.nan, 0.05), (-700.0, 0.1), (705.0, 0.1)):
+            if rng.random() < 0.3:
+                a[rng.random(shape) < share] = value
+        if a.ndim == 2 and rng.random() < 0.3:
+            a[0] = -np.inf
+        cases.append(a)
+    return cases
+
+
+def test_log_sum_exp_matches_scipy_bitwise():
+    for a in _log_sum_exp_cases():
+        for axis in (None, a.ndim - 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ref = logsumexp(a, axis=axis)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")      # no numpy warning escapes
+                got = log_sum_exp(a, axis=axis)
+            assert type(got) is type(ref)
+            assert np.shape(got) == np.shape(ref)
+            assert np.array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(ref).view(np.int64)), (a, axis, got, ref)
+
+
+def test_log_sum_exp_of_nothing_is_minus_inf():
+    assert log_sum_exp([]) == logsumexp([]) == -np.inf
+    assert log_sum_exp(np.empty((3, 0)), axis=1).tolist() == [-np.inf] * 3
+
+
+def test_condensation_pass_calls_log_f_once():
+    sizes = []
+
+    def log_f(r):
+        sizes.append(len(r))
+        return -0.5 * np.log1p(r ** 2)
+
+    log_condensation_blocks(log_f, r_start=2.0)
+    assert sizes == [984]
+
+
+def test_condensation_nonfinite_log_f_raises():
+    # the ray speed of a divergent ray, NaN beyond r = 30: it must not read
+    # as an underflowed (finite) tail
+    def log_f(r):
+        return np.where(r > 30.0, np.nan, 0.5 * np.log1p(r ** 2))
+
+    with pytest.raises(QuadratureError, match=r"non-finite log integrand nan at r = 3\d\.\d"):
+        log_condensation_blocks(log_f)
+    # -inf is an exact zero of the integrand, not an error
+    blocks = log_condensation_blocks(lambda r: np.where(r > 30.0, -np.inf, -np.log(r)))
+    assert np.isneginf(blocks[-1])
 
 
 @pytest.mark.parametrize("walk", ["estimate", "decades"])
