@@ -9,7 +9,8 @@ huber(c)             (1 - eta)(-log r + c log log r)        alpha0 = 1; diameter
                                                             finite iff c < -1, volume
                                                             finite iff c < -1/n
 gaussian_source(m)   potential of a Gaussian of mass m      alpha0 = m, tau = (1-m)+
-planted(seed, deg)   potential + planted polynomial         normal iff deg = 0
+planted(seed, deg)   potential + planted polynomial         normal iff deg = 0;
+                                                            deg 0 is radial, tau = (1-m)+
 
 Flat, sphere and cone are one log family u = c - (a/2) log(1 + r^2)
 (_log_family).  Its iterated Laplacians are -a/2 times those of
@@ -18,7 +19,9 @@ s = r^2 with integer coefficients, so their curvatures carry no
 differencing error.  huber's curvature density is the jet density of u
 (calculus.jet_density), as for expression metrics: it vanishes on the
 plateau r <= 10, and total_mass_alpha reads its mass as a boundary flux
-of u.  Every fact records provenance:
+of u.  planted degree 0 is the radial normal case u = L(f) + c, built as
+a radial field like gaussian_source; degree >= 1 adds a nonconstant
+polynomial and is built by _planted_field.  Every fact records provenance:
 TRIVIAL (immediate), DERIVED (closed form or stated oracle), or PAPER
 (threshold classifications of the log-log example family).
 """
@@ -249,6 +252,37 @@ def _build_gaussian(params, dim):
     return ctx, facts
 
 
+def _planted_field(prof, poly, name):
+    """u = prof(|x|) + poly(x) for a nonconstant planted polynomial, with
+    its Laplacian and gradient as radial jets of prof plus exact polynomial
+    parts."""
+    dim = poly.dim
+    n = dim.n
+    lap_poly = apply_laplacian_poly(poly, 1)
+    grad_poly = poly_gradient(poly)
+
+    def fn(pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        return np.asarray(prof(r), dtype=float) + poly(pts)
+
+    # product-rule shells put many points on few radii: jets are fitted
+    # once per distinct radius and scattered back
+    def lap(pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        r, back = np.unique(np.sqrt(np.einsum("ij,ij->i", pts, pts)), return_inverse=True)
+        return radial_laplacian_batch(prof, r, n, 1)[back] + lap_poly(pts)
+
+    def grad(pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        r, back = np.unique(np.sqrt(np.einsum("ij,ij->i", pts, pts)), return_inverse=True)
+        dphi = radial_jet(prof, r, n).radial_derivative() / np.maximum(r, 1e-300)
+        return dphi[back][:, None] * pts + grad_poly(pts)
+
+    return ScalarField(dim=dim, fn=fn,
+                       caps=FieldCaps(laplacian_chain=(lap,), gradient=grad), name=name)
+
+
 def _build_planted(params, dim):
     seed = int(params.get("seed", 0))
     degree = int(params.get("degree", dim.n - 2))
@@ -278,32 +312,15 @@ def _build_planted(params, dim):
             for j in range(i + 1, n):
                 mi = tuple(1 if k in (i, j) else 0 for k in range(n))
                 coeffs[mi] = float(rng.uniform(-1.0, 1.0))
-    poly = Polynomial(dim, coeffs)
-    lap_poly = apply_laplacian_poly(poly, 1)
-    grad_poly = poly_gradient(poly)
-
-    def fn(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        return np.asarray(prof(r), dtype=float) + poly(pts)
-
-    # product-rule shells put many points on few radii: jets are fitted
-    # once per distinct radius and scattered back
-    def lap(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r, back = np.unique(np.sqrt(np.einsum("ij,ij->i", pts, pts)), return_inverse=True)
-        return radial_laplacian_batch(prof, r, n, 1)[back] + lap_poly(pts)
-
-    def grad(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r, back = np.unique(np.sqrt(np.einsum("ij,ij->i", pts, pts)), return_inverse=True)
-        dphi = radial_jet(prof, r, n).radial_derivative() / np.maximum(r, 1e-300)
-        return dphi[back][:, None] * pts + grad_poly(pts)
-
-    u = ScalarField(dim=dim, fn=fn,
-                    caps=FieldCaps(laplacian_chain=(lap,), gradient=grad),
-                    name=f"planted(seed={seed},deg={degree})")
-    ctx = MetricContext(u=u, density=density, label=f"planted(seed={seed},deg={degree})[n={n}]")
+    name = f"planted(seed={seed},deg={degree})"
+    if degree == 0:
+        # u = L(f) + c is the radial normal case: every stage takes its
+        # radial path
+        const = coeffs[(0,) * n]
+        u = radial_field(lambda r: prof(r) + const, dim, name=name)
+    else:
+        u = _planted_field(prof, Polynomial(dim, coeffs), name)
+    ctx = MetricContext(u=u, density=density, label=f"{name}[n={n}]")
     facts = {
         "alpha0": Fact(mass, "DERIVED", tol=1e-6,
                        oracle="planted Gaussian mass; polynomial part is annihilated"),
@@ -314,6 +331,10 @@ def _build_planted(params, dim):
         "complete": Fact(degree == 0, "DERIVED",
                          oracle="rays along planted negative directions have finite length"),
     }
+    if degree == 0:
+        facts["tau"] = Fact(max(1.0 - mass, 0.0), "DERIVED", tol=0.05,
+                            oracle="potential volume-growth identity; e^{nc} scales "
+                                   "volumes only")
     return ctx, facts
 
 

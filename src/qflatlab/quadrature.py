@@ -414,7 +414,11 @@ def _condensation_grid(r_start):
     """(t, log(half), bounds) of the condensation pass from r_start: the
     GL nodes in t = log r of every panel of every block (one row per
     panel), the log half-width of each panel, and the first panel of each
-    block followed by the panel count."""
+    block followed by the panel count.  The exponents grow by a factor, so
+    the pass must start beyond r = 1."""
+    if not (math.isfinite(r_start) and r_start > 1.0):
+        raise QuadratureError(
+            f"condensation blocks need a finite r_start > 1, got {r_start!r}")
     exps = []
     e = math.log2(r_start)
     while e <= MAX_LOG2_RADIUS:
@@ -439,7 +443,8 @@ def _condensation_grid(r_start):
 def log_condensation_blocks(log_f, r_start=2.0):
     """Log-space block integrals of exp(log_f(r)) dr over [R_j, R_{j+1}],
     where log2 R_{j+1} = 1.5 log2 R_j starting from R_0 = r_start, up to
-    MAX_LOG2_RADIUS.
+    MAX_LOG2_RADIUS.  An r_start that is not a finite number > 1 raises
+    QuadratureError.
 
     For integrands 1/(t log^{-c} t) the block ratios tend to 1.5^{c+1},
     so the finite/infinite thresholds translate into a narrow honest

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qflatlab import (DimensionError, InputError, Polynomial, analyze_normality,
-                      eval_field, gallery, gallery_entries, gallery_facts,
-                      total_mass_alpha)
+from qflatlab import (DimensionError, InputError, Polynomial, PotentialEvaluator,
+                      analyze_normality, eval_field, gallery, gallery_entries,
+                      gallery_facts, restrict_radial, total_mass_alpha)
 from qflatlab.calculus import radial_laplacian_batch
 
 
@@ -141,6 +141,29 @@ class TestGaussianAndPlanted:
     def test_planted_degree_cap(self):
         with pytest.raises(InputError):
             gallery("planted", {"seed": 0, "degree": 3}, 4)
+
+    @pytest.mark.parametrize("n,degree", [(2, 0), (4, 0), (4, 2)])
+    def test_planted_radial_only_at_degree0(self, n, degree):
+        ctx = gallery("planted", {"seed": 5, "degree": degree}, n)
+        assert ctx.u.caps.is_radial == (degree == 0)
+        if degree == 0:
+            restrict_radial(ctx.u)   # rotation sampling raises on a non-radial field
+
+    def test_planted_degree0_values_are_potential_plus_constant(self):
+        ctx = gallery("planted", {"seed": 5, "degree": 0}, 4)
+        const = gallery_facts("planted", {"seed": 5, "degree": 0}, 4)[
+            "planted_coeffs"].value[(0, 0, 0, 0)]
+        prof = PotentialEvaluator(ctx.density).profile()
+        pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, -1.2, 0.5, 2.0],
+                        [40.0, 0.0, -3.0, 1.0], [0.0, 2e3, 0.0, 0.0]])
+        r = np.linalg.norm(pts, axis=1)
+        assert np.array_equal(ctx.u(pts), prof(r) + const)
+
+    def test_planted_tau_fact_only_at_degree0(self):
+        facts = gallery_facts("planted", {"seed": 5, "degree": 0}, 4)
+        assert facts["tau"].value == max(1.0 - facts["alpha0"].value, 0.0)
+        assert facts["tau"].tol == 0.05
+        assert "tau" not in gallery_facts("planted", {"seed": 5, "degree": 2}, 4)
 
     def test_planted_field_matches_parts(self):
         ctx = gallery("planted", {"seed": 11, "degree": 2}, 4)

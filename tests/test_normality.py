@@ -18,7 +18,7 @@ from qflatlab import (AnalysisConfig, Dimension, DimensionError,
                       normality_condition_a, normality_condition_b,
                       normality_scalar_criterion, radial_field)
 from qflatlab.cli import context_from_document
-from qflatlab.gallery import gallery_fresh
+from qflatlab.gallery import gallery_facts, gallery_fresh
 
 
 class TestGrowthClassifier:
@@ -152,6 +152,19 @@ class TestConditionA:
         v = normality_condition_a(ctx.u)
         assert v.verdict == "not_little_o"
         assert v.fitted_exponent == pytest.approx(4.0, abs=0.01)
+
+    def test_planted_constant_takes_the_radial_path(self, monkeypatch):
+        # u = L(f) + c is radial: one segment sweep, no product-rule shells
+        import qflatlab.normality
+        import qflatlab.quadrature
+
+        def no_shells(*args, **kwargs):
+            raise AssertionError("product-rule shell on a radial field")
+
+        monkeypatch.setattr(qflatlab.quadrature, "shell_product_rule", no_shells)
+        monkeypatch.setattr(qflatlab.normality, "shell_product_rule", no_shells)
+        ctx = gallery("planted", {"seed": 5, "degree": 0}, 4)
+        assert normality_condition_a(ctx.u).verdict == "little_o"
 
     def test_harmonic_w_little_o(self):
         v = normality_condition_a(constant_field(2.0, 4))
@@ -298,6 +311,14 @@ class TestAnalyzeNormality:
         assert good.criteria["condition_a"].verdict == "little_o"
         assert not good.decomposition["nonconstant"]
         assert good.verdict == "NORMAL"
+
+    @pytest.mark.parametrize("n,seed", [(2, 1), (4, 5)])
+    def test_planted_constant_complete_with_entropy_tau(self, n, seed):
+        params = {"seed": seed, "degree": 0}
+        rep = analyze_normality(gallery("planted", params, n))
+        mass = gallery_facts("planted", params, n)["alpha0"].value
+        assert rep.completeness == "complete"
+        assert rep.tau.exponent == pytest.approx(max(1.0 - mass, 0.0), abs=0.02)
 
     def test_report_roundtrip_byte_identical(self, sphere2):
         rep = analyze_normality(sphere2)

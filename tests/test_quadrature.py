@@ -1,4 +1,5 @@
 import math
+import signal
 import tracemalloc
 import warnings
 
@@ -277,3 +278,20 @@ def test_point_budget_admits_n4_shells():
     assert len(sphere_rule(4, 48)[1]) * 31 <= POINT_BUDGET
     with pytest.raises(QuadratureError, match="budget"):
         shell_points(6, 24, np.zeros(6), np.ones(24))
+
+
+@pytest.mark.parametrize("r_start", [1.0, 0.5, math.nan])
+def test_condensation_start_at_or_below_one_raises(r_start):
+    # log2 r_start <= 0 never grows by the factor 1.5: the grid must refuse
+    # such a start at once instead of looping
+    def hang(signum, frame):
+        raise AssertionError(f"condensation grid from r_start = {r_start} did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(QuadratureError, match="r_start > 1"):
+            log_condensation_blocks(lambda r: -np.log(r), r_start=r_start)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
