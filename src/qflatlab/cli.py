@@ -18,7 +18,6 @@ import json
 import sys
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .constants import sphere_constants
 from .errors import InputError, QflatError
@@ -51,6 +50,8 @@ _KIND_REQUIRES = {"builtin": "name", "expression": "u", "radial-table": "nodes"}
 
 
 def validate_spec_document(doc):
+    from jsonschema import Draft202012Validator  # kept out of `import qflatlab`
+
     validator = Draft202012Validator(SPEC_SCHEMA)
     errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
     if errors:

@@ -7,14 +7,15 @@ iterated-Laplacian evaluators.  along_ray() of a radial field evaluates
 its profile directly.  RadialProfile is the spline and table form of a
 profile: it optionally caches a cubic spline on a geometric grid (64 nodes
 per decade) so that quadrature-backed profiles stay cheap to evaluate in
-bulk, and it interpolates radial tables.
+bulk, and it interpolates radial tables.  The spline is a numpy
+not-a-knot cubic (``_NotAKnotSpline``) with the boundary rows of
+scipy's ``CubicSpline``, so no analysis imports scipy.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import expr as expr_mod
 from .errors import (DimensionError, DomainEvalError, InputError, NotRadialError,
@@ -270,6 +271,54 @@ def restrict_radial(f: ScalarField) -> "RadialProfile":
     return RadialProfile(fn=f.along_ray(), name=f.name)
 
 
+class _NotAKnotSpline:
+    """Cubic spline through (x[i], y[i]), x strictly increasing, at least 4
+    nodes, with the not-a-knot end rows of scipy's ``CubicSpline`` (the
+    third derivative is continuous at x[1] and x[-2]).  Points beyond
+    either end are evaluated on that end's cubic piece."""
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # tridiagonal system sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]
+        # for the slopes s at the nodes
+        h = dx.tolist()
+        m = slope.tolist()
+        d0, d1 = float(x[2] - x[0]), float(x[-1] - x[-3])
+        n = len(x)
+        diag = [h[1]] + (2.0 * (dx[:-1] + dx[1:])).tolist() + [h[-2]]
+        sub = [0.0] + h[1:] + [d1]
+        sup = [d0] + h[:-1] + [0.0]
+        rhs = ([((h[0] + 2 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0]
+               + (3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist()
+               + [(h[-1] ** 2 * m[-2] + (2 * d1 + h[-1]) * h[-2] * m[-1]) / d1])
+        # Thomas sweep: the first pivot is h[1] and every later one is
+        # positive, so no pivoting is needed
+        w = [0.0] * n
+        s = [0.0] * n
+        w_prev = s_prev = 0.0
+        for i in range(n):
+            beta = diag[i] - sub[i] * w_prev
+            w_prev = w[i] = sup[i] / beta
+            s_prev = s[i] = (rhs[i] - sub[i] * s_prev) / beta
+        for i in range(n - 2, -1, -1):
+            s[i] -= w[i] * s[i + 1]
+        s = np.array(s)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self._x = x
+        self._inner = x[1:-1]
+        self._c = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self._inner, t, side="right")
+        dt = t - self._x[i]
+        c0, c1, c2, c3 = self._c
+        return ((c0[i] * dt + c1[i]) * dt + c2[i]) * dt + c3[i]
+
+
 class RadialProfile:
     """1-D profile phi(r) for r >= 0 with derivative access.
 
@@ -299,11 +348,9 @@ class RadialProfile:
                 or nodes[0] < 0 or np.any(np.diff(nodes) <= 0)):
             raise InputError("radial table needs >= 4 finite values at finite, "
                              "nonnegative, strictly increasing radii")
-        spline = CubicSpline(nodes, values, extrapolate=True)
-        prof = cls(fn=lambda r: spline(np.maximum(r, nodes[0])),
+        spline = _NotAKnotSpline(nodes, values)
+        return cls(fn=lambda r: spline(np.maximum(r, nodes[0])),
                    r_max=nodes[-1], name=name)
-        prof._spline = spline
-        return prof
 
     def set_asymptote(self, a, b):
         self._asymptote = (float(a), float(b))
@@ -313,7 +360,7 @@ class RadialProfile:
         count = int(round(decades * SPLINE_NODES_PER_DECADE)) + 1
         nodes = np.geomspace(SPLINE_R_MIN, self.r_max, count)
         vals = np.asarray(self.fn(nodes), dtype=float)
-        self._spline = CubicSpline(np.log(nodes), vals)
+        self._spline = _NotAKnotSpline(np.log(nodes), vals)
         self._value0 = float(np.asarray(self.fn(np.array([0.0])))[0])
         # validate at geometric midpoints of a node subsample
         mids = np.sqrt(nodes[50:-1:97] * nodes[51::97])
@@ -331,7 +378,7 @@ class RadialProfile:
         rr = np.atleast_1d(r)
         if np.any(rr < 0):
             raise DomainEvalError("radial profile queried at r < 0")
-        if self._spline is not None and self._value0 is not None:
+        if self._spline is not None:
             out = np.empty_like(rr)
             tiny = rr < SPLINE_R_MIN
             far = rr > self.r_max

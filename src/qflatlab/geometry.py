@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 
 from .calculus import ball_integral
 from .constants import sphere_constants
@@ -342,6 +340,8 @@ class GeodesicGrid:
         self._dist_cache = {}
 
     def _build_matrix(self):
+        from scipy.sparse import csr_matrix  # scipy is loaded only by grids
+
         res = self.resolution
         nodes = self.nodes
         rows, cols, weights = [], [], []
@@ -378,6 +378,8 @@ class GeodesicGrid:
         return ij[0] * self.resolution + ij[1]
 
     def distances_from(self, x):
+        from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
+
         i = self.node_index(x)
         if i not in self._dist_cache:
             self._dist_cache[i] = sparse_dijkstra(self._matrix, indices=i)

@@ -202,6 +202,32 @@ class TestVerifyAndGallery:
         assert "cone" in proc.stdout
         assert proc.stderr == ""
 
+    def test_cold_start_loads_no_scipy_or_jsonschema(self):
+        """import qflatlab loads neither scipy nor jsonschema, and analyses
+        whose metrics are built on a spline (a potential profile, a radial
+        table) still load no scipy."""
+        script = (
+            "import json, sys\n"
+            "def loaded(*tops):\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in tops)\n"
+            "import qflatlab\n"
+            "from qflatlab import cli\n"
+            "print(json.dumps(loaded('scipy', 'jsonschema')))\n"
+            "for doc in json.loads(sys.argv[1]):\n"
+            "    cli.run_analysis(doc)\n"
+            "print(json.dumps(loaded('scipy')))\n")
+        table = [[float(r), float(-0.5 * np.log1p(r * r))] for r in np.geomspace(0.01, 100, 40)]
+        docs = [{"n": 2, "kind": "builtin", "name": "gaussian_source", "params": {"mass": 0.5}},
+                {"n": 2, "kind": "radial-table", "nodes": table}]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qflatlab.__file__))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(docs)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        after_import, after_analysis = map(json.loads, proc.stdout.splitlines())
+        assert after_import == []
+        assert after_analysis == []
+
     def test_single_fast_case(self, capsys):
         code, out, _ = run(capsys, "verify", "--filter", "bounded_diameter")
         assert code == 0

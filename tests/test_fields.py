@@ -7,6 +7,7 @@ from qflatlab import (Dimension, DimensionError, DomainEvalError,
                       NotRadialError, QflatError, RadialProfile, constant_field,
                       eval_field, field_from_document, field_from_expression,
                       restrict_radial, sample_grid)
+from qflatlab.fields import SPLINE_R_MAX, SPLINE_R_MIN, _NotAKnotSpline
 
 
 class TestEvalField:
@@ -125,6 +126,37 @@ class TestRadialProfile:
         nodes = np.geomspace(0.1, 100.0, 64)
         prof = RadialProfile.from_table(nodes, np.sqrt(nodes))
         assert prof(10.0) == pytest.approx(math.sqrt(10.0), rel=1e-6)
+
+    def test_spline_matches_scipy_cubic_spline(self):
+        """The numpy not-a-knot spline agrees with scipy's CubicSpline inside
+        the nodes, at them and on both end pieces, up to a tenth of the node
+        span beyond either end.  Node gaps vary tenfold: near-coincident
+        nodes make the slope system ill-conditioned, and then both splines
+        move apart from the exact one alike.  Farther out on the grid case
+        the cubic term of the end piece, a difference of near-equal slopes,
+        dominates; there scipy's piece is the farther of the two from the
+        exact spline."""
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(16)
+        cases = []
+        for n in (4, 5, 64, 769):
+            for _ in range(20):
+                x = np.cumsum(rng.uniform(0.1, 1.0, n))
+                cases.append((x, rng.normal(size=n)))
+        grid = np.log(np.geomspace(SPLINE_R_MIN, SPLINE_R_MAX, 769))
+        cases.append((grid, np.log1p(np.exp(2 * grid))))
+        for x, y in cases:
+            ref = CubicSpline(x, y)
+            got = _NotAKnotSpline(x, y)
+            span = x[-1] - x[0]
+            inside = np.concatenate([x, rng.uniform(x[0], x[-1], 500)])
+            beyond = np.concatenate([x[0] - span * rng.uniform(0, 0.1, 50),
+                                     x[-1] + span * rng.uniform(0, 0.1, 50)])
+            for t, tol in ((inside, 1e-13), (beyond, 1e-11)):
+                want = ref(t)
+                err = np.max(np.abs(got(t) - want)) / np.max(np.abs(want))
+                assert err <= tol, (len(x), err)
 
     def test_table_needs_monotone_nodes(self):
         with pytest.raises(QflatError):
