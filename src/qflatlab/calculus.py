@@ -22,7 +22,8 @@ import numpy as np
 from .constants import sphere_constants
 from .errors import (DimensionError, NotRadialError, QflatError,
                      QuadratureError, RangeOverflowError)
-from .fields import Dimension, ScalarField, as_dimension, check_point, radial_field
+from .fields import (Dimension, RadialProfile, ScalarField, as_dimension, check_point,
+                     radial_field)
 from .polynomials import (Polynomial, apply_laplacian_poly, ball_mean_poly,
                           radial_monomial)
 from .quadrature import (integrate_radial, offset_ball_integral_radial,
@@ -158,8 +159,10 @@ def jet_density(u: ScalarField, name="") -> ScalarField:
     n = u.dim.n
     m = n // 2
     sign = (-1.0) ** m
+    profile = u.caps.profile
+    tabulated = isinstance(profile, RadialProfile) and profile.tail_model is not None
     return radial_field(lambda r: sign * radial_laplacian_batch(phi, r, n, m), u.dim,
-                        source=phi, name=name)
+                        source=phi, tabulated_source=tabulated, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +369,7 @@ def pizzetti_check(p: Polynomial, center, R) -> float:
     """|mean_{B_R(center)} p  -  Pizzetti expansion| for a polyharmonic p."""
     center = np.asarray(center, dtype=float)
     laps = [p]
-    while laps[-1].coeffs:
+    while len(laps[-1].vals):
         laps.append(apply_laplacian_poly(laps[-1], 1))
     m = max(len(laps) - 1, 1)  # Delta^m p = 0
     coeffs = pizzetti_coeffs(p.dim, m)

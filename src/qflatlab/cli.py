@@ -92,8 +92,9 @@ def context_from_document(doc) -> MetricContext:
                              completeness_hint=hint,
                              label=f"expression[{doc['u']}]")
     nodes = np.asarray(doc["nodes"], dtype=float)
-    u = RadialProfile.from_table(nodes[:, 0], nodes[:, 1]).to_field(dim)
-    return MetricContext(u=u, completeness_hint=hint, label="radial-table")
+    prof = RadialProfile.from_table(nodes[:, 0], nodes[:, 1])
+    return MetricContext(u=prof.to_field(dim), completeness_hint=hint,
+                         label="radial-table", tail_model=prof.tail_model)
 
 
 def field_from_document(doc) -> ScalarField:

@@ -26,6 +26,7 @@ SPLINE_NODES_PER_DECADE = 64
 SPLINE_R_MIN = 1e-6
 SPLINE_R_MAX = 1e6
 SPLINE_VALIDATE_TOL = 1e-7
+TABLE_LOG_TAIL_TOL = 1e-3      # |u| miss of a table's third-to-last node off its log tail
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ class FieldCaps:
     Delta^k f for k = 1 .. n/2 (index 0 is Delta f); gradient returns an
     (m, n) array.  source, set for a radial density f = (-Delta)^{n/2} u
     derived from a radial u, is the profile of u: the mass of f in a ball
-    is then a boundary flux of u.
+    is then a boundary flux of u.  tabulated_source marks a source read
+    from a table (RadialProfile.from_table).
     """
 
     profile: object | None = None
@@ -78,6 +80,7 @@ class FieldCaps:
     laplacian_chain: tuple | None = None
     gradient: object | None = None
     source: object | None = None
+    tabulated_source: bool = False
 
     @property
     def is_radial(self):
@@ -214,7 +217,8 @@ def field_from_expression(src: str, dim) -> ScalarField:
 
 
 def radial_field(phi, dim, support_radius=None, laplacian_chain=None,
-                 gradient=None, source=None, name="") -> ScalarField:
+                 gradient=None, source=None, tabulated_source=False,
+                 name="") -> ScalarField:
     """Field x -> phi(|x|) from a vectorized radial function phi, which the
     field keeps as its profile."""
     dim = as_dimension(dim)
@@ -227,7 +231,7 @@ def radial_field(phi, dim, support_radius=None, laplacian_chain=None,
         dim=dim, fn=fn,
         caps=FieldCaps(profile=phi, support_radius=support_radius,
                        laplacian_chain=laplacian_chain, gradient=gradient,
-                       source=source),
+                       source=source, tabulated_source=tabulated_source),
         name=name or "radial",
     )
 
@@ -336,11 +340,17 @@ class RadialProfile:
         self._spline = None
         self._value0 = None
         self._asymptote = None  # (a, b): phi(r) ~ a*log r + b beyond r_max
+        self.tail_model = None  # from_table: how the table goes on past r_max
         if use_spline:
             self._build_spline()
 
     @classmethod
     def from_table(cls, nodes, values, name="radial-table"):
+        """The not-a-knot cubic through the nodes, constant below the first
+        node.  Past the last node the table goes on as a*log(r) + b through
+        the last two nodes in log r when the third-to-last node lies on that
+        line within TABLE_LOG_TAIL_TOL, else with the spline's last cubic
+        piece.  tail_model records which, for the report's provenance."""
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if (nodes.ndim != 1 or nodes.size < 4 or values.shape != nodes.shape
@@ -349,8 +359,18 @@ class RadialProfile:
             raise InputError("radial table needs >= 4 finite values at finite, "
                              "nonnegative, strictly increasing radii")
         spline = _NotAKnotSpline(nodes, values)
-        return cls(fn=lambda r: spline(np.maximum(r, nodes[0])),
-                   r_max=nodes[-1], name=name)
+        prof = cls(fn=lambda r: spline(np.maximum(r, nodes[0])), r_max=nodes[-1], name=name)
+        a = float((values[-1] - values[-2]) / math.log(nodes[-1] / nodes[-2]))
+        b = float(values[-1] - a * math.log(nodes[-1]))
+        miss = abs(a * math.log(nodes[-3]) + b - float(values[-3]))
+        if miss <= TABLE_LOG_TAIL_TOL:
+            prof.set_asymptote(a, b)
+            prof.tail_model = {"model": "u = a*log(r) + b through the last two nodes",
+                               "r_from": prof.r_max, "a": a, "b": b, "log_miss": miss}
+        else:
+            prof.tail_model = {"model": "last cubic piece of the spline",
+                               "r_from": prof.r_max, "log_miss": miss}
+        return prof
 
     def set_asymptote(self, a, b):
         self._asymptote = (float(a), float(b))

@@ -49,6 +49,7 @@ class MetricContext:
     completeness_hint: bool | None = None
     density: ScalarField | None = None
     label: str = ""
+    tail_model: dict | None = None   # how a tabulated u continues past its table
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def cached(self, key, compute):

@@ -616,5 +616,6 @@ def analyze_normality(ctx: MetricContext, config: AnalysisConfig | None = None,
             else {"kind": "api", "label": ctx.label},
             "seed": cfg.seed,
             "tolerances": cfg.tolerances(),
+            **({"tail_model": ctx.tail_model} if ctx.tail_model else {}),
         },
     )

@@ -1,14 +1,20 @@
 """Multi-index polynomials, exact Laplacians, ball means and kernel ranks.
 
 A Polynomial is an int64 exponent matrix (a row per term) plus a float
-coefficient vector, and its algebra runs on whole arrays: equal rows merge
-through one integer key per row, at their first occurrence and summed in
-term order, as term-by-term dict arithmetic would.  The kernel dimension of
+coefficient vector, and its algebra runs on whole arrays.  The rows of a
+Polynomial are distinct and its coefficients nonzero; every operation keeps
+that invariant.  Addition relies on it: it finds the other operand's rows
+among its own by one integer key per row (a sorted search), adds the
+matched coefficients in place and appends the unmatched rows in the other
+operand's order, as term-by-term dict arithmetic would.  Operations whose
+rows really do repeat (shift, Laplacians, |x|^2k) merge equal rows at their
+first occurrence, summed in term order.  The kernel dimension of
 Delta^{n/2} on degree <= D is an exact rank mod a large prime, one
 homogeneous-degree block at a time, checked against C(n+D, n) - C(D, n).
 """
 
 import math
+import numbers
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from types import MappingProxyType
@@ -23,8 +29,9 @@ _EVAL_BLOCK = 1 << 18        # terms x points evaluated at once
 
 
 class Polynomial:
-    """Exponent rows `exps` (terms x n) with nonzero coefficients `vals`; a
-    dict passed in is validated, and `coeffs` is a read-only dict view."""
+    """Distinct exponent rows `exps` (terms x n) with nonzero coefficients
+    `vals`; a dict passed in is validated, and `coeffs` is a read-only dict
+    view.  Code that builds one from arrays (`_of`) passes distinct rows."""
 
     __slots__ = ("dim", "exps", "vals")
 
@@ -43,7 +50,7 @@ class Polynomial:
                   np.fromiter(clean.values(), float, len(clean)))
 
     def _set(self, dim, exps, vals):
-        keep = slice(None) if np.all(vals) else vals != 0.0  # no copy when no term drops
+        keep = slice(None) if vals.all() else vals != 0.0  # no copy when no term drops
         self.dim, self.exps, self.vals = dim, exps[keep], vals[keep]
         return self
 
@@ -78,13 +85,25 @@ class Polynomial:
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, numbers.Real):
             other = Polynomial(self.dim, {(0,) * self.dim.n: float(other)})
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         if other.dim.n != self.dim.n:
             raise QflatError(f"cannot add polynomials on R^{self.dim.n} and R^{other.dim.n}")
-        exps = np.concatenate((self.exps, other.exps))
-        keep, vals = _merge(exps, np.concatenate((self.vals, other.vals)))
-        return Polynomial._of(self.dim, exps[keep], vals)
+        size = len(self.vals)
+        if not size:
+            return Polynomial._of(self.dim, other.exps, other.vals)
+        # rows are distinct on each side: find other's rows among self's
+        keys = _row_keys(np.concatenate((self.exps, other.exps)))
+        mine, theirs = keys[:size], keys[size:]
+        order = np.argsort(mine)
+        slot = order[np.minimum(np.searchsorted(mine, theirs, sorter=order), size - 1)]
+        hit = mine[slot] == theirs
+        new = ~hit
+        vals = np.concatenate((self.vals, other.vals[new]))
+        vals[slot[hit]] += other.vals[hit]  # a + b, as 0 + a + b in term order
+        return Polynomial._of(self.dim, np.concatenate((self.exps, other.exps[new])), vals)
 
     def scale(self, a):
         return Polynomial._of(self.dim, self.exps, a * self.vals)
@@ -160,7 +179,9 @@ def apply_laplacian_poly(p: Polynomial, m: int = 1) -> Polynomial:
 
 
 def poly_partial(p: Polynomial, i: int) -> Polynomial:
-    """Exact partial derivative d p / d x_i."""
+    """Exact partial derivative d p / d x_i, 0 <= i < n."""
+    if not 0 <= i < p.dim.n:
+        raise QflatError(f"no variable x_{i} on R^{p.dim.n}")
     has = p.exps[:, i] > 0
     exps = p.exps[has] - np.eye(p.dim.n, dtype=np.int64)[i]
     return Polynomial._of(p.dim, exps, p.vals[has] * p.exps[has, i])
@@ -214,25 +235,24 @@ def ball_mean_poly(p: Polynomial, center, R) -> float:
 def _rank_mod_p(matrix, p=_RANK_PRIME):
     """Rank of an integer matrix over GF(p) by Gaussian elimination.
 
-    int64 is safe: entries stay in [0, p) with p = 2^31 - 1, so products
-    fit well below 2^63.
+    Each row in turn pivots on its first nonzero column and clears that
+    column from the rows below it; the rank is the number of nonzero rows
+    met.  int64 is safe: entries stay in [0, p) with p = 2^31 - 1, so
+    products fit well below 2^63.
     """
     mat = np.asarray(matrix, dtype=np.int64) % p
-    n_rows, n_cols = mat.shape
     rank = 0
-    for col in range(n_cols):
-        if rank == n_rows:
-            break
-        nz = np.nonzero(mat[rank:, col])[0]
+    for i, row in enumerate(mat):
+        nz = np.flatnonzero(row)
         if nz.size == 0:
             continue
-        piv = rank + int(nz[0])
-        mat[[rank, piv]] = mat[[piv, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        below = mat[rank + 1:, col] != 0
-        factors = (mat[rank + 1:, col][below] * inv) % p
-        mat[rank + 1:][below] = (mat[rank + 1:][below] - factors[:, None] * mat[rank]) % p
+        col = int(nz[0])
         rank += 1
+        below = mat[i + 1:]
+        hit = np.flatnonzero(below[:, col])
+        if hit.size:
+            factors = below[hit, col] * pow(int(row[col]), p - 2, p) % p
+            below[hit] = (below[hit] - factors[:, None] * row) % p
     return rank
 
 
@@ -268,8 +288,8 @@ def ph_dimension(dim, d) -> int:
     degree k - n, so its matrix is block-diagonal and its rank is the sum
     of the ranks of the blocks (cut to their nonzero rows and columns)."""
     dim = as_dimension(dim)
-    if d < 0:
-        raise QflatError(f"growth exponent must be >= 0, got {d}")
+    if not (d >= 0 and math.isfinite(d)):
+        raise QflatError(f"growth exponent must be finite and >= 0, got {d}")
     n, big_d = dim.n, int(math.floor(d))
     cols, rows, row, col, val = _polyharmonic_entries(n, big_d)
     kernel_dim, degree = len(cols), rows.sum(axis=1)[row]

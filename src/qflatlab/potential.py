@@ -388,7 +388,11 @@ def _boundary_flux_alpha(ev: PotentialEvaluator) -> AlphaEstimate:
     The limit is the x -> 0 intercept of a quadratic fit in x = 1/log R over
     the upper half of the radii; the residual is its distance from a linear
     fit over the upper quarter, plus the quadrature error of inner.  A
-    non-finite flux or a residual above FLUX_SETTLE_TOL raises QflatError.
+    tabulated source (caps.tabulated_source) is a C^2 spline whose jets of
+    order n do not resolve its density, so its residual also carries
+    g_n |inner - Phi(1)|: the two sides of the divergence theorem in the
+    unit ball, equal for a u smooth at the origin.  A non-finite flux or a
+    residual above FLUX_SETTLE_TOL raises QflatError.
     The cancellation is read from the flux steps Phi(10^{k+1}) - Phi(10^k)
     over the fitted radii.
     """
@@ -410,6 +414,8 @@ def _boundary_flux_alpha(ev: PotentialEvaluator) -> AlphaEstimate:
     limit = float(np.polynomial.Polynomial.fit(x[half:], alpha[half:], 2)(0.0))
     linear = float(np.polynomial.Polynomial.fit(x[quarter:], alpha[quarter:], 1)(0.0))
     residual = abs(limit - linear) + abs(ev.gconst) * inner_err
+    if ev.f.caps.tabulated_source:
+        residual += abs(ev.gconst * (inner - flux[0]))
     if not residual <= FLUX_SETTLE_TOL:
         raise QflatError(
             f"boundary flux of {ev.f.name} does not settle: residual {residual:.3g} "

@@ -14,8 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from qflatlab import (AlphaEstimate, MetricContext, analyze_normality, gallery,
-                      gallery_facts, total_mass_alpha)
+from qflatlab import (AlphaEstimate, MetricContext, QflatError, analyze_normality,
+                      gallery, gallery_facts, total_mass_alpha)
 from qflatlab.calculus import radial_jet
 from qflatlab.cli import context_from_document, run_analysis
 from qflatlab.constants import cohn_vossen_bound, sphere_constants
@@ -165,3 +165,24 @@ def test_one_signed_tails_barely_cancel(name, params, n, method):
     est = total_mass_alpha(gallery(name, params, n).density)
     assert est.method == method
     assert 0.0 <= est.cancellation <= FLUX_SETTLE_TOL
+
+
+# a table's density is its spline's jets: the residual adds g_n|inner - Phi(1)|
+
+
+@pytest.mark.parametrize("scale, n, settles", [(0.5, 4, True), (1.0, 4, False),
+                                               (0.5, 6, False)])
+def test_table_residual_covers_the_unit_ball_gap(scale, n, settles):
+    # -scale*log(1+r^2) tabulated on [0.01, 100]: alpha0 = 2*scale
+    nodes = [[float(r), float(-scale * np.log1p(r * r))] for r in np.geomspace(0.01, 100, 40)]
+    table = _curvature_density(context_from_document({"n": n, "kind": "radial-table",
+                                                      "nodes": nodes}))
+    expr = _curvature_density(context_from_document({"n": n, "kind": "expression",
+                                                     "u": f"-{scale}*log(1+r^2)"}))
+    assert table.caps.tabulated_source and not expr.caps.tabulated_source
+    if settles:
+        est = total_mass_alpha(table)
+        assert abs(est.alpha_hat - 2 * scale) <= est.residual
+    else:
+        with pytest.raises(QflatError, match="does not settle"):
+            total_mass_alpha(table)

@@ -72,6 +72,37 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["tau"]["exponent"] == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_radial_table_continues_log_linearly(self, tmp_path, capsys, n):
+        # a cone with alpha0 = 1 tabulated on [0.01, 100]: past its last node
+        # the table goes on as a*log(r) + b through the last two nodes
+        nodes = [[float(r), float(-0.5 * np.log1p(r * r))] for r in np.geomspace(0.01, 100, 40)]
+        spec = write_spec(tmp_path, {"n": n, "kind": "radial-table", "nodes": nodes})
+        code, out, _ = run(capsys, "analyze", "--spec", spec)
+        assert code == 0
+        doc = json.loads(out)
+        if n <= 4:
+            assert "alpha0" not in doc["errors"]
+        # at n = 6 the spline's jets miss the density: an error, never a wrong alpha0
+        assert "alpha0" in doc["errors"] or doc["alpha0"] == pytest.approx(1.0, abs=0.01)
+        tail = doc["provenance"]["tail_model"]
+        assert tail["model"] == "u = a*log(r) + b through the last two nodes"
+        assert tail["r_from"] == 100.0
+        assert tail["a"] == pytest.approx(-1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_radial_table_with_polynomial_growth_keeps_its_tail(self, tmp_path, capsys, n):
+        # r^2 plus the cone: the last three nodes are not on one log line, so
+        # the table goes on with its last cubic piece and the growth shows
+        nodes = [[float(r), float(r * r - 0.5 * np.log1p(r * r))]
+                 for r in np.geomspace(0.01, 100, 40)]
+        spec = write_spec(tmp_path, {"n": n, "kind": "radial-table", "nodes": nodes})
+        code, out, _ = run(capsys, "analyze", "--spec", spec)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["provenance"]["tail_model"]["model"] == "last cubic piece of the spline"
+        assert doc["verdict"] == "NOT_NORMAL" or "alpha0" in doc["errors"]
+
     def test_out_file(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"n": 2, "kind": "builtin", "name": "flat"})
         out_path = tmp_path / "report.json"

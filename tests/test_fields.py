@@ -182,6 +182,16 @@ class TestFieldDocuments:
         f = field_from_document({"n": 2, "kind": "radial-table", "nodes": nodes})
         assert eval_field(f, [3.0, 4.0]) == pytest.approx(25.0, rel=1e-4)
 
+    def test_table_tail_follows_its_last_nodes(self):
+        rr = np.geomspace(0.01, 100, 40)
+        cone = RadialProfile.from_table(rr, -0.5 * np.log1p(rr * rr))
+        assert cone.tail_model["model"] == "u = a*log(r) + b through the last two nodes"
+        assert cone(1e4) == pytest.approx(-0.5 * math.log1p(1e8), abs=1e-3)
+        # a quadratic is no log line: its last cubic piece carries it on exactly
+        quad = RadialProfile.from_table(rr, rr * rr)
+        assert quad.tail_model["model"] == "last cubic piece of the spline"
+        assert quad(1e3) == pytest.approx(1e6, rel=1e-8)
+
     def test_unknown_kind(self):
         with pytest.raises(QflatError):
             field_from_document({"n": 2, "kind": "mystery"})

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -116,8 +117,9 @@ class TestPhDimension:
 
     def test_negative_rejected(self):
         from qflatlab import QflatError
-        with pytest.raises(QflatError):
-            ph_dimension(Dimension(2), -1)
+        for d in (-1, math.nan, math.inf):
+            with pytest.raises(QflatError, match="growth exponent"):
+                ph_dimension(Dimension(2), d)
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +298,145 @@ def test_huge_exponents_merge_without_key_overflow():
     big = 2 ** 40
     p = poly(2, {(big, 1): 1.0, (0, big): 2.0}) + poly(2, {(0, big): 3.0, (1, 0): 1.0})
     assert list(p.coeffs.items()) == [((big, 1), 1.0), ((0, big), 5.0), ((1, 0), 1.0)]
+
+
+# ---------------------------------------------------------------------------
+# addition by sorted-key lookup: chains, cancellation and re-entry
+# ---------------------------------------------------------------------------
+
+def ref_scale(a, s):
+    return {mi: s * c for mi, c in a.items() if s * c != 0.0}
+
+
+@st.composite
+def float_polynomials(draw, n):
+    keys = st.tuples(*[st.integers(0, 2)] * n)
+    vals = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+    return draw(st.dictionaries(keys, vals, max_size=6))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 4]).flatmap(lambda n: st.tuples(
+    st.just(n), float_polynomials(n),
+    st.lists(st.tuples(float_polynomials(n),
+                       st.sampled_from([1.0, -1.0, 0.5, -2.5, 1e-3, 3.0]),
+                       st.booleans()), min_size=1, max_size=6))))
+def test_chained_sums_match_dict_reference(case):
+    # p = p + q.scale(c) step by step; a cancelling step adds -p on some of
+    # p's rows, so those terms drop and may come back at the end later
+    n, start, steps = case
+    p, want = poly(n, start), {mi: c for mi, c in start.items() if c != 0.0}
+    for terms, c, cancel in steps:
+        if cancel:
+            terms = {mi: -v for mi, v in list(want.items())[::2]}
+            c = 1.0
+        q = poly(n, terms)
+        p = p + q.scale(c)
+        want = ref_add(want, ref_scale(q.coeffs, c))
+        assert list(p.coeffs.items()) == list(want.items())
+
+
+def test_cancelled_term_reenters_at_the_end():
+    p = poly(2, {(1, 0): 1.5, (0, 1): -0.25, (2, 0): 3.0})
+    p = p + poly(2, {(0, 1): 0.25, (0, 2): 1.0})
+    assert list(p.coeffs.items()) == [((1, 0), 1.5), ((2, 0), 3.0), ((0, 2), 1.0)]
+    p = p + poly(2, {(0, 1): 7.0, (1, 0): 0.5})
+    assert list(p.coeffs.items()) == [((1, 0), 2.0), ((2, 0), 3.0), ((0, 2), 1.0),
+                                      ((0, 1), 7.0)]
+    assert list((p + p.scale(-1.0)).coeffs.items()) == []
+    empty = poly(2, {})
+    assert list((empty + p).coeffs.items()) == list(p.coeffs.items())
+    assert list((p + empty).coeffs.items()) == list(p.coeffs.items())
+
+
+@pytest.mark.parametrize("c", [np.int64(2), np.float32(1.5), np.float64(-0.5), True,
+                               Fraction(1, 4)])
+def test_add_any_real_number(c):
+    p = poly(2, {(1, 0): 2.0, (0, 0): 0.5})
+    want = ref_add(p.coeffs, {(0, 0): float(c)})
+    assert list((p + c).coeffs.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("other", ["x", None, [1.0], 1j])
+def test_add_other_types_raise_type_error(other):
+    with pytest.raises(TypeError):
+        poly(2, {(1, 0): 2.0}) + other
+
+
+def test_add_across_dimensions_rejected():
+    from qflatlab import QflatError
+    with pytest.raises(QflatError):
+        poly(2, {(1, 0): 1.0}) + poly(4, {(1, 0, 0, 0): 1.0})
+
+
+def _distinct(p):
+    assert len(np.unique(p.exps, axis=0)) == len(p.exps), p.exps
+    assert np.all(p.vals != 0.0)
+    return p
+
+
+def test_every_algebra_result_has_distinct_rows():
+    from qflatlab import decompose, gallery
+    from qflatlab.verification import _polyharmonic_basis
+    rng = np.random.default_rng(11)
+    for n in (2, 4):
+        monos = monomials_upto(n, 4)
+        a, b = ({monos[i]: float(rng.integers(-3, 4)) for i in
+                 rng.choice(len(monos), size=8, replace=False)} for _ in range(2))
+        p, q = _distinct(poly(n, a)), _distinct(poly(n, b))
+        for r in (p + q, p + 2.0, p + p.scale(-1.0), p.scale(0.5), p.shift(rng.normal(size=n)),
+                  apply_laplacian_poly(p, 1), apply_laplacian_poly(p, 2), poly_partial(p, 0),
+                  radial_monomial(Dimension(n), 3)):
+            _distinct(r)
+        # verification builds its random kernel polynomials from basis rows
+        exps, basis = _polyharmonic_basis(Dimension(n), 5)
+        _distinct(Polynomial._of(Dimension(n), exps, rng.normal(size=len(basis)) @ basis))
+    # the radial branch of decompose stacks the rows of |x|^0, |x|^2, |x|^4
+    ctx = gallery("sphere", {}, 6)
+    _distinct(decompose(ctx.u, ctx.density).polynomial_part)
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_partial_outside_variables_rejected(i):
+    from qflatlab import QflatError
+    with pytest.raises(QflatError, match="no variable"):
+        poly_partial(poly(2, {(2, 1): 4.0}), i)
+
+
+# ---------------------------------------------------------------------------
+# row-pivot ranks against a plain reference
+# ---------------------------------------------------------------------------
+
+def ref_rank(rows):
+    """Rank over Q by fraction-exact column-by-column elimination.  Entries
+    of at most 3 in size and at most 8 columns keep every minor below
+    3^8 * 8^4 < 2^31 - 1 (Hadamard), so the rank over GF(2^31 - 1) is the
+    same."""
+    mat = [[Fraction(int(x)) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] / mat[rank][col]
+            mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_mod_p_matches_reference():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        rows, cols = (int(k) for k in rng.integers(1, 9, size=2))
+        if trial % 2:  # rank-deficient: every row is +- one of k < min(rows, cols) rows
+            k = int(rng.integers(0, min(rows, cols)))
+            base = rng.integers(-3, 4, size=(max(k, 1), cols)) * (k > 0)
+            mat = base[rng.integers(0, max(k, 1), size=rows)] * rng.choice([-1, 1], size=(rows, 1))
+            assert ref_rank(mat.tolist()) <= k < min(rows, cols)
+        else:
+            mat = rng.integers(-3, 4, size=(rows, cols)) * (rng.random((rows, cols)) < 0.6)
+        assert _rank_mod_p(mat) == ref_rank(mat.tolist()), mat
+    assert _rank_mod_p(np.zeros((3, 0), dtype=np.int64)) == 0
+    assert _rank_mod_p(np.zeros((0, 4), dtype=np.int64)) == 0

@@ -2,13 +2,16 @@
 
     python3 tools/report_diff.py PARENT_DIR CHANGE_DIR [--seeds 1,7]
 
-Each checkout regenerates the results of the gallery, expression and
-potential operations of its own ``perfbench/workloads.py`` (imported, not
-modified) at each seed, in a subprocess that imports qflatlab from that
-checkout's ``src/``.  The script then prints every field whose value moved,
-with its largest |change| over all operations and seeds and where that
-change occurred, and every ``errors`` key that appears or disappears.
-Changes of text, and values that appear or disappear, are counted apart.
+Each checkout regenerates the results of the gallery, expression,
+potential and polyharmonic operations of its own ``perfbench/workloads.py``
+(imported, not modified) at each seed, in a subprocess that imports
+qflatlab from that checkout's ``src/``.  A polyharmonic operation's result
+is its list of kernel dimensions (``ph_dimension`` for d = 0..10) or its
+worst Pizzetti residual.  The script then prints every field whose value
+moved, with its largest |change| over all operations and seeds and where
+that change occurred, and every ``errors`` key that appears or disappears.
+Numbers are compared exactly.  Changes of text, and values that appear or
+disappear, are counted apart.
 """
 
 import argparse
@@ -20,14 +23,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("gallery", "expression", "potential")
+WORKLOADS = ("gallery", "expression", "potential", "polyharmonic")
 
 
 def _jsonable(result):
     """An operation's result as JSON values: analyze reports as they are,
-    sweep CSVs as rows keyed by value, decompositions by their fields."""
+    sweep CSVs as rows keyed by value, kernel dimensions as a list, a worst
+    Pizzetti residual as a number, decompositions by their fields."""
     if isinstance(result, dict):
         return result
+    if isinstance(result, list):
+        return {"kernel_rank": result}
+    if isinstance(result, float):
+        return {"pizzetti_worst": result}
     if isinstance(result, str):
         rows = csv.DictReader(io.StringIO(result))
         return {f"[{row['value']}]": {k: v for k, v in row.items() if k != "value"}
