@@ -7,13 +7,13 @@ of the same shape).
 
 Four layers:
 
-* panel-adaptive Gauss-Legendre on finite intervals and radial ranges
-  (``adaptive_estimate``, ``integrate_radial_estimate`` and its strict
-  form ``integrate_radial``), and vector-valued integrals over many radial
-  segments in one vectorized pass (``segment_integrals``), whose cumulative
-  sums give running integrals over a sweep of radii;
-* signed improper integrals over [r0, inf) driven by decade blocks with a
-  Cauchy-condensation convergence test (``decade_mass_integral``);
+* one adaptive engine, a GL(15/31) panel pass over many radial segments
+  at once: ``segment_integrals`` (vector-valued; its cumulative sums give
+  running integrals over a sweep of radii), the strict ``integrate_radial``
+  and the non-strict ``integrate_radial_estimate``/``adaptive_estimate``;
+* signed improper integrals over [r0, inf) by blocks of decades on that
+  engine, with geometric tails and a Cauchy-condensation convergence test
+  (``decade_mass_integral``);
 * finite-vs-infinite classification of positive improper integrals through
   log-space condensation blocks over radii log2 R_{j+1} = 1.5 log2 R_j,
   which stay decisive even for borderline tails like 1/(t log^c t)
@@ -26,7 +26,6 @@ Four layers:
   (``offset_ball_integral_radial``).
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,12 +48,20 @@ CONDENSATION_GROWTH = 1.5
 CONDENSATION_ORDER = 24
 CONDENSATION_PANEL_WIDTH = 4.0
 MAX_DECADES = 130         # decade blocks of decade_mass_integral before the ratio test
+DECADE_BLOCK = 8          # decades per engine pass of decade_mass_integral
+# A decade tail is geometric when RATIO_RUN consecutive decade ratios agree
+# within RATIO_AGREEMENT.
+RATIO_RUN = 3
+RATIO_AGREEMENT = 1e-8
 MAX_BISECTIONS = 4096     # panel splits of one segment_integrals call
-PANEL_BLOCK = 128         # panels (46 nodes each) per integrand call of segment_integrals
+PANEL_BLOCK = 128         # panels (46 nodes each) per integrand call of the engine
 # Most points of one sphere-rule grid or shell evaluation: about 400 MB of
 # coordinates at n = 6.  The largest evaluation at n <= 4, sphere_shell at
 # resolution 48 on 31 radii, has 6.3M points.
 POINT_BUDGET = 2 ** 23
+# Radii per sphere_shell evaluation: one GL(31) panel, whatever the engine
+# hands its integrand.
+SHELL_RADII = 31
 # Points per integrand call of shell_product_rule: whole radii, at least one.
 PRODUCT_RULE_POINTS = 2 ** 17
 
@@ -73,103 +80,130 @@ def fixed_gl(f, a, b, order=32):
     return half * float(np.dot(w, np.asarray(f(mid + half * x), dtype=float)))
 
 
-def _panel(f, a, b):
-    coarse = fixed_gl(f, a, b, 15)
-    fine = fixed_gl(f, a, b, 31)
-    return fine, abs(fine - coarse)
+def _panel_pass(f, edges, rel_tol, abs_tol, max_bisections, strict):
+    """The adaptive engine: (values, errors) of f over every segment
+    between the sorted edges, each (K, segments), all segments at once.
 
-
-def adaptive_estimate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=4096):
-    """Globally adaptive GL(15/31) bisection on a finite interval.
-
-    The panel with the largest error estimate is split until the summed
-    error meets ``max(abs_tol, rel_tol * |integral|)`` or the panel budget
-    runs out; returns (value, error_estimate) either way.  Raises
-    QuadratureError when the value is NaN or infinite.
+    ``f`` maps a 1-D array of radii to K rows of values (or one value per
+    radius).  Each segment gets GL(15/31), linear in r below 1 and in
+    t = log r above 1 (a segment straddling 1 is split there).  A panel is
+    accepted when, on every component, its error |GL(31) - GL(15)| is within
+    ``max(rel_tol * |value|, abs_tol)`` or within its share of ``rel_tol``
+    times the magnitude of its segment's first estimate (QUADPACK's
+    per-panel part of a global error test): the share halves at each
+    bisection.  Other panels are bisected.  f sees PANEL_BLOCK panels per
+    call; ``abs_tol`` broadcasts against (K, segments); a segment's error
+    sums its panels' errors.  With ``strict``, a non-finite value or more
+    than ``max_bisections`` splits raise QuadratureError naming the
+    segments.  Otherwise a non-finite panel makes its segment non-finite,
+    and panels left when the budget runs out are added as they are.
     """
-    if a == b:
-        return 0.0, 0.0
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise QuadratureError(f"adaptive quadrature needs finite bounds, got [{a}, {b}]")
-    val, err = _panel(f, a, b)
-    # heap entries: (-err, tiebreak, a, b, val, err)
-    counter = 0
-    heap = [(-err, counter, a, b, val, err)]
-    total, total_err = val, err
-    n_panels = 1
-    while total_err > max(abs_tol, rel_tol * abs(total)) and total_err > 1e-300:
-        if n_panels >= max_panels:
-            break
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        if pm <= pa or pm >= pb:
-            # interval at floating-point resolution; accept as is
-            heapq.heappush(heap, (0.0, counter + 1, pa, pb, pval, 0.0))
-            counter += 1
-            total_err -= perr
-            continue
-        lv, le = _panel(f, pa, pm)
-        rv, re = _panel(f, pm, pb)
-        total += lv + rv - pval
-        total_err += le + re - perr
-        counter += 2
-        heapq.heappush(heap, (-le, counter - 1, pa, pm, lv, le))
-        heapq.heappush(heap, (-re, counter, pm, pb, rv, re))
-        n_panels += 1
-    if not math.isfinite(total):
-        raise QuadratureError(f"non-finite quadrature value {total} on [{a}, {b}]")
-    return total, max(total_err, 0.0)
+    edges = np.asarray(edges, dtype=float)
+    n_seg = len(edges) - 1
+    a, b = edges[:-1], edges[1:]
+    seg, share = np.arange(n_seg), np.ones(n_seg)
+    s = int(np.searchsorted(edges, 1.0)) - 1     # the one segment that may straddle 1
+    if 0 <= s < n_seg and a[s] < 1.0 < b[s]:
+        a, b, seg, share = (np.append(a, 1.0), np.append(b, b[s]), np.append(seg, s),
+                            np.append(share, 0.5))
+        b[s], share[s] = 1.0, 0.5
+    in_log = a >= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = np.where(in_log, np.log(a), a), np.where(in_log, np.log(b), b)
+    x15, w15 = gl_rule(15)
+    x31, w31 = gl_rule(31)
+    nodes = np.concatenate([x15, x31])
+    weights = np.zeros((len(nodes), 2))     # columns: GL(15), GL(31)
+    weights[:15, 0], weights[15:, 1] = w15, w31
 
+    def rules(a, b, in_log):
+        """GL(15) and GL(31) values of each panel: shape (2, K, panels)."""
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = mid[:, None] + half[:, None] * nodes
+        r = np.where(in_log[:, None], np.exp(x), x)
+        vals = np.asarray(f(r.ravel()), dtype=float).reshape(-1, *r.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = vals * np.where(in_log[:, None], r, 1.0)
+            return half * (vals @ weights).transpose(2, 0, 1)
 
-def _interval(f, a, b, rel_tol, abs_tol, breakpoints, max_panels, strict):
-    """adaptive_estimate on [a, b], split at interior breakpoints first.
-
-    Acceptance is per piece (each piece meets its own relative target); the
-    summed error is not re-tested, so pieces of opposite sign cannot force
-    spurious failures through cancellation.  With ``strict`` a piece that
-    misses its target raises before the next piece is integrated."""
-    pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    piece_abs = abs_tol / max(len(pts) - 1, 1)
-    total, err = 0.0, 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        v, e = adaptive_estimate(f, lo, hi, rel_tol=rel_tol, abs_tol=piece_abs,
-                                 max_panels=max_panels)
-        if strict and e > max(piece_abs, rel_tol * abs(v)) and e > 1e-300:
+    lim, bisections, settled = None, 0, []
+    while len(a):
+        # f sees PANEL_BLOCK panels at a time, which bounds the memory
+        coarse, fine = np.concatenate(
+            [rules(a[i:i + PANEL_BLOCK], b[i:i + PANEL_BLOCK], in_log[i:i + PANEL_BLOCK])
+             for i in range(0, len(a), PANEL_BLOCK)], axis=-1)
+        bad = ~np.isfinite(fine).all(axis=0)
+        if strict and bad.any():
             raise QuadratureError(
-                f"quadrature did not converge after {max_panels} panels "
-                f"(err={e:.3e}, value={v:.6e})")
-        total += v
-        err += e
-    return total, err
+                f"non-finite segment integral on {_segment_list(edges, seg[bad])}")
+        with np.errstate(invalid="ignore"):
+            if lim is None:
+                # per segment: the floor, and rel_tol |first estimate|
+                lim = np.zeros((2, len(fine), n_seg))
+                lim[0] += abs_tol
+                np.add.at(lim[1].T, seg, fine.T)
+                lim[1] = rel_tol * np.abs(lim[1])
+            err = np.abs(fine - coarse)
+            floor, first = lim[..., seg]
+            # fmax: a non-finite first estimate leaves the other tests
+            done = bad | (err <= np.fmax(np.fmax(rel_tol * np.abs(fine), floor),
+                                         share * first)).all(axis=0)
+        if bisections + np.count_nonzero(~done) > max_bisections:
+            if strict:
+                raise QuadratureError(
+                    f"segment quadrature did not settle within {max_bisections} "
+                    f"bisections on {_segment_list(edges, seg[~done])}")
+            done[:] = True
+        settled.append((seg[done], fine[:, done], err[:, done]))
+        keep = ~done
+        a, b, seg, in_log, share = a[keep], b[keep], seg[keep], in_log[keep], share[keep]
+        mid = 0.5 * (a + b)
+        bisections += len(a)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        seg, in_log = np.concatenate([seg, seg]), np.concatenate([in_log, in_log])
+        share = np.concatenate([share, share]) * 0.5
+    total, errors = np.zeros((2, len(lim[0]), n_seg))
+    seg, fine, err = (np.concatenate(part, axis=-1) for part in zip(*settled))
+    np.add.at(total.T, seg, fine.T)
+    np.add.at(errors.T, seg, err.T)
+    return total, errors
 
 
-def _radial(f, r0, r1, rel_tol, abs_tol, breakpoints, max_panels, strict):
+def _segment_list(edges, seg, shown=3):
+    seg = np.unique(seg)
+    spans = ", ".join(f"[{edges[i]:g}, {edges[i + 1]:g}]" for i in seg[:shown])
+    more = f" and {len(seg) - shown} more" if len(seg) > shown else ""
+    return f"radii {spans}{more}"
+
+
+def segment_integrals(f, edges, rel_tol, abs_tol):
+    """The (K, segments) integrals of the strict engine pass with
+    MAX_BISECTIONS splits; their cumulative sums give running integrals
+    over a sweep of radii."""
+    return _panel_pass(f, edges, rel_tol, abs_tol, MAX_BISECTIONS, strict=True)[0]
+
+
+def _radial_pass(f, r0, r1, rel_tol, abs_tol, breakpoints, max_panels, strict):
+    """One engine pass of a scalar f over [r0, *breakpoints, r1], each
+    piece with an equal share of abs_tol: (value, error)."""
     if r1 <= r0:
         return 0.0, 0.0
-    total, err = 0.0, 0.0
-    cut = min(max(r0, 1.0), r1)
-    if cut > r0:
-        v, e = _interval(f, r0, cut, rel_tol, abs_tol, breakpoints, max_panels, strict)
-        total += v
-        err += e
-    if r1 > cut:
-        def g(t):
-            r = np.exp(t)
-            # an overflow here leaves an inf that the non-finite check of
-            # adaptive_estimate turns into a QuadratureError
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.asarray(f(r), dtype=float) * r
+    edges = sorted({r0, r1, *(p for p in breakpoints if r0 < p < r1)})
+    vals, errs = _panel_pass(f, edges, rel_tol, abs_tol / (len(edges) - 1), max_panels,
+                             strict)
+    value = float(np.sum(vals))
+    if not math.isfinite(value):
+        raise QuadratureError(f"non-finite quadrature value {value} on "
+                              f"{_segment_list(edges, np.flatnonzero(~np.isfinite(vals[0])))}")
+    return value, float(np.sum(errs))
 
-        bps = [math.log(p) for p in breakpoints if cut < p < r1]
-        try:
-            v, e = _interval(g, math.log(cut), math.log(r1), rel_tol, abs_tol, bps,
-                             max_panels, strict)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"{exc} (bounds in t = log r; radii [{cut:g}, {r1:g}])") from exc
-        total += v
-        err += e
-    return total, err
+
+def adaptive_estimate(f, a, b, rel_tol=1e-8, abs_tol=0.0, max_panels=4096, breakpoints=()):
+    """The non-strict engine pass that integrate_radial_estimate runs:
+    (value, error) also when ``max_panels`` bisections leave panels
+    unsettled.  Raises QuadratureError, naming the radii, when the value
+    is NaN or infinite."""
+    return _radial_pass(f, a, b, rel_tol, abs_tol, breakpoints, max_panels, strict=False)
 
 
 def integrate_radial_estimate(f, r0, r1, rel_tol=1e-8, abs_tol=0.0,
@@ -180,97 +214,13 @@ def integrate_radial_estimate(f, r0, r1, rel_tol=1e-8, abs_tol=0.0,
     counts small when r1 spans many decades.  Breakpoints (kernel kinks,
     support edges) are honored in both pieces.  Returns (value, error).
     """
-    return _radial(f, r0, r1, rel_tol, abs_tol, breakpoints, max_panels, strict=False)
+    return adaptive_estimate(f, r0, r1, rel_tol, abs_tol, max_panels, breakpoints)
 
 
 def integrate_radial(f, r0, r1, rel_tol=1e-8, abs_tol=0.0, breakpoints=()):
     """Strict form of integrate_radial_estimate: returns the value, and
-    raises QuadratureError as soon as one piece misses its target within
-    4096 panels."""
-    return _radial(f, r0, r1, rel_tol, abs_tol, breakpoints, 4096, strict=True)[0]
-
-
-def segment_integrals(f, edges, rel_tol, abs_tol):
-    """Integrals of a vector-valued f over every segment between the
-    sorted edges, all segments at once.
-
-    ``f`` maps a 1-D array of radii to an array of shape (K, len(radii)).
-    Each segment gets GL(15/31), linear in r below 1 and in t = log r above
-    1 (a segment straddling 1 is split there, as in integrate_radial).  A
-    panel is accepted when, on every component, its error is within
-    ``max(rel_tol * |value|, abs_tol)`` or within its share of ``rel_tol``
-    times the magnitude of its segment's first estimate (the per-panel part
-    of a global error test, as in QUADPACK): the share halves at each
-    bisection and starts split evenly between the pieces of a segment.
-    Other panels are bisected.  f is called on the nodes of PANEL_BLOCK
-    panels at a time.
-    ``abs_tol`` broadcasts against (K, segments).  Returns the (K, segments)
-    integrals.  Raises QuadratureError, naming the segments, when a value
-    is not finite or MAX_BISECTIONS splits do not settle every panel.
-    """
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    split = (lo < 1.0) & (hi > 1.0)
-    seg = np.concatenate([np.arange(len(lo)), np.flatnonzero(split)])
-    a = np.concatenate([lo, np.ones(int(split.sum()))])
-    b = np.concatenate([np.where(split, 1.0, hi), hi[split]])
-    share = 1.0 / (1.0 + split[seg])
-    in_log = a >= 1.0
-    a[in_log], b[in_log] = np.log(a[in_log]), np.log(b[in_log])
-    x15, w15 = gl_rule(15)
-    x31, w31 = gl_rule(31)
-    nodes = np.concatenate([x15, x31])
-    weights = np.zeros((len(nodes), 2))     # columns: GL(15), GL(31)
-    weights[:15, 0], weights[15:, 1] = w15, w31
-
-    def rules(a, b, in_log):
-        """GL(15) and GL(31) values of each panel: shape (2, K, panels)."""
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        r = mid[:, None] + half[:, None] * nodes[None, :]
-        r[in_log] = np.exp(r[in_log])
-        vals = np.asarray(f(r.ravel()), dtype=float).reshape(-1, *r.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals[:, in_log] *= r[in_log]
-            return np.moveaxis(half[:, None] * (vals @ weights), -1, 0)
-
-    total, bisections = None, 0
-    while len(a):
-        # f sees PANEL_BLOCK panels at a time, which bounds the memory
-        coarse, fine = np.concatenate(
-            [rules(a[i:i + PANEL_BLOCK], b[i:i + PANEL_BLOCK], in_log[i:i + PANEL_BLOCK])
-             for i in range(0, len(a), PANEL_BLOCK)], axis=-1)
-        with np.errstate(invalid="ignore"):
-            err = np.abs(fine - coarse)
-        bad = ~np.all(np.isfinite(fine), axis=0)
-        if np.any(bad):
-            raise QuadratureError(
-                f"non-finite segment integral on {_segment_list(edges, seg[bad])}")
-        if total is None:
-            total, first = np.zeros((2, len(fine), len(lo)))
-            floor = np.broadcast_to(abs_tol, total.shape)
-            np.add.at(first.T, seg, fine.T)
-        tol = np.maximum(np.maximum(rel_tol * np.abs(fine), floor[:, seg]),
-                         share * rel_tol * np.abs(first[:, seg]))
-        done = np.all(err <= tol, axis=0)
-        np.add.at(total.T, seg[done], fine[:, done].T)
-        keep = ~done
-        a, b, seg, in_log, share = a[keep], b[keep], seg[keep], in_log[keep], share[keep]
-        mid = 0.5 * (a + b)
-        bisections += len(a)
-        if bisections > MAX_BISECTIONS:
-            raise QuadratureError(
-                f"segment quadrature did not settle within {MAX_BISECTIONS} "
-                f"bisections on {_segment_list(edges, seg)}")
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        seg, in_log, share = np.tile(seg, 2), np.tile(in_log, 2), np.tile(0.5 * share, 2)
-    return total
-
-
-def _segment_list(edges, seg, shown=3):
-    seg = np.unique(seg)
-    spans = ", ".join(f"[{edges[i]:g}, {edges[i + 1]:g}]" for i in seg[:shown])
-    more = f" and {len(seg) - shown} more" if len(seg) > shown else ""
-    return f"radii {spans}{more}"
+    raises QuadratureError when 4096 bisections do not settle every panel."""
+    return _radial_pass(f, r0, r1, rel_tol, abs_tol, breakpoints, 4096, strict=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +243,38 @@ def sign_cancellation(steps):
     return 0.5 * (float(np.sum(np.abs(steps))) - abs(float(np.sum(steps))))
 
 
+def _geometric_tail(decades):
+    """(n, tail) for the last RATIO_RUN ratios rho of consecutive decades
+    after the first piece that agree within RATIO_AGREEMENT and lie in
+    (0, Q_INFINITE): the run ends at decades[n - 1], and tail is its
+    geometric remainder at the last ratio.  None when no run qualifies."""
+    d = np.asarray(decades[1:], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = d[1:] / d[:-1]
+    for j in range(len(q) - RATIO_RUN, -1, -1):
+        w = q[j:j + RATIO_RUN]
+        if np.all((w > 0) & (w < Q_INFINITE)) and np.ptp(w) <= RATIO_AGREEMENT:
+            return j + RATIO_RUN + 2, float(d[j + RATIO_RUN] * w[-1] / (1.0 - w[-1]))
+    return None
+
+
 def decade_mass_integral(f, r0=0.0, rel_tol=1e-8, breakpoints=(),
                          support_radius=None, abs_tol=0.0):
     """Signed integral of f over [r0, inf) by decade blocks.
 
-    Convergence is judged on Cauchy-condensation groups of decades (decade
-    indices [2^j, 2^{j+1})), which separates summable tails like
-    1/(r log^2 r) from divergent ones like 1/r even though both have
-    decade-ratio -> 1.  Raises NonIntegrableError when the condensed
-    blocks fail to decay.  ``cancellation`` is the sign_cancellation of the
-    decades after the first piece (0 with a support radius).
+    A non-strict engine pass integrates DECADE_BLOCK decades at a time;
+    the walk reads them in order and raises QuadratureError, naming the
+    radii, at a non-finite one.  Three quiet decades in a row end it.  A
+    decade of exactly 0 right after a non-quiet one is an underflowed
+    integrand: the walk ends at the last geometric run before it
+    (_geometric_tail) plus its remainder, as it does after MAX_DECADES
+    decades when such a run ends at the last one.  Otherwise convergence
+    is judged on Cauchy-condensation groups of decades (decade indices
+    [2^j, 2^{j+1})), which separates summable tails like 1/(r log^2 r)
+    from divergent ones like 1/r even though both have decade-ratio -> 1;
+    NonIntegrableError is raised when they fail to decay.
+    ``cancellation`` is the sign_cancellation of the decades after the
+    first piece (0 with a support radius).
     """
     if support_radius is not None:
         hi = max(support_radius, r0)
@@ -312,47 +284,61 @@ def decade_mass_integral(f, r0=0.0, rel_tol=1e-8, breakpoints=(),
                           cancellation=0.0)
 
     first_hi = max(1.0, 10.0 * max(r0, 0.1))
-    d0, quad_err = integrate_radial_estimate(f, r0, first_hi, rel_tol=rel_tol,
-                                             breakpoints=breakpoints, abs_tol=abs_tol,
-                                             max_panels=1024)
-    decades = [d0]
-    lo = first_hi
-    running = decades[0]
+    d0, e0 = integrate_radial_estimate(f, r0, first_hi, rel_tol=rel_tol,
+                                       breakpoints=breakpoints, abs_tol=abs_tol,
+                                       max_panels=1024)
+    decades, errors = [d0], [e0]
+
+    def result(n, tail, tail_mag, early):
+        """The first n decades plus a remainder."""
+        return MassResult(value=sum(decades[:n]) + tail,
+                          tail_estimate=tail_mag + sum(errors[:n]),
+                          r_reached=first_hi * 10.0 ** (n - 1), converged_early=early,
+                          cancellation=sign_cancellation(decades[1:n]))
+
+    running = d0
     quiet = 0
-    for _ in range(MAX_DECADES):
-        hi = lo * 10.0
-        bps = [p for p in breakpoints if lo < p < hi]
+    while len(decades) <= MAX_DECADES:
+        n = len(decades)
+        radii = first_hi * 10.0 ** np.arange(n - 1, min(n + DECADE_BLOCK, MAX_DECADES + 1))
+        edges = np.unique(np.concatenate(
+            [radii, [p for p in breakpoints if radii[0] < p < radii[-1]]]))
+        starts = np.searchsorted(edges, radii[:-1])
+        pieces = np.diff(np.append(starts, len(edges) - 1))
         # decades contributing below the tolerance floor need no relative
         # resolution of their own; unresolved quadrature error (underflowing
         # tails) is carried into the tail estimate instead of failing hard
         scale = max(abs(running), abs_tol / max(rel_tol, 1e-15), 1e-12)
-        d, e = integrate_radial_estimate(f, lo, hi, rel_tol=rel_tol, breakpoints=bps,
-                                         abs_tol=0.02 * rel_tol * scale,
-                                         max_panels=1024)
-        quad_err += e
-        decades.append(d)
-        running += d
-        lo = hi
-        scale = max(abs(running), 1e-12)
-        if abs(d) + e <= 0.1 * rel_tol * scale:
-            quiet += 1
-            if quiet >= 3:
-                return MassResult(value=running, tail_estimate=abs(d) + quad_err,
-                                  r_reached=lo, converged_early=True,
-                                  cancellation=sign_cancellation(decades[1:]))
-        else:
-            quiet = 0
+        # nothing past the decade where the walk stops is read: no warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, errs = _panel_pass(f, edges, rel_tol,
+                                     np.repeat(0.02 * rel_tol * scale / pieces, pieces),
+                                     1024 * len(starts), strict=False)
+        for d, e, lo, hi in zip(np.add.reduceat(vals[0], starts).tolist(),
+                                np.add.reduceat(errs[0], starts).tolist(),
+                                radii[:-1].tolist(), radii[1:].tolist()):
+            if not math.isfinite(d):
+                raise QuadratureError(
+                    f"non-finite decade integral {d} on radii [{lo:g}, {hi:g}]")
+            geometric = _geometric_tail(decades) if d == 0.0 and quiet == 0 else None
+            if geometric is not None:
+                return result(*geometric, abs(geometric[1]), False)
+            decades.append(d)
+            errors.append(e)
+            running += d
+            if abs(d) + e > 0.1 * rel_tol * max(abs(running), 1e-12):
+                quiet = 0
+            elif (quiet := quiet + 1) >= 3:
+                return result(len(decades), 0.0, abs(d), True)
 
+    geometric = _geometric_tail(decades)
+    if geometric is not None and geometric[0] == len(decades):
+        return result(*geometric, abs(geometric[1]), False)
     # condense decades 1..end into doubling groups and ratio-test them
     tail = np.array(decades[1:])
-    groups = []
-    j = 0
-    while 2 ** j < len(tail):
-        groups.append(np.sum(tail[2 ** j - 1: min(2 ** (j + 1) - 1, len(tail))]))
-        j += 1
-    mags = np.array([abs(g) for g in groups])
-    if len(mags) < 4:
-        raise NonIntegrableError("not enough decades to judge tail convergence")
+    groups = [np.sum(tail[2 ** j - 1:2 ** (j + 1) - 1])
+              for j in range(math.ceil(math.log2(len(tail))))]
+    mags = np.abs(groups)
     ratios = mags[1:] / np.maximum(mags[:-1], 1e-300)
     last = ratios[-3:]
     if np.any(last >= Q_INFINITE) and mags[-1] > rel_tol * max(abs(running), 1e-12):
@@ -361,10 +347,7 @@ def decade_mass_integral(f, r0=0.0, rel_tol=1e-8, breakpoints=(),
         )
     rho = float(min(max(np.max(last), 0.0), 0.98))
     tail_mag = mags[-1] * rho / (1.0 - rho)
-    tail_signed = math.copysign(tail_mag, groups[-1])
-    return MassResult(value=running + tail_signed, tail_estimate=tail_mag + quad_err,
-                      r_reached=lo, converged_early=False,
-                      cancellation=sign_cancellation(tail))
+    return result(len(decades), math.copysign(tail_mag, groups[-1]), tail_mag, False)
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +571,16 @@ def shell_points(n, resolution, center, radii):
 
 def sphere_shell(f, n, center, radii, tol):
     """rho^{n-1} * integral of f(center + rho w) over unit directions w, for
-    each rho in radii.
+    each rho in radii, evaluated SHELL_RADII radii at a time.
 
     The sphere_rule resolution doubles until every radius changes by at
     most tol relative to its value, or the last resolution is reached.
     """
     center = np.asarray(center, dtype=float)
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if len(radii) > SHELL_RADII:
+        return np.concatenate([sphere_shell(f, n, center, radii[i:i + SHELL_RADII], tol)
+                               for i in range(0, len(radii), SHELL_RADII)])
 
     def at(resolution):
         pts, wts = shell_points(n, resolution, center, radii)

@@ -13,6 +13,7 @@ from qflatlab.quadrature import (CONDENSATION_PANEL_WIDTH, POINT_BUDGET,
                                  integrate_radial_estimate, log_condensation_blocks,
                                  log_sum_exp, segment_integrals, shell_points, shell_product_rule,
                                  sphere_rule, sphere_shell)
+from scipy.integrate import quad
 from scipy.special import logsumexp
 
 
@@ -248,8 +249,8 @@ def test_segment_integrals_match_integrate_radial(kind):
     got = segment_integrals(f, edges, 1e-10, 1e-14)
     for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         for k in range(2):
-            ref = integrate_radial(lambda r: f(np.asarray(r, dtype=float))[k], a, b,
-                                   rel_tol=1e-12, abs_tol=1e-15, breakpoints=bps)
+            ref, _ = quad(lambda r: f(np.array([r]))[k, 0], a, b, epsrel=1e-12, epsabs=1e-15,
+                          points=[p for p in bps if a < p < b] or None)
             assert got[k, i] == pytest.approx(ref, rel=1e-10, abs=1e-13)
 
 
@@ -295,3 +296,57 @@ def test_condensation_start_at_or_below_one_raises(r_start):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# int_0^inf r^k (1 + r^2)^(-p) dr = B((k + 1) / 2, p - (k + 1) / 2) / 2.  The
+# first two underflow to 0 past r ~ 1e80 and ~1e53; the third is still
+# nonzero after MAX_DECADES decades, where its remainder is 1.4e-4.
+SLOW_TAILS = [(2.02, 3), (3.02, 5), (1.02, 1)]
+
+
+def _slow_tail(p, k):
+    return lambda r: (1.0 + r * r) ** -p * r ** k
+
+
+def _beta_value(p, k):
+    a, b = (k + 1) / 2, p - (k + 1) / 2
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b) / 2
+
+
+@pytest.mark.parametrize("p,k", SLOW_TAILS)
+def test_decade_walk_extrapolates_geometric_tails(p, k):
+    res = decade_mass_integral(_slow_tail(p, k))
+    exact = _beta_value(p, k)
+    assert res.value == pytest.approx(exact, abs=1e-6, rel=0)
+    assert abs(res.value - exact) <= res.tail_estimate
+    assert not res.converged_early
+
+
+@pytest.mark.parametrize("nan_from,raises", [(1e40, True), (1e85, False)])
+def test_decade_walk_raises_only_on_reached_nan(nan_from, raises):
+    # the walk of (1 + r^2)^-2.02 r^3 stops where it underflows, near 1e81;
+    # its last block of decades reaches 1e88
+    f = _slow_tail(*SLOW_TAILS[0])
+    g = lambda r: np.where(r > nan_from, np.nan, f(r))
+    if raises:
+        with pytest.raises(QuadratureError, match=r"non-finite decade integral nan on radii \[1e\+40"):
+            decade_mass_integral(g)
+    else:
+        assert decade_mass_integral(g).value == decade_mass_integral(f).value
+
+
+def test_shell_integrand_takes_more_radii_than_one_evaluation():
+    # the engine hands its integrand whole panels (46 nodes each), while
+    # sphere_shell at n = 4 fits at most 41 radii of resolution 48 in
+    # POINT_BUDGET; int_{B_R} e^{-|y|^2} dy = pi^2 (1 - (1 + R^2) e^{-R^2})
+    # in n = 4
+    sizes = []
+
+    def shell(rho):
+        sizes.append(len(rho))
+        return sphere_shell(lambda pts: np.exp(-np.einsum("ij,ij->i", pts, pts)),
+                            4, np.zeros(4), rho, 1e-9)
+
+    got = integrate_radial(shell, 0.0, 0.5)
+    assert max(sizes) > 31
+    assert got == pytest.approx(math.pi ** 2 * (1 - 1.25 * math.exp(-0.25)), rel=1e-10, abs=0)
