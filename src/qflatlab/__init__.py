@@ -11,8 +11,8 @@ from .errors import (ArityError, DimensionError, DomainEvalError,
                      NonIntegrableError, NotRadialError, QflatError,
                      QuadratureError, RangeOverflowError, UnknownSymbolError)
 from .fields import (Dimension, FieldCaps, FieldExpression, GridField,
-                     RadialProfile, ScalarField, as_dimension, constant_field,
-                     eval_field, field_from_expression,
+                     RadialProfile, ScalarField, ShellEvaluator, as_dimension,
+                     constant_field, eval_field, field_from_expression,
                      parse_field, radial_field, restrict_radial, sample_grid)
 from .polynomials import (Polynomial, apply_laplacian_poly, ball_mean_poly,
                           monomials_upto, ph_dimension, poly_gradient,

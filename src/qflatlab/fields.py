@@ -3,13 +3,16 @@
 A ScalarField is a vectorized pure function of points together with
 capabilities: the radial profile phi with f(x) = phi(|x|) of a radial
 field, compact support, optional closed-form gradient and
-iterated-Laplacian evaluators.  along_ray() of a radial field evaluates
-its profile directly.  RadialProfile is the spline and table form of a
-profile: it optionally caches a cubic spline on a geometric grid (64 nodes
-per decade) so that quadrature-backed profiles stay cheap to evaluate in
-bulk, and it interpolates radial tables.  The spline is a numpy
-not-a-knot cubic (``_NotAKnotSpline``) with the boundary rows of
-scipy's ``CubicSpline``, so no analysis imports scipy.
+iterated-Laplacian evaluators, and an optional sphere-grid evaluator.
+along_ray() of a radial field evaluates its profile directly; on_shells()
+evaluates f(t d) on radii t times unit directions d, through the
+sphere-grid evaluator when the field has one.  RadialProfile is the
+spline and table form of a profile: it optionally caches a cubic spline
+on a geometric grid (64 nodes per decade) so that quadrature-backed
+profiles stay cheap to evaluate in bulk, and it interpolates radial
+tables.  The spline is a numpy not-a-knot cubic (``_NotAKnotSpline``)
+with the boundary rows of scipy's ``CubicSpline``, so no analysis
+imports scipy.
 """
 
 import math
@@ -69,10 +72,14 @@ class FieldCaps:
     profile, set for radial fields, is the vectorized phi with
     f(x) = phi(|x|); laplacian_chain holds vectorized evaluators of
     Delta^k f for k = 1 .. n/2 (index 0 is Delta f); gradient returns an
-    (m, n) array.  source, set for a radial density f = (-Delta)^{n/2} u
-    derived from a radial u, is the profile of u: the mass of f in a ball
-    is then a boundary flux of u.  tabulated_source marks a source read
-    from a table (RadialProfile.from_table).
+    (m, n) array.  A chain entry or the gradient may be a ShellEvaluator,
+    which also gives its values on a sphere grid.  source, set for a radial
+    density f = (-Delta)^{n/2} u derived from a radial u, is the profile of
+    u: the mass of f in a ball is then a boundary flux of u.
+    tabulated_source marks a source read from a table
+    (RadialProfile.from_table).  shells, the sphere-grid evaluator, maps
+    radii t (k,) and unit directions dirs (m, n) to f(t_i dirs_j) as a
+    (k, m) array without forming the k m points.
     """
 
     profile: object | None = None
@@ -81,6 +88,7 @@ class FieldCaps:
     gradient: object | None = None
     source: object | None = None
     tabulated_source: bool = False
+    shells: object | None = None
 
     @property
     def is_radial(self):
@@ -105,12 +113,28 @@ class ScalarField:
         vals = self._checked(self.fn(pts), pts)
         return float(vals[0]) if single else vals
 
+    def on_shells(self, t, dirs):
+        """f(t_i dirs_j) as a (len(t), len(dirs)) array, for radii t and
+        unit directions dirs (rows): from caps.shells when the field has a
+        sphere-grid evaluator, else on the points t_i dirs_j.  Either way a
+        non-finite value raises DomainEvalError."""
+        t = np.asarray(t, dtype=float)
+        dirs = np.asarray(dirs, dtype=float)
+        if dirs.ndim != 2 or dirs.shape[1] != self.dim.n:
+            raise DimensionError(
+                f"directions have shape {dirs.shape}, expected (m, {self.dim.n})")
+        if self.caps.shells is None:
+            pts = (t[:, None, None] * dirs[None]).reshape(-1, self.dim.n)
+            return self(pts).reshape(len(t), len(dirs))
+        return self._checked(self.caps.shells(t, dirs), t[:, None, None])
+
     def _checked(self, vals, pts):
-        """vals at the points pts (rows), zeroed outside the support; raises
+        """vals at the points pts (coordinates on the last axis, the rest
+        broadcasting against vals), zeroed outside the support; raises
         DomainEvalError on a non-finite value."""
         vals = np.asarray(vals, dtype=float)
         if self.caps.support_radius is not None:
-            inside = np.einsum("ij,ij->i", pts, pts) <= self.caps.support_radius ** 2
+            inside = np.einsum("...j,...j->...", pts, pts) <= self.caps.support_radius ** 2
             vals = np.where(inside, vals, 0.0)
         if not np.all(np.isfinite(vals)):
             raise DomainEvalError(f"field {self.name or '<anonymous>'} returned non-finite values")
@@ -139,6 +163,21 @@ class ScalarField:
             return self(t[:, None] * d[None, :])
 
         return phi
+
+
+@dataclass(frozen=True)
+class ShellEvaluator:
+    """A vectorized evaluator fn on (m, n) points together with its
+    sphere-grid form: shells(t, dirs) is fn at the points t_i dirs_j,
+    computed without forming them, as a (len(t), len(dirs)) array for a
+    scalar evaluator and as a list of n such arrays, one per component,
+    for a gradient."""
+
+    fn: object
+    shells: object
+
+    def __call__(self, pts):
+        return self.fn(pts)
 
 
 def eval_field(f: ScalarField, x) -> float:

@@ -36,9 +36,10 @@ import numpy as np
 from .constants import cohn_vossen_bound, sphere_constants
 from .errors import DimensionError, InputError
 from .expr import smooth_cutoff
-from .fields import Dimension, FieldCaps, ScalarField, as_dimension, radial_field
+from .fields import (Dimension, FieldCaps, ScalarField, ShellEvaluator, as_dimension,
+                     radial_field)
 from .geometry import MetricContext
-from .polynomials import Polynomial, apply_laplacian_poly, poly_gradient
+from .polynomials import Polynomial, apply_laplacian_poly, poly_partial
 from .potential import PotentialEvaluator
 from .calculus import jet_density, radial_jet, radial_laplacian_batch
 
@@ -255,32 +256,44 @@ def _build_gaussian(params, dim):
 def _planted_field(prof, poly, name):
     """u = prof(|x|) + poly(x) for a nonconstant planted polynomial, with
     its Laplacian and gradient as radial jets of prof plus exact polynomial
-    parts."""
+    parts.  u, Delta u and the gradient also come on sphere grids: the
+    radial terms once per radius, the polynomial ones from the homogeneous
+    parts (Polynomial.on_shells)."""
     dim = poly.dim
     n = dim.n
     lap_poly = apply_laplacian_poly(poly, 1)
-    grad_poly = poly_gradient(poly)
+    partials = [poly_partial(poly, i) for i in range(n)]
 
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
         return np.asarray(prof(r), dtype=float) + poly(pts)
 
-    # product-rule shells put many points on few radii: jets are fitted
-    # once per distinct radius and scattered back
     def lap(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r, back = np.unique(np.sqrt(np.einsum("ij,ij->i", pts, pts)), return_inverse=True)
-        return radial_laplacian_batch(prof, r, n, 1)[back] + lap_poly(pts)
+        r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        return radial_laplacian_batch(prof, r, n, 1) + lap_poly(pts)
 
     def grad(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r, back = np.unique(np.sqrt(np.einsum("ij,ij->i", pts, pts)), return_inverse=True)
+        r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
         dphi = radial_jet(prof, r, n).radial_derivative() / np.maximum(r, 1e-300)
-        return dphi[back][:, None] * pts + grad_poly(pts)
+        return dphi[:, None] * pts + np.stack([q(pts) for q in partials], axis=1)
 
-    return ScalarField(dim=dim, fn=fn,
-                       caps=FieldCaps(laplacian_chain=(lap,), gradient=grad), name=name)
+    def shells(t, dirs):
+        return np.asarray(prof(t), dtype=float)[:, None] + poly.on_shells(t, dirs)
+
+    def lap_shells(t, dirs):
+        return radial_laplacian_batch(prof, t, n, 1)[:, None] + lap_poly.on_shells(t, dirs)
+
+    def grad_shells(t, dirs):
+        dphi = radial_jet(prof, t, n).radial_derivative()
+        return [np.multiply.outer(dphi, dirs[:, i]) + q.on_shells(t, dirs)
+                for i, q in enumerate(partials)]
+
+    caps = FieldCaps(laplacian_chain=(ShellEvaluator(lap, lap_shells),),
+                     gradient=ShellEvaluator(grad, grad_shells), shells=shells)
+    return ScalarField(dim=dim, fn=fn, caps=caps, name=name)
 
 
 def _build_planted(params, dim):

@@ -21,11 +21,11 @@ import numpy as np
 from .calculus import ball_integral
 from .constants import sphere_constants
 from .errors import GridError, QflatError, RangeOverflowError
-from .fields import ScalarField, check_point, radial_field
+from .fields import FieldCaps, ScalarField, check_point, radial_field
 from .fitting import GrowthEstimate, fit_log_slope, fit_loglog, require_window
 from .quadrature import (TailClassification, classify_log_blocks, integrate_radial,
                          log_condensation_blocks, log_sum_exp, segment_integrals,
-                         shell_points)
+                         shell_grid)
 
 EXP_OVERFLOW = 700.0
 VOLUME_REL_TOL = 1e-6     # conformal volumes behind tau and measure distances
@@ -86,15 +86,22 @@ def _guarded_exp(exponents, what):
 # ---------------------------------------------------------------------------
 
 def _volume_field(ctx: MetricContext) -> ScalarField:
-    """e^{nu} as a field; radial when the metric is."""
+    """e^{nu} as a field; radial when the metric is, with a sphere-grid
+    evaluator when u has one."""
     n = ctx.n
     name = f"e^({n}u)"
+    u = ctx.u
     if ctx.is_radial:
-        phi = ctx.u.along_ray()
+        phi = u.along_ray()
         return radial_field(lambda t: _guarded_exp(n * phi(t), "conformal volume"),
-                            ctx.u.dim, name=name)
-    return ScalarField(dim=ctx.u.dim, name=name,
-                       fn=lambda pts: _guarded_exp(n * ctx.u(pts), "conformal volume"))
+                            u.dim, name=name)
+    shells = None
+    if u.caps.shells is not None:
+        def shells(t, dirs):
+            return _guarded_exp(n * u.on_shells(t, dirs), "conformal volume")
+
+    return ScalarField(dim=u.dim, name=name, caps=FieldCaps(shells=shells),
+                       fn=lambda pts: _guarded_exp(n * u(pts), "conformal volume"))
 
 
 def conformal_volume(ctx: MetricContext, R, center=None,
@@ -282,11 +289,9 @@ def volume_classification(ctx: MetricContext) -> DiameterReport:
             t = np.asarray(t, dtype=float)
             return n * phi(t) + (n - 1) * np.log(t) + math.log(area)
     else:
-        origin = np.zeros(n)
-
         def shells(t):
-            pts, wts = shell_points(n, 16, origin, t)
-            uv = ctx.u(pts).reshape(len(t), len(wts))
+            dirs, wts = shell_grid(n, 16, t)
+            uv = ctx.u.on_shells(t, dirs)
             return log_sum_exp(n * uv + np.log(wts)[None, :], axis=1) + (n - 1) * np.log(t)
 
         def log_integrand(t):

@@ -29,7 +29,7 @@ import numpy as np
 from .calculus import jet_density, radial_jet, radial_laplacian_batch
 from .constants import cohn_vossen_bound, sphere_constants
 from .errors import DimensionError, QflatError
-from .fields import ScalarField
+from .fields import FieldCaps, ScalarField
 from .fitting import GrowthEstimate
 from .geometry import (DiameterReport, MetricContext, diameter_estimate,
                        volume_classification, volume_growth)
@@ -119,7 +119,8 @@ def _growth_criterion(w: ScalarField, integrand, threshold, radii, margin,
 
     integrand(w) is the vectorized point integrand.  Radial fields sweep it
     along t e_1 in one segment_integrals pass; other fields use
-    product-rule shells (classifier grade)."""
+    product-rule shells (classifier grade), on the sphere grid when the
+    integrand has a grid form."""
     n = w.dim.n
     if n < 4:
         raise DimensionError(f"{what} applies for n >= 4")
@@ -142,11 +143,23 @@ def _growth_criterion(w: ScalarField, integrand, threshold, radii, margin,
     return growth_classifier(zip(radii, vals), threshold=threshold, margin=margin)
 
 
+def _integrand(w: ScalarField, values, shells):
+    """The point integrand values; with a sphere-grid form shells(t, dirs),
+    a ScalarField over w's dimension that carries it, so that
+    shell_product_rule evaluates it without forming points."""
+    if shells is None:
+        return values
+    return ScalarField(dim=w.dim, fn=values, caps=FieldCaps(shells=shells))
+
+
 def _abs_laplacian_values(w: ScalarField):
     """Vectorized |Delta w|, from the analytic chain or the radial jet."""
     chain = w.caps.laplacian_chain
     if chain is not None and len(chain) >= 1:
-        return lambda pts: np.abs(np.asarray(chain[0](pts), dtype=float))
+        lap = chain[0]
+        grid = getattr(lap, "shells", None)
+        return _integrand(w, lambda pts: np.abs(np.asarray(lap(pts), dtype=float)),
+                          None if grid is None else lambda t, dirs: np.abs(grid(t, dirs)))
     if w.caps.is_radial:
         phi = w.along_ray()
         n = w.dim.n
@@ -162,7 +175,9 @@ def _abs_laplacian_values(w: ScalarField):
 
 
 def _abs_values(w: ScalarField):
-    return lambda pts: np.abs(w(pts))
+    return _integrand(w, lambda pts: np.abs(w(pts)),
+                      None if w.caps.shells is None
+                      else lambda t, dirs: np.abs(w.on_shells(t, dirs)))
 
 
 def _curvature_deficit_values(u: ScalarField):
@@ -173,25 +188,33 @@ def _curvature_deficit_values(u: ScalarField):
     n = u.dim.n
     chain = u.caps.laplacian_chain
     grad = u.caps.gradient
-    if chain is not None and grad is not None:
-        def deficit(pts):
-            lap = np.asarray(chain[0](pts), dtype=float)
-            g = np.asarray(grad(pts), dtype=float)
-            grad2 = np.einsum("ij,ij->i", g, g)
-            return 2.0 * (n - 1) * np.maximum(lap + 0.5 * (n - 2) * grad2, 0.0)
 
-        return deficit
+    def deficit(lap, grad2):
+        return 2.0 * (n - 1) * np.maximum(lap + 0.5 * (n - 2) * grad2, 0.0)
+
+    if chain is not None and grad is not None:
+        def on_points(pts):
+            g = np.asarray(grad(pts), dtype=float)
+            return deficit(np.asarray(chain[0](pts), dtype=float),
+                           np.einsum("ij,ij->i", g, g))
+
+        lap_grid, grad_grid = getattr(chain[0], "shells", None), getattr(grad, "shells", None)
+        if lap_grid is None or grad_grid is None:
+            return on_points
+
+        def on_shells(t, dirs):
+            return deficit(lap_grid(t, dirs), sum(g * g for g in grad_grid(t, dirs)))
+
+        return _integrand(u, on_points, on_shells)
     if u.caps.is_radial:
         phi = u.along_ray()
 
-        def deficit(pts):
+        def on_radii(pts):
             r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
             jet = radial_jet(phi, r, n, max_m=1)
-            lap = jet.laplacian_power(1)
-            du = jet.radial_derivative()
-            return 2.0 * (n - 1) * np.maximum(lap + 0.5 * (n - 2) * du ** 2, 0.0)
+            return deficit(jet.laplacian_power(1), jet.radial_derivative() ** 2)
 
-        return deficit
+        return on_radii
     raise QflatError("scalar criterion needs a radial field or analytic caps")
 
 

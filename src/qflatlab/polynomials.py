@@ -26,6 +26,10 @@ from .fields import Dimension, as_dimension
 
 _RANK_PRIME = 2_147_483_647  # 2^31 - 1; entries of Laplacian matrices are tiny integers
 _EVAL_BLOCK = 1 << 18        # terms x points evaluated at once
+_SHELLS_KEPT = 16            # (polynomial, directions) pairs whose parts on_shells keeps
+# on_shells: (id(p), id(dirs)) -> (p, dirs, homogeneous parts); an entry
+# holds p and dirs, so neither id is reused while it is kept
+_shell_parts = {}
 
 
 class Polynomial:
@@ -83,6 +87,27 @@ class Polynomial:
                 for row in terms:
                     part += row
         return float(out[0]) if np.asarray(x).ndim == 1 else out
+
+    def on_shells(self, t, dirs):
+        """p(t_i dirs_j) as a (len(t), len(dirs)) array, computed as
+        sum_k t_i^k p_k(dirs_j) over the homogeneous parts p_k of p.  The
+        parts on a read-only dirs array (a sphere_rule's) are kept for the
+        next calls, for the last _SHELLS_KEPT pairs of p and dirs."""
+        dirs = np.asarray(dirs, dtype=float)
+        key = id(self), id(dirs)
+        kept = _shell_parts.get(key)
+        if kept is None:
+            degree = self.exps.sum(axis=1)
+            by_degree = (degree == np.arange(int(degree.max(initial=0)) + 1)[:, None]) * 1.0
+            step = max(_EVAL_BLOCK // max(len(self.vals), 1), 1)
+            kept = self, dirs, np.concatenate([by_degree @ self.terms(dirs[s:s + step])
+                                               for s in range(0, len(dirs), step)], axis=1)
+            if not dirs.flags.writeable:
+                if len(_shell_parts) == _SHELLS_KEPT:
+                    del _shell_parts[next(iter(_shell_parts))]
+                _shell_parts[key] = kept
+        parts = kept[2]
+        return (np.asarray(t, dtype=float)[:, None] ** np.arange(len(parts))) @ parts
 
     def __add__(self, other):
         if isinstance(other, numbers.Real):

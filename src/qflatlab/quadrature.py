@@ -21,9 +21,10 @@ Four layers:
   ``log_sum_exp``, scipy's log-sum-exp arithmetic without its dispatch;
 * sphere shells and balls: the adaptive shell integral ``sphere_shell``,
   the fixed radius-times-sphere product rule ``shell_product_rule``, both
-  evaluated on ``shell_points`` within POINT_BUDGET points, and the exact
-  1-D reduction for radial integrands over offset balls
-  (``offset_ball_integral_radial``).
+  evaluated on ``shell_points`` within POINT_BUDGET points (about the
+  origin the product rule hands a field with a sphere-grid evaluator its
+  radii and directions instead), and the exact 1-D reduction for radial
+  integrands over offset balls (``offset_ball_integral_radial``).
 """
 
 import math
@@ -515,15 +516,15 @@ def sphere_rule(n, resolution):
     this is the trapezoid rule on the circle (spectrally accurate); higher
     n use Gauss-Legendre in each polar angle with the sin^k weight folded
     into the quadrature weight.  Raises QuadratureError, before building
-    the grid, when it would have more than POINT_BUDGET directions.
+    the grid, when it would have more than POINT_BUDGET directions.  Both
+    arrays are cached and read-only.
     """
     _check_budget(n, resolution, 1)
     if n == 2:
         m = 4 * resolution
         th = 2.0 * np.pi * np.arange(m) / m
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        wts = np.full(m, 2.0 * np.pi / m)
-        return dirs, wts
+        return _frozen(np.stack([np.cos(th), np.sin(th)], axis=1),
+                       np.full(m, 2.0 * np.pi / m))
 
     # polar angles theta_1..theta_{n-2} in [0, pi], azimuth in [0, 2 pi)
     grids, weights = [], []
@@ -554,19 +555,32 @@ def sphere_rule(n, resolution):
         dirs[:, k] = sin_prod * np.cos(ang)
         sin_prod = sin_prod * np.sin(ang)
     dirs[:, n - 1] = sin_prod
-    return dirs, wts
+    return _frozen(dirs, wts)
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def shell_grid(n, resolution, radii):
+    """The directions and weights of sphere_rule(n, resolution) for an
+    evaluation on the given radii.  Raises QuadratureError, before the
+    rule is built, when there would be more than POINT_BUDGET points."""
+    _check_budget(n, resolution, len(radii))
+    return sphere_rule(n, resolution)
 
 
 def shell_points(n, resolution, center, radii):
     """The points center + rho w, for each rho in radii (outer) and each
     direction w of sphere_rule(n, resolution) (inner), as an (m, n) array,
-    and the rule's weights.  Raises QuadratureError, before the rule is
-    built, when there would be more than POINT_BUDGET points."""
+    and the rule's weights, within the budget of shell_grid."""
     radii = np.asarray(radii, dtype=float)
-    _check_budget(n, resolution, len(radii))
-    dirs, wts = sphere_rule(n, resolution)
-    pts = np.asarray(center, dtype=float)[None, None, :] + radii[:, None, None] * dirs[None, :, :]
-    return pts.reshape(-1, n), wts
+    dirs, wts = shell_grid(n, resolution, radii)
+    pts = (radii[:, None, None] * dirs[None]).reshape(-1, n)
+    pts += np.asarray(center, dtype=float)
+    return pts, wts
 
 
 def sphere_shell(f, n, center, radii, tol):
@@ -605,17 +619,27 @@ def shell_product_rule(f, n, center, a, b, resolution, order):
     """Integral of f over the shell a <= |y - center| <= b by a fixed
     product rule: Gauss-Legendre of the given order in the radius times
     sphere_rule(n, resolution).  f is called on as many whole radii as
-    fit in PRODUCT_RULE_POINTS points (one radius when none fit)."""
+    fit in PRODUCT_RULE_POINTS points (one radius when none fit).  About
+    the origin, a field with a sphere-grid evaluator (FieldCaps.shells) is
+    evaluated through f.on_shells on those radii and the rule's
+    directions, without forming the points."""
     x, w = gl_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     t = mid + half * x
     wr = w * half * t ** (n - 1)
     _check_budget(n, resolution, len(t))
     step = max(PRODUCT_RULE_POINTS // _rule_size(n, resolution), 1)
+    dirs, wts = sphere_rule(n, resolution)
+    # a ScalarField whose caps carry a sphere-grid evaluator
+    on_grid = (getattr(getattr(f, "caps", None), "shells", None) is not None
+               and not np.any(center))
     total = 0.0
     for i in range(0, len(t), step):
-        pts, wts = shell_points(n, resolution, center, t[i:i + step])
-        vals = np.asarray(f(pts), dtype=float).reshape(-1, len(wts))
+        if on_grid:
+            vals = f.on_shells(t[i:i + step], dirs)
+        else:
+            pts, _ = shell_points(n, resolution, center, t[i:i + step])
+            vals = np.asarray(f(pts), dtype=float).reshape(-1, len(wts))
         total += float(np.einsum("i,j,ij->", wr[i:i + step], wts, vals))
     return total
 

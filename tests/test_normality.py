@@ -18,7 +18,10 @@ from qflatlab import (AnalysisConfig, Dimension, DimensionError,
                       normality_condition_a, normality_condition_b,
                       normality_scalar_criterion, radial_field)
 from qflatlab.cli import context_from_document
-from qflatlab.gallery import gallery_facts, gallery_fresh
+from qflatlab.gallery import _planted_field, gallery_facts, gallery_fresh
+from qflatlab.normality import _curvature_deficit_values
+from qflatlab.polynomials import monomials_upto
+from qflatlab.quadrature import sphere_rule
 
 
 class TestGrowthClassifier:
@@ -229,6 +232,89 @@ class TestScalarCriterion:
     def test_n2_rejected(self):
         with pytest.raises(DimensionError):
             normality_scalar_criterion(constant_field(0.0, 2))
+
+
+class TestPlantedSphereGrid:
+    """Planted fields evaluate u, Delta u and the curvature deficit on
+    sphere grids: radial terms per radius, polynomial terms from their
+    homogeneous parts.  The points path is the reference."""
+
+    @staticmethod
+    def _field(n, degree):
+        if n == 4:
+            return gallery("planted", {"seed": 5, "degree": degree}, 4).u
+        rng = np.random.default_rng(600 + degree)
+        dim = Dimension(n)
+        poly = Polynomial(dim, {mi: float(rng.uniform(-1.0, 1.0))
+                                for mi in monomials_upto(n, degree)})
+        return _planted_field(lambda r: -0.3 * np.log1p(np.asarray(r, dtype=float) ** 2),
+                              poly, f"planted-test(n={n},deg={degree})")
+
+    @staticmethod
+    def _points_only(u):
+        """u without its sphere-grid evaluators."""
+        caps = dataclasses.replace(u.caps, shells=None,
+                                   laplacian_chain=(u.caps.laplacian_chain[0].fn,),
+                                   gradient=u.caps.gradient.fn)
+        return ScalarField(dim=u.dim, fn=u.fn, caps=caps, name=u.name)
+
+    @pytest.mark.parametrize("n, degree", [(4, 1), (4, 2), (6, 2), (6, 4)])
+    def test_grid_values_match_points(self, n, degree):
+        # the points path fits its radial jets at the computed norms |x|;
+        # radii 2^k and directions of computed norm exactly 1 make those
+        # the radii themselves, so only the polynomial terms round apart
+        u = self._field(n, degree)
+        dirs = sphere_rule(n, 16)[0] if n == 4 else sphere_rule(n, 8)[0][::7]
+        dirs = dirs[np.sqrt(np.einsum("ij,ij->i", dirs, dirs)) == 1.0]
+        t = 2.0 ** np.arange(-2, 10)
+        pts = (t[:, None, None] * dirs[None]).reshape(-1, n)
+        assert np.array_equal(np.sqrt(np.einsum("ij,ij->i", pts, pts)),
+                              np.repeat(t, len(dirs)))
+        deficit = _curvature_deficit_values(u)
+        lap = u.caps.laplacian_chain[0]
+        for grid, ref in ((u.on_shells(t, dirs), u(pts)),
+                          (lap.shells(t, dirs), lap(pts)),
+                          (deficit.on_shells(t, dirs), deficit(pts))):
+            ref = ref.reshape(len(t), len(dirs))
+            assert np.max(np.abs(grid - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_criteria_match_the_points_path(self, degree):
+        u = self._field(4, degree)
+        ref = self._points_only(u)
+        for criterion in (normality_condition_a, normality_condition_b,
+                          normality_scalar_criterion):
+            got, want = criterion(u), criterion(ref)
+            assert got.verdict == want.verdict
+            assert got.fitted_exponent == pytest.approx(want.fitted_exponent, abs=1e-12)
+
+    def test_overflowing_grid_value_raises(self):
+        u = self._field(4, 2)
+        dirs = sphere_rule(4, 16)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainEvalError):
+                u.on_shells(np.array([1e200]), dirs)
+            with pytest.raises(DomainEvalError):
+                u(1e200 * dirs)
+
+    def test_planted_shells_never_build_points(self, monkeypatch):
+        import qflatlab.quadrature
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("shell points built for a planted field")
+
+        call = ScalarField.__call__
+
+        def single_points(self, x):
+            assert np.ndim(x) == 1 or len(x) == 1, "planted field called on many points"
+            return call(self, x)
+
+        monkeypatch.setattr(qflatlab.quadrature, "shell_points", no_points)
+        monkeypatch.setattr(ScalarField, "__call__", single_points)
+        u = gallery_fresh("planted", {"seed": 5, "degree": 2}, 4)[0].u
+        for criterion in (normality_condition_a, normality_condition_b,
+                          normality_scalar_criterion):
+            assert criterion(u).verdict == "not_little_o"
 
 
 class TestCohnVossen:

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qflatlab import (Dimension, Polynomial, QuadratureError, ball_mean_poly,
-                      sphere_constants)
+from qflatlab import (Dimension, FieldCaps, Polynomial, QuadratureError, ScalarField,
+                      ball_mean_poly, sphere_constants)
 from qflatlab.quadrature import (CONDENSATION_PANEL_WIDTH, POINT_BUDGET,
                                  decade_mass_integral, gl_rule, integrate_radial,
                                  integrate_radial_estimate, log_condensation_blocks,
@@ -83,6 +83,36 @@ def test_product_rule_evaluates_few_radii_at_a_time():
         tracemalloc.stop()
     assert peak < 32 << 20
     assert got == pytest.approx(math.pi ** 2 * (1 - 5 * math.exp(-4)), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_shell_points_add_the_center_in_place(n):
+    # the in-place add of the center gives the broadcast sum bit for bit
+    center = np.linspace(-0.7, 1.3, n)
+    radii = np.array([0.25, 1.0, 3.5])
+    pts, wts = shell_points(n, 8, center, radii)
+    dirs, _ = sphere_rule(n, 8)
+    broadcast = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
+    assert np.array_equal(pts, broadcast.reshape(-1, n))
+    assert pts.shape == (len(radii) * len(wts), n)
+
+
+def test_product_rule_hands_a_grid_field_its_radii_and_directions():
+    # about the origin a field with a sphere-grid evaluator is called on
+    # the rule's radii and directions; elsewhere, on points
+    calls = []
+
+    def shells(t, dirs):
+        calls.append((len(t), len(dirs)))
+        return np.exp(-np.multiply.outer(t * t, np.ones(len(dirs))))
+
+    f = ScalarField(dim=Dimension(4), fn=lambda pts: np.exp(-np.einsum("ij,ij->i", pts, pts)),
+                    caps=FieldCaps(shells=shells))
+    got = shell_product_rule(f, 4, np.zeros(4), 0.0, 2.0, 16, 12)
+    assert calls == [(12, len(sphere_rule(4, 16)[1]))]
+    assert got == pytest.approx(math.pi ** 2 * (1 - 5 * math.exp(-4)), rel=1e-12)
+    off = shell_product_rule(f, 4, np.full(4, 0.5), 0.0, 2.0, 16, 12)
+    assert len(calls) == 1 and off > 0
 
 
 def test_running_integrals_match_closed_form():

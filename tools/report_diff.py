@@ -10,6 +10,10 @@ is its list of kernel dimensions (``ph_dimension`` for d = 0..10) or its
 worst Pizzetti residual.  The script then prints every field whose value
 moved, with its largest |change| over all operations and seeds and where
 that change occurred, and every ``errors`` key that appears or disappears.
+Once per checkout, not per seed, it also compares the full ``analyze``
+reports of FIXED_DOCUMENTS: the workloads' potential operations record only
+condition (a)'s verdict of a non-radial metric, so these are where numbers
+from its sphere shells (the criteria, tau, the volume class) show.
 Numbers are compared exactly.  Changes of text, and values that appear or
 disappear, are counted apart.
 """
@@ -24,6 +28,9 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("gallery", "expression", "potential", "polyharmonic")
+# builtin documents analyzed once per checkout: non-radial planted metrics
+FIXED_DOCUMENTS = tuple({"n": 4, "kind": "builtin", "name": "planted",
+                         "params": {"seed": 5, "degree": degree}} for degree in (1, 2))
 
 
 def _jsonable(result):
@@ -49,18 +56,26 @@ def _jsonable(result):
         "condition_a": cond_a}
 
 
+def _outcome(run):
+    """run()'s result as JSON values, or the exception it raised."""
+    try:
+        return _jsonable(run())
+    except Exception as e:  # noqa: BLE001 - a raise is a result
+        return {"raised": f"{type(e).__name__}: {e}"}
+
+
 def dump(seeds):
     """Results of every operation of this checkout, as one JSON object."""
     import workloads
+    from qflatlab.cli import run_analysis
     out = {}
     for seed in seeds:
         for name in WORKLOADS:
             for op in workloads.make_ops(name, seed):
-                try:
-                    res = _jsonable(op.run())
-                except Exception as e:  # noqa: BLE001 - a raise is a result
-                    res = {"raised": f"{type(e).__name__}: {e}"}
-                out[f"{op.label} (seed {seed})"] = res
+                out[f"{op.label} (seed {seed})"] = _outcome(op.run)
+    for doc in FIXED_DOCUMENTS:
+        label = f"analyze {doc['name']}{doc['params']} n={doc['n']} (fixed)"
+        out[label] = _outcome(lambda: run_analysis(doc).to_json_dict())
     return out
 
 
