@@ -39,7 +39,7 @@ from .expr import smooth_cutoff
 from .fields import (Dimension, FieldCaps, ScalarField, ShellEvaluator, as_dimension,
                      radial_field)
 from .geometry import MetricContext
-from .polynomials import Polynomial, apply_laplacian_poly, poly_partial
+from .polynomials import Polynomial, apply_laplacian_poly, poly_gradient, poly_partial
 from .potential import PotentialEvaluator
 from .calculus import jet_density, radial_jet, radial_laplacian_batch
 
@@ -262,6 +262,7 @@ def _planted_field(prof, poly, name):
     dim = poly.dim
     n = dim.n
     lap_poly = apply_laplacian_poly(poly, 1)
+    grad_poly = poly_gradient(poly)
     partials = [poly_partial(poly, i) for i in range(n)]
 
     def fn(pts):
@@ -278,7 +279,7 @@ def _planted_field(prof, poly, name):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
         dphi = radial_jet(prof, r, n).radial_derivative() / np.maximum(r, 1e-300)
-        return dphi[:, None] * pts + np.stack([q(pts) for q in partials], axis=1)
+        return dphi[:, None] * pts + grad_poly(pts)
 
     def shells(t, dirs):
         return np.asarray(prof(t), dtype=float)[:, None] + poly.on_shells(t, dirs)
