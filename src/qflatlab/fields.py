@@ -5,8 +5,8 @@ capabilities: the radial profile phi with f(x) = phi(|x|) of a radial
 field, compact support, optional closed-form gradient and
 iterated-Laplacian evaluators, and an optional sphere-grid evaluator.
 along_ray() of a radial field evaluates its profile directly; on_shells()
-evaluates f(t d) on radii t times unit directions d, through the
-sphere-grid evaluator when the field has one.  RadialProfile is the
+evaluates f(t d) on radii t times unit directions d through the
+sphere-grid evaluator of a field that has one.  RadialProfile is the
 spline and table form of a profile: it optionally caches a cubic spline
 on a geometric grid (64 nodes per decade) so that quadrature-backed
 profiles stay cheap to evaluate in bulk, and it interpolates radial
@@ -115,17 +115,16 @@ class ScalarField:
 
     def on_shells(self, t, dirs):
         """f(t_i dirs_j) as a (len(t), len(dirs)) array, for radii t and
-        unit directions dirs (rows): from caps.shells when the field has a
-        sphere-grid evaluator, else on the points t_i dirs_j.  Either way a
-        non-finite value raises DomainEvalError."""
+        unit directions dirs (rows), from the sphere-grid evaluator
+        caps.shells; a field without one raises QflatError.  A non-finite
+        value raises DomainEvalError."""
+        if self.caps.shells is None:
+            raise QflatError(f"field {self.name or '<anonymous>'} has no sphere-grid evaluator")
         t = np.asarray(t, dtype=float)
         dirs = np.asarray(dirs, dtype=float)
         if dirs.ndim != 2 or dirs.shape[1] != self.dim.n:
             raise DimensionError(
                 f"directions have shape {dirs.shape}, expected (m, {self.dim.n})")
-        if self.caps.shells is None:
-            pts = (t[:, None, None] * dirs[None]).reshape(-1, self.dim.n)
-            return self(pts).reshape(len(t), len(dirs))
         return self._checked(self.caps.shells(t, dirs), t[:, None, None])
 
     def _checked(self, vals, pts):

@@ -14,7 +14,6 @@ An inconclusive band remains and is reported as such.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,14 +24,13 @@ from .fields import FieldCaps, ScalarField, check_point, radial_field
 from .fitting import GrowthEstimate, fit_log_slope, fit_loglog, require_window
 from .quadrature import (TailClassification, classify_log_blocks, integrate_radial,
                          log_condensation_blocks, log_sum_exp, segment_integrals,
-                         shell_grid)
+                         shell_values)
 
 EXP_OVERFLOW = 700.0
 VOLUME_REL_TOL = 1e-6     # conformal volumes behind tau and measure distances
 RAY_REL_TOL = 1e-8        # ray lengths and the head of total volumes
 SAMPLED_RAYS = 8          # directions sampled for non-radial diameters
 SAMPLED_RAYS_SEED = 4099
-SHELL_RADII = 24          # radii per sphere-rule evaluation of non-radial volume blocks
 
 
 @dataclass(eq=False)
@@ -289,19 +287,14 @@ def volume_classification(ctx: MetricContext) -> DiameterReport:
             t = np.asarray(t, dtype=float)
             return n * phi(t) + (n - 1) * np.log(t) + math.log(area)
     else:
-        def shells(t):
-            dirs, wts = shell_grid(n, 16, t)
-            uv = ctx.u.on_shells(t, dirs)
-            return log_sum_exp(n * uv + np.log(wts)[None, :], axis=1) + (n - 1) * np.log(t)
-
         def log_integrand(t):
-            # a condensation pass asks for all of its panels' radii at
-            # once (984 from r = 2); shells of SHELL_RADII radii keep the
-            # points of one evaluation (150k at n = 4) as few as one panel
-            # needs
+            # a condensation pass asks for all of its panels' radii at once
+            # (984 from r = 2), which shell_values evaluates chunk by chunk
             t = np.atleast_1d(np.asarray(t, dtype=float))
-            return np.concatenate([shells(t[i:i + SHELL_RADII])
-                                   for i in range(0, len(t), SHELL_RADII)])
+            wts, chunks = shell_values(ctx.u, n, np.zeros(n), t, 16)
+            log_wts = np.log(wts)[None, :]
+            return (np.concatenate([log_sum_exp(n * uv + log_wts, axis=1) for _, uv in chunks])
+                    + (n - 1) * np.log(t))
 
     _, total = _condensed_total(log_integrand, 2.0,
                                 lambda: conformal_volume(ctx, 2.0, rel_tol=RAY_REL_TOL))
@@ -408,9 +401,10 @@ class DistanceResult:
                 "upper_bound": self.upper_bound_flag}
 
 
-@lru_cache(maxsize=32)
 def _grid_for(ctx, box, resolution):
-    return GeodesicGrid(ctx, box, resolution)
+    """The context's GeodesicGrid on box at resolution, built once and
+    dropped with the context."""
+    return ctx.cached(("grid", box, resolution), lambda: GeodesicGrid(ctx, box, resolution))
 
 
 def geodesic_distance(ctx: MetricContext, x, y, resolution=129, box=None,

@@ -19,12 +19,12 @@ Four layers:
   which stay decisive even for borderline tails like 1/(t log^c t)
   (``log_condensation_blocks``, ``classify_log_blocks``), reduced by
   ``log_sum_exp``, scipy's log-sum-exp arithmetic without its dispatch;
-* sphere shells and balls: the adaptive shell integral ``sphere_shell``,
-  the fixed radius-times-sphere product rule ``shell_product_rule``, both
-  evaluated on ``shell_points`` within POINT_BUDGET points (about the
-  origin the product rule hands a field with a sphere-grid evaluator its
-  radii and directions instead), and the exact 1-D reduction for radial
-  integrands over offset balls (``offset_ball_integral_radial``).
+* sphere shells and balls: ``shell_values`` evaluates f on radii times
+  sphere_rule directions chunk by chunk after one POINT_BUDGET check;
+  the adaptive ``sphere_shell``, the fixed product rule
+  ``shell_product_rule`` and geometry's volume class reduce its chunks.
+  ``offset_ball_integral_radial`` is the exact 1-D reduction for radial
+  integrands over offset balls.
 """
 
 import math
@@ -33,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .constants import sphere_constants
 from .errors import NonIntegrableError, QuadratureError
 
 # Ratio thresholds for the condensation classifier.  Blocks whose tail
@@ -56,14 +57,14 @@ RATIO_RUN = 3
 RATIO_AGREEMENT = 1e-8
 MAX_BISECTIONS = 4096     # panel splits of one segment_integrals call
 PANEL_BLOCK = 128         # panels (46 nodes each) per integrand call of the engine
-# Most points of one sphere-rule grid or shell evaluation: about 400 MB of
-# coordinates at n = 6.  The largest evaluation at n <= 4, sphere_shell at
-# resolution 48 on 31 radii, has 6.3M points.
+# Most points of a sphere rule on all radii of one shell_values call, checked
+# before the rule is built: sphere_shell at resolution 48 on 31 radii needs
+# 6.3M at n = 4.
 POINT_BUDGET = 2 ** 23
-# Radii per sphere_shell evaluation: one GL(31) panel, whatever the engine
-# hands its integrand.
+# Radii per sphere_shell refinement group (one GL(31) panel): a group doubles
+# its resolution until all its radii settle, so changing it moves numbers.
 SHELL_RADII = 31
-# Points per integrand call of shell_product_rule: whole radii, at least one.
+# Points per chunk of shell_values, which bounds memory: whole radii, at least one.
 PRODUCT_RULE_POINTS = 2 ** 17
 
 
@@ -564,28 +565,50 @@ def _frozen(*arrays):
     return arrays
 
 
-def shell_grid(n, resolution, radii):
-    """The directions and weights of sphere_rule(n, resolution) for an
-    evaluation on the given radii.  Raises QuadratureError, before the
-    rule is built, when there would be more than POINT_BUDGET points."""
-    _check_budget(n, resolution, len(radii))
-    return sphere_rule(n, resolution)
-
-
 def shell_points(n, resolution, center, radii):
     """The points center + rho w, for each rho in radii (outer) and each
     direction w of sphere_rule(n, resolution) (inner), as an (m, n) array,
-    and the rule's weights, within the budget of shell_grid."""
+    and the rule's weights.  Raises QuadratureError, before the rule is
+    built, when there would be more than POINT_BUDGET points."""
     radii = np.asarray(radii, dtype=float)
-    dirs, wts = shell_grid(n, resolution, radii)
+    _check_budget(n, resolution, len(radii))
+    dirs, wts = sphere_rule(n, resolution)
     pts = (radii[:, None, None] * dirs[None]).reshape(-1, n)
     pts += np.asarray(center, dtype=float)
     return pts, wts
 
 
+def shell_values(f, n, center, radii, resolution):
+    """f(center + rho w) for each rho in radii and direction w of
+    sphere_rule(n, resolution): the rule's weights and an iterator of
+    (i, values) chunks, values (k, directions) for k whole radii from
+    radii[i] within PRODUCT_RULE_POINTS points (at least one).  About the
+    origin a field with a sphere-grid evaluator goes through f.on_shells;
+    anything else is called on shell_points.  Raises QuadratureError,
+    before the rule is built, when all the radii need more than
+    POINT_BUDGET points."""
+    radii = np.asarray(radii, dtype=float)
+    _check_budget(n, resolution, len(radii))
+    dirs, wts = sphere_rule(n, resolution)
+    step = max(PRODUCT_RULE_POINTS // len(wts), 1)
+    on_grid = (getattr(getattr(f, "caps", None), "shells", None) is not None
+               and not np.any(center))
+
+    def chunks():
+        for i in range(0, len(radii), step):
+            t = radii[i:i + step]
+            if on_grid:
+                yield i, f.on_shells(t, dirs)
+            else:   # no name keeps the points alive while the caller reduces
+                yield i, np.asarray(f(shell_points(n, resolution, center, t)[0]),
+                                    dtype=float).reshape(len(t), len(wts))
+
+    return wts, chunks()
+
+
 def sphere_shell(f, n, center, radii, tol):
     """rho^{n-1} * integral of f(center + rho w) over unit directions w, for
-    each rho in radii, evaluated SHELL_RADII radii at a time.
+    each rho in radii, refined SHELL_RADII radii at a time.
 
     The sphere_rule resolution doubles until every radius changes by at
     most tol relative to its value, or the last resolution is reached.
@@ -597,9 +620,8 @@ def sphere_shell(f, n, center, radii, tol):
                                for i in range(0, len(radii), SHELL_RADII)])
 
     def at(resolution):
-        pts, wts = shell_points(n, resolution, center, radii)
-        vals = np.asarray(f(pts), dtype=float).reshape(len(radii), len(wts))
-        return (vals @ wts) * radii ** (n - 1)
+        wts, chunks = shell_values(f, n, center, radii, resolution)
+        return np.concatenate([vals @ wts for _, vals in chunks]) * radii ** (n - 1)
 
     # n = 2: the trapezoid rules with 32 to 4096 points.  n >= 4: each
     # doubling multiplies the number of directions by about 2^{n-1}, so the
@@ -618,30 +640,14 @@ def sphere_shell(f, n, center, radii, tol):
 def shell_product_rule(f, n, center, a, b, resolution, order):
     """Integral of f over the shell a <= |y - center| <= b by a fixed
     product rule: Gauss-Legendre of the given order in the radius times
-    sphere_rule(n, resolution).  f is called on as many whole radii as
-    fit in PRODUCT_RULE_POINTS points (one radius when none fit).  About
-    the origin, a field with a sphere-grid evaluator (FieldCaps.shells) is
-    evaluated through f.on_shells on those radii and the rule's
-    directions, without forming the points."""
+    sphere_rule(n, resolution), summed over the chunks of shell_values."""
     x, w = gl_rule(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     t = mid + half * x
     wr = w * half * t ** (n - 1)
-    _check_budget(n, resolution, len(t))
-    step = max(PRODUCT_RULE_POINTS // _rule_size(n, resolution), 1)
-    dirs, wts = sphere_rule(n, resolution)
-    # a ScalarField whose caps carry a sphere-grid evaluator
-    on_grid = (getattr(getattr(f, "caps", None), "shells", None) is not None
-               and not np.any(center))
-    total = 0.0
-    for i in range(0, len(t), step):
-        if on_grid:
-            vals = f.on_shells(t[i:i + step], dirs)
-        else:
-            pts, _ = shell_points(n, resolution, center, t[i:i + step])
-            vals = np.asarray(f(pts), dtype=float).reshape(-1, len(wts))
-        total += float(np.einsum("i,j,ij->", wr[i:i + step], wts, vals))
-    return total
+    wts, chunks = shell_values(f, n, center, t, resolution)
+    return sum(float(np.einsum("i,j,ij->", wr[i:i + len(vals)], wts, vals))
+               for i, vals in chunks)
 
 
 def cap_angle_integral(n, x):
@@ -670,19 +676,20 @@ def offset_ball_integral_radial(phi, n, center_norm, rho, rel_tol=1e-8,
     angular rule around x0 cannot see.
     """
     c = float(center_norm)
+    area = sphere_constants(n).boundary_area
+
+    def full_shell(t):
+        return np.asarray(phi(t), dtype=float) * area * t ** (n - 1)
+
     if c == 0.0:
-        return integrate_radial(
-            lambda t: np.asarray(phi(t), dtype=float) * _area(n) * t ** (n - 1),
-            0.0, rho, rel_tol=rel_tol, breakpoints=breakpoints)
+        return integrate_radial(full_shell, 0.0, rho, rel_tol=rel_tol, breakpoints=breakpoints)
 
     area_nm2 = 2.0 * np.pi ** ((n - 1) / 2) / math.gamma((n - 1) / 2)
     total = 0.0
     inner_hi = max(rho - c, 0.0)
     if inner_hi > 0:
-        total += integrate_radial(
-            lambda t: np.asarray(phi(t), dtype=float) * _area(n) * t ** (n - 1),
-            0.0, inner_hi, rel_tol=rel_tol,
-            breakpoints=[p for p in breakpoints if p < inner_hi])
+        total += integrate_radial(full_shell, 0.0, inner_hi, rel_tol=rel_tol,
+                                  breakpoints=[p for p in breakpoints if p < inner_hi])
 
     lo, hi = abs(c - rho), c + rho
 
@@ -697,7 +704,3 @@ def offset_ball_integral_radial(phi, n, center_norm, rho, rel_tol=1e-8,
     total += integrate_radial(shell, lo, hi, rel_tol=rel_tol, abs_tol=1e-13,
                               breakpoints=bps)
     return total
-
-
-def _area(n):
-    return 2.0 * np.pi ** (n / 2) / math.gamma(n / 2)

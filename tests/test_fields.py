@@ -35,6 +35,11 @@ class TestEvalField:
         with pytest.raises(DomainEvalError):
             eval_field(f, [math.nan, 0.0])
 
+    def test_shells_need_a_sphere_grid_evaluator(self):
+        f = field_from_expression("x1", 2)
+        with pytest.raises(QflatError, match="field x1 has no sphere-grid evaluator"):
+            f.on_shells(np.ones(2), np.eye(2))
+
 
 class TestRestrictRadial:
     def test_sphere_profile(self):

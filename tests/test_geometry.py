@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from qflatlab import (GeodesicGrid, GridError, QflatError, classify_ray,
                       geodesic_distance, measure_distance, ray_length,
                       strong_ainfty_ratio, volume_classification,
                       volume_growth)
+from qflatlab.gallery import gallery_fresh
 
 RADII = np.geomspace(10.0, 1e4, 12)
 
@@ -193,6 +196,35 @@ class TestGeodesicDistance:
         fine = geodesic_distance(sphere2, x, y, resolution=129,
                                  box=((-2, 2), (-2, 2))).value
         assert abs(fine - coarse) / coarse <= 0.03
+
+    @staticmethod
+    def _counted_grids(monkeypatch):
+        import qflatlab.geometry
+        grids = []
+
+        def build(*args):
+            grids.append(weakref.ref(grid := GeodesicGrid(*args)))
+            return grid
+
+        monkeypatch.setattr(qflatlab.geometry, "GeodesicGrid", build)
+        return grids
+
+    def test_one_grid_per_context_box_and_resolution(self, monkeypatch):
+        grids = self._counted_grids(monkeypatch)
+        ctx = gallery_fresh("sphere", {}, 2)[0]
+        x, y = np.array([-0.5, 0.25]), np.array([0.75, 0.5])
+        first = geodesic_distance(ctx, x, y, resolution=33)
+        second = geodesic_distance(ctx, y, x, resolution=33)
+        assert len(grids) == 1
+        assert first.value == pytest.approx(second.value, rel=1e-12)
+
+    def test_dropped_context_frees_its_grid(self, monkeypatch):
+        grids = self._counted_grids(monkeypatch)
+        ctx = gallery_fresh("sphere", {}, 2)[0]
+        geodesic_distance(ctx, np.array([-0.5, 0.25]), np.array([0.75, 0.5]), resolution=33)
+        del ctx
+        gc.collect()
+        assert len(grids) == 1 and grids[0]() is None
 
 
 class TestDiameter:

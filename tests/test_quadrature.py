@@ -8,7 +8,7 @@ import pytest
 
 from qflatlab import (Dimension, FieldCaps, Polynomial, QuadratureError, ScalarField,
                       ball_mean_poly, sphere_constants)
-from qflatlab.quadrature import (CONDENSATION_PANEL_WIDTH, POINT_BUDGET,
+from qflatlab.quadrature import (CONDENSATION_PANEL_WIDTH, POINT_BUDGET, PRODUCT_RULE_POINTS,
                                  decade_mass_integral, gl_rule, integrate_radial,
                                  integrate_radial_estimate, log_condensation_blocks,
                                  log_sum_exp, segment_integrals, shell_points, shell_product_rule,
@@ -83,6 +83,37 @@ def test_product_rule_evaluates_few_radii_at_a_time():
         tracemalloc.stop()
     assert peak < 32 << 20
     assert got == pytest.approx(math.pi ** 2 * (1 - 5 * math.exp(-4)), rel=1e-13, abs=0)
+
+
+def test_product_rule_over_budget_raises_before_allocating():
+    # 24 radii of sphere_rule(6, 24), 4.4M directions each: the budget
+    # refuses the call before the rule is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match="budget"):
+            shell_product_rule(lambda pts: np.ones(len(pts)), 6, np.zeros(6), 0, 1, 24, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sphere_shell_bounds_the_points_of_one_call():
+    # one refinement group of 31 radii at n = 4: e^{-|y|^2} settles at
+    # resolution 48, and each call of f holds whole radii within
+    # PRODUCT_RULE_POINTS, or one radius of that rule
+    sizes = []
+
+    def f(pts):
+        sizes.append(len(pts))
+        return np.exp(-np.einsum("ij,ij->i", pts, pts))
+
+    radii = np.linspace(0.02, 0.5, 31)
+    got = sphere_shell(f, 4, np.zeros(4), radii, 1e-9)
+    assert max(sizes) <= max(PRODUCT_RULE_POINTS, len(sphere_rule(4, 48)[1]))
+    assert sum(sizes) == 31 * (len(sphere_rule(4, 24)[1]) + len(sphere_rule(4, 48)[1]))
+    assert np.allclose(got, 2 * math.pi ** 2 * radii ** 3 * np.exp(-radii ** 2),
+                       rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [4, 6])

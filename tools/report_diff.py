@@ -9,11 +9,13 @@ qflatlab from that checkout's ``src/``.  A polyharmonic operation's result
 is its list of kernel dimensions (``ph_dimension`` for d = 0..10) or its
 worst Pizzetti residual.  The script then prints every field whose value
 moved, with its largest |change| over all operations and seeds and where
-that change occurred, and every ``errors`` key that appears or disappears.
+that change occurred, and every ``errors`` key that appears or disappears
+(an ``errors`` message that changes its text counts as a text change).
 Once per checkout, not per seed, it also compares the full ``analyze``
 reports of FIXED_DOCUMENTS: the workloads' potential operations record only
-condition (a)'s verdict of a non-radial metric, so these are where numbers
-from its sphere shells (the criteria, tau, the volume class) show.
+condition (a)'s verdict of a non-radial metric, and no workload reaches
+sphere_shell, so these are where numbers from sphere shells (the criteria,
+tau, the volume class) and the messages of refused shells show.
 Numbers are compared exactly.  Changes of text, and values that appear or
 disappear, are counted apart.
 """
@@ -28,9 +30,17 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("gallery", "expression", "potential", "polyharmonic")
-# builtin documents analyzed once per checkout: non-radial planted metrics
-FIXED_DOCUMENTS = tuple({"n": 4, "kind": "builtin", "name": "planted",
-                         "params": {"seed": 5, "degree": degree}} for degree in (1, 2))
+# documents analyzed once per checkout, all non-radial: planted metrics (the
+# product rule on the sphere grid), a shifted centre at n = 2 (its ball
+# integrals run sphere_shell), a metric whose volume class takes the points
+# path at n = 4, and one at n = 6 whose shells are refused by the point budget
+FIXED_DOCUMENTS = (
+    *({"n": 4, "kind": "builtin", "name": "planted", "params": {"seed": 5, "degree": degree}}
+      for degree in (1, 2)),
+    {"n": 2, "kind": "expression", "u": "-0.3*log(1+(x1-2)^2+x2^2)"},
+    {"n": 4, "kind": "expression", "u": "0.1*x1*exp(-r^2) - 0.6*log(1+r^2)"},
+    {"n": 6, "kind": "expression", "u": "0.1*x1 - 0.6*log(1+r^2)"},
+)
 
 
 def _jsonable(result):
@@ -74,7 +84,8 @@ def dump(seeds):
             for op in workloads.make_ops(name, seed):
                 out[f"{op.label} (seed {seed})"] = _outcome(op.run)
     for doc in FIXED_DOCUMENTS:
-        label = f"analyze {doc['name']}{doc['params']} n={doc['n']} (fixed)"
+        what = f"{doc['name']}{doc['params']}" if "name" in doc else doc["u"]
+        label = f"analyze {what} n={doc['n']} (fixed)"
         out[label] = _outcome(lambda: run_analysis(doc).to_json_dict())
     return out
 
@@ -121,9 +132,9 @@ def compare(before, after):
         new = dict(flatten(after.get(op, {})))
         for key in sorted(set(old) | set(new)):
             a, b = old.get(key), new.get(key)
-            if key.startswith("errors.") or key.endswith(".error"):
-                if bool(a) != bool(b):
-                    errors.append(("+" if b else "-", key, op))
+            # an errors entry that stays but changes its message is a text change
+            if (key.startswith("errors.") or key.endswith(".error")) and bool(a) != bool(b):
+                errors.append(("+" if b else "-", key, op))
                 continue
             if a == b:
                 continue
