@@ -3,14 +3,27 @@
 A Polynomial is an int64 exponent matrix (a row per term) plus a float
 coefficient vector, and its algebra runs on whole arrays.  The rows of a
 Polynomial are distinct and its coefficients nonzero; every operation keeps
-that invariant.  Addition relies on it: it finds the other operand's rows
-among its own by one integer key per row (a sorted search), adds the
-matched coefficients in place and appends the unmatched rows in the other
-operand's order, as term-by-term dict arithmetic would.  Operations whose
-rows really do repeat (shift, Laplacians, |x|^2k) merge equal rows at their
-first occurrence, summed in term order.  The kernel dimension of
-Delta^{n/2} on degree <= D is an exact rank mod a large prime, one
-homogeneous-degree block at a time, checked against C(n+D, n) - C(D, n).
+that invariant.  Rows are never written in place, so results share them:
+`scale` keeps its operand's exponent matrix, and a sum whose terms all meet
+the left operand's rows keeps the left operand's.
+
+Addition finds the other operand's rows among its own by one int64 key per
+row, adds the matched coefficients (a + b) and appends the unmatched rows
+in the other operand's order, as term-by-term dict arithmetic would; a term
+that cancels drops, and comes back at the end when added again.  The key of
+a row is its exponents as digits in the fixed radix R = 2^(63 // n), so it
+fits in int64 whenever every exponent is below R.  A Polynomial computes its
+keys the first time they are needed and passes them on: `scale` shares them,
+a sum concatenates them and the zero-drop filters them.  A one-term right
+operand, the common step of p + q.scale(c), is found by one key comparison;
+a longer one by a sorted search.  When some exponent is >= R the keys are
+None, and a sum keys the stacked rows of both operands instead (_row_keys).
+
+Operations whose rows really do repeat (shift, Laplacians, |x|^2k) merge
+equal rows at their first occurrence, summed in term order.  The kernel
+dimension of Delta^{n/2} on degree <= D is an exact rank mod a large prime,
+one homogeneous-degree block at a time, checked against
+C(n+D, n) - C(D, n).
 """
 
 import math
@@ -30,14 +43,19 @@ _SHELLS_KEPT = 16            # (polynomial, directions) pairs whose parts on_she
 # on_shells: (id(p), id(dirs)) -> (p, dirs, homogeneous parts); an entry
 # holds p and dirs, so neither id is reused while it is kept
 _shell_parts = {}
+_UNSET = object()            # row keys not computed yet
 
 
 class Polynomial:
     """Distinct exponent rows `exps` (terms x n) with nonzero coefficients
     `vals`; a dict passed in is validated, and `coeffs` is a read-only dict
-    view.  Code that builds one from arrays (`_of`) passes distinct rows."""
+    view.  Code that builds one from arrays (`_of`) passes distinct rows.
+    `_keys` holds the row keys in radix 2^(63 // n) (the module docstring),
+    _UNSET until first needed, or None when an exponent is too large for
+    them.  Rows, coefficients and keys are shared between Polynomials and
+    never written in place."""
 
-    __slots__ = ("dim", "exps", "vals")
+    __slots__ = ("dim", "exps", "vals", "_keys")
 
     def __init__(self, dim: Dimension, coeffs=None):
         clean = {}
@@ -53,14 +71,25 @@ class Polynomial:
         self._set(dim, np.fromiter(chain.from_iterable(clean), np.int64).reshape(-1, dim.n),
                   np.fromiter(clean.values(), float, len(clean)))
 
-    def _set(self, dim, exps, vals):
-        keep = slice(None) if vals.all() else vals != 0.0  # no copy when no term drops
+    def _set(self, dim, exps, vals, keys=_UNSET):
+        if np.count_nonzero(vals) == len(vals):  # no copy when no term drops
+            self.dim, self.exps, self.vals, self._keys = dim, exps, vals, keys
+            return self
+        keep = vals != 0.0
         self.dim, self.exps, self.vals = dim, exps[keep], vals[keep]
+        self._keys = keys if keys is None or keys is _UNSET else keys[keep]
         return self
 
     @classmethod
-    def _of(cls, dim, exps, vals):
-        return cls.__new__(cls)._set(dim, exps, vals)
+    def _of(cls, dim, exps, vals, keys=_UNSET):
+        return cls.__new__(cls)._set(dim, exps, vals, keys)
+
+    def _carried_keys(self):
+        """The row keys, computed on first use (None when an exponent is
+        >= the radix)."""
+        if self._keys is _UNSET:
+            self._keys = _radix_keys(self.exps)
+        return self._keys
 
     @property
     def coeffs(self):
@@ -110,28 +139,41 @@ class Polynomial:
         return (np.asarray(t, dtype=float)[:, None] ** np.arange(len(parts))) @ parts
 
     def __add__(self, other):
-        if isinstance(other, numbers.Real):
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, numbers.Real):
+                return NotImplemented
             other = Polynomial(self.dim, {(0,) * self.dim.n: float(other)})
-        elif not isinstance(other, Polynomial):
-            return NotImplemented
         if other.dim.n != self.dim.n:
             raise QflatError(f"cannot add polynomials on R^{self.dim.n} and R^{other.dim.n}")
         size = len(self.vals)
         if not size:
-            return Polynomial._of(self.dim, other.exps, other.vals)
+            return Polynomial._of(self.dim, other.exps, other.vals, other._keys)
         # rows are distinct on each side: find other's rows among self's
-        keys = _row_keys(np.concatenate((self.exps, other.exps)))
-        mine, theirs = keys[:size], keys[size:]
-        order = np.argsort(mine)
-        slot = order[np.minimum(np.searchsorted(mine, theirs, sorter=order), size - 1)]
-        hit = mine[slot] == theirs
-        new = ~hit
+        mine, theirs = self._carried_keys(), other._carried_keys()
+        carried = mine is not None and theirs is not None
+        if not carried:
+            keys = _row_keys(np.concatenate((self.exps, other.exps)))
+            mine, theirs = keys[:size], keys[size:]
+        if len(theirs) == 1:  # the step of p + q.scale(c) for a one-term q
+            slot = (mine == theirs[0]).nonzero()[0]
+            # other's one row is either found or new
+            found, new = (slice(None), slice(0)) if len(slot) else (slice(0), slice(None))
+        else:
+            order = np.argsort(mine)
+            slot = order[np.minimum(np.searchsorted(mine, theirs, sorter=order), size - 1)]
+            found = mine[slot] == theirs
+            slot, new = slot[found], ~found
+        if len(slot) == len(theirs):  # no new row: self's rows and keys stay
+            vals = self.vals.copy()
+            vals[slot] += other.vals  # a + b, as 0 + a + b in term order
+            return Polynomial._of(self.dim, self.exps, vals, mine if carried else _UNSET)
         vals = np.concatenate((self.vals, other.vals[new]))
-        vals[slot[hit]] += other.vals[hit]  # a + b, as 0 + a + b in term order
-        return Polynomial._of(self.dim, np.concatenate((self.exps, other.exps[new])), vals)
+        vals[slot] += other.vals[found]
+        return Polynomial._of(self.dim, np.concatenate((self.exps, other.exps[new])), vals,
+                              np.concatenate((mine, theirs[new])) if carried else _UNSET)
 
     def scale(self, a):
-        return Polynomial._of(self.dim, self.exps, a * self.vals)
+        return Polynomial._of(self.dim, self.exps, a * self.vals, self._carried_keys())
 
     def shift(self, center):
         """p(x + center), expanded exactly via per-variable binomials."""
@@ -150,6 +192,17 @@ class Polynomial:
             vals, exps = vals * table[k, j], np.column_stack((exps, j))
         keep, vals = _merge(exps, vals)
         return Polynomial._of(self.dim, exps[keep], vals)
+
+
+def _radix_keys(exps):
+    """One int64 key per row of a nonnegative integer matrix: its entries as
+    digits in radix R = 2^(63 // n), so keys of any two such matrices with
+    n columns compare; None when an entry is >= R."""
+    n = exps.shape[1]
+    radix = 1 << (63 // n)
+    if int(exps.max(initial=0)) >= radix:
+        return None
+    return exps @ radix ** np.arange(n, dtype=np.int64)
 
 
 def _row_keys(exps, owner=None):
@@ -183,6 +236,15 @@ def monomials_upto(n, max_degree):
     return tuple(mi for d in range(max_degree + 1) for mi in sorted(
         {tuple(combo.count(i) for i in range(n))
          for combo in combinations_with_replacement(range(n), d)}))
+
+
+@lru_cache(maxsize=None)
+def _monomial_array(n, max_degree):
+    """monomials_upto(n, max_degree) as a read-only (count, n) int64 array;
+    (0, n) when max_degree < 0."""
+    table = np.array(monomials_upto(n, max_degree), dtype=np.int64).reshape(-1, n)
+    table.flags.writeable = False
+    return table
 
 
 def _laplacian(owner, exps, vals, m):
@@ -284,10 +346,8 @@ def _rank_mod_p(matrix, p=_RANK_PRIME):
 def _polyharmonic_entries(n, degree):
     """Delta^{n/2} of every monomial of degree <= degree in one pass: columns,
     rows (degree <= degree - n) and the row, column, value of each entry."""
-    cols = monomials_upto(n, degree)
-    rows = np.array(monomials_upto(n, degree - n) if degree >= n else (),
-                    dtype=np.int64).reshape(-1, n)
-    col, img, val = _laplacian(np.arange(len(cols)), np.array(cols, dtype=np.int64),
+    cols, rows = monomials_upto(n, degree), _monomial_array(n, degree - n)
+    col, img, val = _laplacian(np.arange(len(cols)), _monomial_array(n, degree),
                                np.ones(len(cols)), n // 2)
     keys = _row_keys(np.concatenate((rows, img)))
     order = np.argsort(keys[:len(rows)])

@@ -65,6 +65,7 @@ POTENTIAL_FLOOR = 1e-13        # absolute error floor of the radial moments
 FLUX_DECADES = 60              # boundary-flux radii R = 10^k, k = 1..60, for n <= 4
 FLUX_DECADES_HIGH_N = 12       # n >= 6: the window-jet error grows with log R
 FLUX_SETTLE_TOL = 1e-2         # largest residual of an accepted flux limit
+FLUX_DIVERGENT_SLOPE = 0.5     # log-log slope of |Phi(R)| read as a diverging total curvature
 
 
 def _kernel_coefficients(n):
@@ -392,7 +393,10 @@ def _boundary_flux_alpha(ev: PotentialEvaluator) -> AlphaEstimate:
     order n do not resolve its density, so its residual also carries
     g_n |inner - Phi(1)|: the two sides of the divergence theorem in the
     unit ball, equal for a u smooth at the origin.  A non-finite flux or a
-    residual above FLUX_SETTLE_TOL raises QflatError.
+    residual above FLUX_SETTLE_TOL raises QflatError; the flux of a finite
+    total curvature tends to a constant, so when |Phi| over the fitted radii
+    grows with a log-log slope of at least FLUX_DIVERGENT_SLOPE the message
+    says that the total curvature diverges, and gives the slope.
     The cancellation is read from the flux steps Phi(10^{k+1}) - Phi(10^k)
     over the fitted radii.
     """
@@ -417,9 +421,17 @@ def _boundary_flux_alpha(ev: PotentialEvaluator) -> AlphaEstimate:
     if ev.f.caps.tabulated_source:
         residual += abs(ev.gconst * (inner - flux[0]))
     if not residual <= FLUX_SETTLE_TOL:
-        raise QflatError(
-            f"boundary flux of {ev.f.name} does not settle: residual {residual:.3g} "
-            f"> {FLUX_SETTLE_TOL:g} over R = {radii[half + 1]:g}..{radii[-1]:g}")
+        over = f"over R = {radii[half + 1]:g}..{radii[-1]:g}"
+        with np.errstate(divide="ignore"):
+            log_flux = np.log(np.abs(flux[half + 1:]))
+        slope = (np.polyfit(np.log(radii[half + 1:]), log_flux, 1)[0]
+                 if np.all(np.isfinite(log_flux)) else 0.0)
+        if slope >= FLUX_DIVERGENT_SLOPE:
+            raise QflatError(
+                f"boundary flux of {ev.f.name} does not settle: the total curvature "
+                f"diverges, |flux| grows like R^{slope:.3g} {over}")
+        raise QflatError(f"boundary flux of {ev.f.name} does not settle: residual "
+                         f"{residual:.3g} > {FLUX_SETTLE_TOL:g} {over}")
     return AlphaEstimate(alpha_hat=limit, window=(float(radii[half + 1]), float(radii[-1])),
                          residual=residual, method="boundary_flux",
                          cancellation=abs(ev.gconst) * sign_cancellation(np.diff(flux[half + 1:])))

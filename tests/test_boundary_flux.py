@@ -99,6 +99,17 @@ def test_divergent_curvature_is_an_error_entry_fast(u):
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("u, power", (("1000*r", 1), ("-1000*r", 1), ("r^2", 2)))
+def test_divergent_curvature_names_the_growth(u, power, tmp_path, capsys):
+    # the flux of a finite total curvature tends to a constant; these grow like R^power
+    from qflatlab import cli
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 2, "kind": "expression", "u": u}))
+    assert cli.main(["analyze", "--spec", str(spec)]) == 0
+    errors = json.loads(capsys.readouterr().out)["errors"]
+    assert f"the total curvature diverges, |flux| grows like R^{power} over" in errors["alpha0"]
+
+
 def test_report_says_how_alpha0_was_computed():
     rep = run_analysis({"n": 2, "kind": "expression", "u": "-0.25*log(1+r^2)"})
     doc = json.loads(rep.to_json())
@@ -184,5 +195,5 @@ def test_table_residual_covers_the_unit_ball_gap(scale, n, settles):
         est = total_mass_alpha(table)
         assert abs(est.alpha_hat - 2 * scale) <= est.residual
     else:
-        with pytest.raises(QflatError, match="does not settle"):
+        with pytest.raises(QflatError, match="does not settle: residual"):
             total_mass_alpha(table)

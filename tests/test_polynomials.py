@@ -9,7 +9,8 @@ from scipy import integrate
 from qflatlab import (Dimension, Polynomial, apply_laplacian_poly,
                       ball_mean_poly, monomials_upto, ph_dimension,
                       poly_partial, radial_monomial)
-from qflatlab.polynomials import _polyharmonic_matrix, _rank_mod_p
+from qflatlab.polynomials import (_UNSET, _monomial_array, _polyharmonic_matrix,
+                                  _radix_keys, _rank_mod_p)
 
 
 def poly(n, coeffs):
@@ -266,6 +267,40 @@ def test_ph_dimension_builds_no_polynomial(monkeypatch):
     assert built == []
 
 
+def test_one_term_sums_build_no_stacked_keys(monkeypatch):
+    # p + q.scale(c) with a one-term q, as in a sum of an n = 6 kernel basis
+    # below degree n, compares q's carried key with p's: no stacked rows are keyed
+    import qflatlab.polynomials as polynomials
+    calls = []
+    real = polynomials._row_keys
+
+    def counting_row_keys(*args):
+        calls.append(args)
+        return real(*args)
+
+    dim = Dimension(6)
+    basis = [Polynomial(dim, {mi: 1.0}) for mi in monomials_upto(6, 5)]
+    coeff = np.random.default_rng(3).normal(size=2 * len(basis))
+    monkeypatch.setattr(polynomials, "_row_keys", counting_row_keys)
+    p, want = Polynomial(dim, {}), {}
+    for c, q in zip(coeff, basis + basis[::-1]):  # new rows, then hits
+        p = p + q.scale(c)
+        want = ref_add(want, {next(iter(q.coeffs)): c})
+    assert calls == []
+    assert list(p.coeffs.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_monomial_arrays_are_read_only_tables(n):
+    for degree in (-n, -1, 0, 3):
+        table = _monomial_array(n, degree)
+        assert table.dtype == np.int64 and table.shape == (len(monomials_upto(n, degree)), n)
+        assert [tuple(row) for row in table.tolist()] == list(monomials_upto(n, degree))
+        assert _monomial_array(n, degree) is table
+        with pytest.raises(ValueError):
+            table[...] = 0
+
+
 @pytest.mark.parametrize("coeffs", [{(1,): 1.0}, {(-1, 0): 1.0}, {(0, 0, 0): 1.0}])
 def test_bad_multi_index_rejected(coeffs):
     from qflatlab import QflatError
@@ -298,6 +333,18 @@ def test_huge_exponents_merge_without_key_overflow():
     big = 2 ** 40
     p = poly(2, {(big, 1): 1.0, (0, big): 2.0}) + poly(2, {(0, big): 3.0, (1, 0): 1.0})
     assert list(p.coeffs.items()) == [((big, 1), 1.0), ((0, big), 5.0), ((1, 0), 1.0)]
+    # x1^1024 is past the n = 6 radix 2^10, on either side of a sum, with
+    # one-term and longer operands, found, new and cancelling
+    e = (0,) * 5
+    huge = poly(6, {(1024,) + e: 2.0, (1,) + e: 1.0})
+    small = poly(6, {(1,) + e: 0.5, e + (3,): 1.0})
+    for a, b in ((huge, small), (small, huge), (huge, poly(6, {(1024,) + e: -2.0})),
+                 (huge, poly(6, {(1,) + e: 4.0})), (small, poly(6, {(2048,) + e: 1.0})),
+                 (huge, huge.scale(-1.0))):
+        assert list((a + b).coeffs.items()) == list(ref_add(a.coeffs, b.coeffs).items())
+    # a sum keeps the fallback until its huge row cancels
+    back = huge + poly(6, {(1024,) + e: -2.0}) + poly(6, {(1,) + e: 1.0})
+    assert list(back.coeffs.items()) == [((1,) + e, 2.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +394,15 @@ def test_cancelled_term_reenters_at_the_end():
     empty = poly(2, {})
     assert list((empty + p).coeffs.items()) == list(p.coeffs.items())
     assert list((p + empty).coeffs.items()) == list(p.coeffs.items())
+    # one-term right operands: a hit, a miss, exact cancellations, a re-entry
+    want = dict(p.coeffs)
+    for mi, c in (((2, 0), 0.5), ((3, 1), -1.0), ((2, 0), -3.5), ((1, 0), 0.25),
+                  ((2, 0), 1e-3), ((3, 1), 1.0)):
+        p = p + poly(2, {mi: 1.0}).scale(c)
+        want = ref_add(want, {mi: c})
+        assert list(p.coeffs.items()) == list(want.items())
+    assert list(p.coeffs.items()) == [((1, 0), 2.25), ((0, 2), 1.0), ((0, 1), 7.0),
+                                      ((2, 0), 1e-3)]
 
 
 @pytest.mark.parametrize("c", [np.int64(2), np.float32(1.5), np.float64(-0.5), True,
@@ -372,6 +428,9 @@ def test_add_across_dimensions_rejected():
 def _distinct(p):
     assert len(np.unique(p.exps, axis=0)) == len(p.exps), p.exps
     assert np.all(p.vals != 0.0)
+    # keys carried from the operands are those of the result's own rows
+    if p._keys is not _UNSET:
+        assert np.array_equal(p._keys, _radix_keys(p.exps)), (p._keys, p.exps)
     return p
 
 
@@ -384,10 +443,13 @@ def test_every_algebra_result_has_distinct_rows():
         a, b = ({monos[i]: float(rng.integers(-3, 4)) for i in
                  rng.choice(len(monos), size=8, replace=False)} for _ in range(2))
         p, q = _distinct(poly(n, a)), _distinct(poly(n, b))
+        one, cancel = poly(n, {monos[3]: 1.0}), poly(n, {mi: -c for mi, c in b.items()})
         for r in (p + q, p + 2.0, p + p.scale(-1.0), p.scale(0.5), p.shift(rng.normal(size=n)),
                   apply_laplacian_poly(p, 1), apply_laplacian_poly(p, 2), poly_partial(p, 0),
-                  radial_monomial(Dimension(n), 3)):
+                  radial_monomial(Dimension(n), 3), p + one.scale(-2.0), q + one + one.scale(0.5),
+                  p + q + cancel, (p + q + cancel) + q, p + q.scale(3.0) + p.scale(-1.0)):
             _distinct(r)
+            assert r._keys is not None
         # verification builds its random kernel polynomials from basis rows
         exps, basis = _polyharmonic_basis(Dimension(n), 5)
         _distinct(Polynomial._of(Dimension(n), exps, rng.normal(size=len(basis)) @ basis))

@@ -15,7 +15,12 @@ Once per checkout, not per seed, it also compares the full ``analyze``
 reports of FIXED_DOCUMENTS: the workloads' potential operations record only
 condition (a)'s verdict of a non-radial metric, and no workload reaches
 sphere_shell, so these are where numbers from sphere shells (the criteria,
-tau, the volume class) and the messages of refused shells show.
+tau, the volume class) and the messages of refused shells show.  Also once
+per checkout, for n = 2, 4 and 6 it sums ``kernel_basis(n, 5)`` of the
+workloads one ``p + q.scale(c)`` step at a time with seeded coefficients
+and records the sum's ``exps`` and ``vals``: a Pizzetti operation shows
+only its worst residual, so a change in the order or rounding of addition
+shows here.
 Numbers are compared exactly.  Changes of text, and values that appear or
 disappear, are counted apart.
 """
@@ -41,6 +46,18 @@ FIXED_DOCUMENTS = (
     {"n": 4, "kind": "expression", "u": "0.1*x1*exp(-r^2) - 0.6*log(1+r^2)"},
     {"n": 6, "kind": "expression", "u": "0.1*x1 - 0.6*log(1+r^2)"},
 )
+
+
+def _polynomial_sum(workloads, n):
+    """sum_k c_k q_k over kernel_basis(n, 5), added one scaled term at a time."""
+    import numpy as np
+    from qflatlab import Dimension, Polynomial
+    basis = workloads.kernel_basis(n, 5)
+    coeff = np.random.default_rng([n, 20231017]).normal(size=len(basis))
+    p = Polynomial(Dimension(n), {})
+    for c, q in zip(coeff, basis):
+        p = p + q.scale(c)
+    return {"exps": p.exps.tolist(), "vals": p.vals.tolist()}
 
 
 def _jsonable(result):
@@ -87,6 +104,9 @@ def dump(seeds):
         what = f"{doc['name']}{doc['params']}" if "name" in doc else doc["u"]
         label = f"analyze {what} n={doc['n']} (fixed)"
         out[label] = _outcome(lambda: run_analysis(doc).to_json_dict())
+    for n in (2, 4, 6):
+        label = f"sum of kernel_basis({n}, 5) (fixed)"
+        out[label] = _outcome(lambda: _polynomial_sum(workloads, n))
     return out
 
 
