@@ -110,32 +110,98 @@ def growth_classifier(samples, threshold, margin=0.25) -> GrowthVerdict:
 
 
 # ---------------------------------------------------------------------------
-# growth criteria: dyadic ball integrals of a nonnegative integrand
+# growth criteria: dyadic ball integrals of a reduced signed quantity
 # ---------------------------------------------------------------------------
 
-def _growth_criterion(w: ScalarField, integrand, threshold, radii, margin,
-                      what) -> GrowthVerdict:
-    """int_{B_R} integrand(w) dx = o(R^threshold)?  (n >= 4)
+# The sign scan of a radial criterion: Chebyshev points per criterion
+# segment, then rounds that each evaluate points inside every bracket
+SIGN_SCAN_POINTS = 17
+SIGN_REFINE_ROUNDS = 3
+SIGN_REFINE_POINTS = 8
 
-    integrand(w) is the vectorized point integrand.  Radial fields sweep it
-    along t e_1 in one segment_integrals pass; other fields use
-    product-rule shells (classifier grade), on the sphere grid when the
-    integrand has a grid form."""
+
+def _on_axis(f, n):
+    """f on the points t e_1, as a function of the radii t."""
+    def on_axis(t):
+        pts = np.zeros((t.size, n))
+        pts[:, 0] = t
+        return f(pts)
+
+    return on_axis
+
+
+def _sign_changes(h, edges):
+    """Radii where the vectorized h changes sign between the first and last
+    edge, in SIGN_REFINE_ROUNDS + 1 calls of h.
+
+    h is scanned at SIGN_SCAN_POINTS Chebyshev points of each segment; each
+    pair of neighbours with opposite signs is a bracket.  Every round
+    evaluates SIGN_REFINE_POINTS equispaced points inside every bracket and
+    keeps the first sub-bracket where the sign leaves that of its left end.
+    A root is the linear interpolate of its last bracket.  A zero of h at a
+    scan point and an even number of roots between two scan points give no
+    bracket."""
+    lo, hi = edges[:-1], edges[1:]
+    x = -np.cos((np.arange(SIGN_SCAN_POINTS) + 0.5) * np.pi / SIGN_SCAN_POINTS)
+    t = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * x).ravel()
+    v = np.asarray(h(t), dtype=float)
+    i = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)
+    a, b, fa, fb = t[i], t[i + 1], v[i], v[i + 1]
+    frac = np.arange(1, SIGN_REFINE_POINTS + 1) / (SIGN_REFINE_POINTS + 1)
+    for _ in range(SIGN_REFINE_ROUNDS if len(a) else 0):
+        inner = a[:, None] + (b - a)[:, None] * frac
+        pts = np.column_stack([a, inner, b])
+        vals = np.column_stack([fa, np.asarray(h(inner.ravel()), dtype=float)
+                                .reshape(inner.shape), fb])
+        j = np.argmax(np.sign(vals[:, 1:]) != np.sign(fa)[:, None], axis=1) + 1
+        rows = np.arange(len(a))
+        a, b, fa, fb = pts[rows, j - 1], pts[rows, j], vals[rows, j - 1], vals[rows, j]
+    return a - fa * (b - a) / (fb - fa)
+
+
+def _integrand(w, values, shells, reduce):
+    """The point integrand reduce(values(pts)); with a sphere-grid form
+    shells(t, dirs) of values, a ScalarField over w's dimension that
+    carries it, so that shell_product_rule evaluates it without forming
+    points."""
+    def on_points(pts):
+        return reduce(values(pts))
+
+    if shells is None:
+        return on_points
+    return ScalarField(dim=w.dim, fn=on_points,
+                       caps=FieldCaps(shells=lambda t, dirs: reduce(shells(t, dirs))))
+
+
+def _growth_criterion(w: ScalarField, signed, threshold, radii, margin,
+                      what) -> GrowthVerdict:
+    """int_{B_R} reduce(h) dx = o(R^threshold)?  (n >= 4)
+
+    signed(w) gives (values, shells, reduce): the signed quantity h of the
+    criterion as a vectorized point function, its sphere-grid form or None,
+    and the reduction (np.abs, or a scaled positive part) that makes the
+    nonnegative integrand.  Radial fields sweep the integrand along t e_1
+    in one segment_integrals pass whose first panels are cut at the sign
+    changes of h, where the reduction has its kinks (_sign_changes; a root
+    the scan misses is left to the engine's bisection).  Other fields use
+    product-rule shells (classifier grade), on the sphere grid when h has a
+    grid form."""
     n = w.dim.n
     if n < 4:
         raise DimensionError(f"{what} applies for n >= 4")
     radii = np.sort(np.asarray(CRITERION_RADII if radii is None else radii, dtype=float))
-    g = integrand(w)
+    values, shells, reduce = signed(w)
+    g = _integrand(w, values, shells, reduce)
     if w.caps.is_radial:
         area = sphere_constants(n).boundary_area
+        edges = np.concatenate(([0.0], radii))
+        g_axis = _on_axis(g, n)
 
         def radial(t):
-            pts = np.zeros((t.size, n))
-            pts[:, 0] = t
-            return (g(pts) * area * t ** (n - 1))[None, :]
+            return (g_axis(t) * area * t ** (n - 1))[None, :]
 
-        vals = np.cumsum(segment_integrals(radial, np.concatenate(([0.0], radii)),
-                                           1e-7, 1e-12)[0])
+        vals = np.cumsum(segment_integrals(radial, edges, 1e-7, 1e-12,
+                                           breaks=_sign_changes(_on_axis(values, n), edges))[0])
     else:
         origin = np.zeros(n)
         vals = np.cumsum([shell_product_rule(g, n, origin, a, b, 16, 12)
@@ -143,45 +209,35 @@ def _growth_criterion(w: ScalarField, integrand, threshold, radii, margin,
     return growth_classifier(zip(radii, vals), threshold=threshold, margin=margin)
 
 
-def _integrand(w: ScalarField, values, shells):
-    """The point integrand values; with a sphere-grid form shells(t, dirs),
-    a ScalarField over w's dimension that carries it, so that
-    shell_product_rule evaluates it without forming points."""
-    if shells is None:
-        return values
-    return ScalarField(dim=w.dim, fn=values, caps=FieldCaps(shells=shells))
-
-
-def _abs_laplacian_values(w: ScalarField):
-    """Vectorized |Delta w|, from the analytic chain or the radial jet."""
+def _laplacian(w: ScalarField):
+    """Delta w from the analytic chain or the radial jet, reduced by |.|."""
     chain = w.caps.laplacian_chain
     if chain is not None and len(chain) >= 1:
         lap = chain[0]
-        grid = getattr(lap, "shells", None)
-        return _integrand(w, lambda pts: np.abs(np.asarray(lap(pts), dtype=float)),
-                          None if grid is None else lambda t, dirs: np.abs(grid(t, dirs)))
+        return (lambda pts: np.asarray(lap(pts), dtype=float),
+                getattr(lap, "shells", None), np.abs)
     if w.caps.is_radial:
         phi = w.along_ray()
         n = w.dim.n
 
-        def lap(pts):
+        def on_radii(pts):
             r = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-            return np.abs(radial_laplacian_batch(phi, r, n, 1))
+            return radial_laplacian_batch(phi, r, n, 1)
 
-        return lap
+        return on_radii, None, np.abs
     raise QflatError(
         "condition (a) needs a Laplacian: give the field an analytic chain "
         "or a radial structure")
 
 
-def _abs_values(w: ScalarField):
-    return _integrand(w, lambda pts: np.abs(w(pts)),
-                      None if w.caps.shells is None
-                      else lambda t, dirs: np.abs(w.on_shells(t, dirs)))
+def _values(w: ScalarField):
+    """w itself, reduced by |.|."""
+    return w, None if w.caps.shells is None else w.on_shells, np.abs
 
 
-def _curvature_deficit_values(u: ScalarField):
-    """Vectorized R_g^- e^{2u} = 2(n-1) max(Delta u + (n-2)/2 |grad u|^2, 0).
+def _curvature_deficit(u: ScalarField):
+    """Delta u + (n-2)/2 |grad u|^2, reduced by 2(n-1) max(., 0) to
+    R_g^- e^{2u}.
 
     The conformal factors cancel exactly, so the criterion integrand never
     overflows even when e^{-2u} itself would."""
@@ -190,7 +246,10 @@ def _curvature_deficit_values(u: ScalarField):
     grad = u.caps.gradient
 
     def deficit(lap, grad2):
-        return 2.0 * (n - 1) * np.maximum(lap + 0.5 * (n - 2) * grad2, 0.0)
+        return lap + 0.5 * (n - 2) * grad2
+
+    def reduce(h):
+        return 2.0 * (n - 1) * np.maximum(h, 0.0)
 
     if chain is not None and grad is not None:
         def on_points(pts):
@@ -200,12 +259,12 @@ def _curvature_deficit_values(u: ScalarField):
 
         lap_grid, grad_grid = getattr(chain[0], "shells", None), getattr(grad, "shells", None)
         if lap_grid is None or grad_grid is None:
-            return on_points
+            return on_points, None, reduce
 
         def on_shells(t, dirs):
             return deficit(lap_grid(t, dirs), sum(g * g for g in grad_grid(t, dirs)))
 
-        return _integrand(u, on_points, on_shells)
+        return on_points, on_shells, reduce
     if u.caps.is_radial:
         phi = u.along_ray()
 
@@ -214,25 +273,25 @@ def _curvature_deficit_values(u: ScalarField):
             jet = radial_jet(phi, r, n, max_m=1)
             return deficit(jet.laplacian_power(1), jet.radial_derivative() ** 2)
 
-        return on_radii
+        return on_radii, None, reduce
     raise QflatError("scalar criterion needs a radial field or analytic caps")
 
 
 def normality_condition_a(w: ScalarField, radii=None, margin=0.25) -> GrowthVerdict:
     """int_{B_R} |Delta w| dx = o(R^n)?  (n >= 4)"""
-    return _growth_criterion(w, _abs_laplacian_values, w.dim.n, radii, margin,
+    return _growth_criterion(w, _laplacian, w.dim.n, radii, margin,
                              "condition (a)")
 
 
 def normality_condition_b(w: ScalarField, radii=None, margin=0.25) -> GrowthVerdict:
     """int_{B_R} |w| dx = o(R^{n+2})?  (n >= 4)"""
-    return _growth_criterion(w, _abs_values, w.dim.n + 2, radii, margin,
+    return _growth_criterion(w, _values, w.dim.n + 2, radii, margin,
                              "condition (b)")
 
 
 def normality_scalar_criterion(u: ScalarField, radii=None, margin=0.25) -> GrowthVerdict:
     """int_{B_R} R_g^- e^{2u} dx = o(R^n)?  (n >= 4)"""
-    return _growth_criterion(u, _curvature_deficit_values, u.dim.n, radii, margin,
+    return _growth_criterion(u, _curvature_deficit, u.dim.n, radii, margin,
                              "scalar criterion")
 
 

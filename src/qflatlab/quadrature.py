@@ -82,18 +82,22 @@ def fixed_gl(f, a, b, order=32):
     return half * float(np.dot(w, np.asarray(f(mid + half * x), dtype=float)))
 
 
-def _panel_pass(f, edges, rel_tol, abs_tol, max_bisections, strict):
+def _panel_pass(f, edges, rel_tol, abs_tol, max_bisections, strict, breaks=()):
     """The adaptive engine: (values, errors) of f over every segment
     between the sorted edges, each (K, segments), all segments at once.
 
     ``f`` maps a 1-D array of radii to K rows of values (or one value per
     radius).  Each segment gets GL(15/31), linear in r below 1 and in
-    t = log r above 1 (a segment straddling 1 is split there).  A panel is
-    accepted when, on every component, its error |GL(31) - GL(15)| is within
-    ``max(rel_tol * |value|, abs_tol)`` or within its share of ``rel_tol``
-    times the magnitude of its segment's first estimate (QUADPACK's
-    per-panel part of a global error test): the share halves at each
-    bisection.  Other panels are bisected.  f sees PANEL_BLOCK panels per
+    t = log r above 1.  Its first panels are its pieces between the
+    ``breaks`` inside it, and 1 is always a break: a piece keeps its
+    segment's index and tolerance, with a share of 1/pieces.  The first
+    piece of each segment stays in its place and the others follow all
+    segments, so that a pass without breaks adds in the same order.  A
+    panel is accepted when, on every component, its error |GL(31) - GL(15)|
+    is within ``max(rel_tol * |value|, abs_tol)`` or within its share of
+    ``rel_tol`` times the magnitude of its segment's first estimate
+    (QUADPACK's per-panel part of a global error test): the share halves at
+    each bisection.  Other panels are bisected.  f sees PANEL_BLOCK panels per
     call; ``abs_tol`` broadcasts against (K, segments); a segment's error
     sums its panels' errors.  With ``strict``, a non-finite value or more
     than ``max_bisections`` splits raise QuadratureError naming the
@@ -102,13 +106,20 @@ def _panel_pass(f, edges, rel_tol, abs_tol, max_bisections, strict):
     """
     edges = np.asarray(edges, dtype=float)
     n_seg = len(edges) - 1
-    a, b = edges[:-1], edges[1:]
-    seg, share = np.arange(n_seg), np.ones(n_seg)
-    s = int(np.searchsorted(edges, 1.0)) - 1     # the one segment that may straddle 1
-    if 0 <= s < n_seg and a[s] < 1.0 < b[s]:
-        a, b, seg, share = (np.append(a, 1.0), np.append(b, b[s]), np.append(seg, s),
-                            np.append(share, 0.5))
-        b[s], share[s] = 1.0, 0.5
+    a, b, seg, share = edges[:-1], edges[1:], np.arange(n_seg), np.ones(n_seg)
+    r0, r1 = float(edges[0]), float(edges[-1])
+    cuts = np.array(sorted({c for c in (1.0, *np.asarray(breaks, dtype=float).tolist())
+                            if r0 < c < r1}))
+    k = a.searchsorted(cuts, side="right") - 1      # the segment of each cut
+    inside = a[k] < cuts                              # not on an edge
+    k, cuts = k[inside], cuts[inside]
+    if len(cuts):
+        # a piece ends at the next cut, or at its segment's end when that comes first
+        after = np.concatenate((cuts, [np.inf]))
+        b = np.minimum(np.concatenate((b, b[k])),
+                       np.concatenate((after[cuts.searchsorted(a, side="right")], after[1:])))
+        a, seg = np.concatenate((a, cuts)), np.concatenate((seg, k))
+        share = 1.0 / (np.bincount(k, minlength=n_seg) + 1)[seg]
     in_log = a >= 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b = np.where(in_log, np.log(a), a), np.where(in_log, np.log(b), b)
@@ -178,11 +189,12 @@ def _segment_list(edges, seg, shown=3):
     return f"radii {spans}{more}"
 
 
-def segment_integrals(f, edges, rel_tol, abs_tol):
+def segment_integrals(f, edges, rel_tol, abs_tol, breaks=()):
     """The (K, segments) integrals of the strict engine pass with
-    MAX_BISECTIONS splits; their cumulative sums give running integrals
-    over a sweep of radii."""
-    return _panel_pass(f, edges, rel_tol, abs_tol, MAX_BISECTIONS, strict=True)[0]
+    MAX_BISECTIONS splits, first panels cut at the ``breaks``; their
+    cumulative sums give running integrals over a sweep of radii."""
+    return _panel_pass(f, edges, rel_tol, abs_tol, MAX_BISECTIONS, strict=True,
+                       breaks=breaks)[0]
 
 
 def _radial_pass(f, r0, r1, rel_tol, abs_tol, breakpoints, max_panels, strict):

@@ -324,6 +324,73 @@ def test_segment_integrals_raise_and_name_radii():
                           [0.0, 1.0, 10.0], 1e-8, 1e-13)
 
 
+def _abs_cos_integral(a, b):
+    """int_a^b |cos r| dr: on [k pi - pi/2, k pi + pi/2] an antiderivative
+    is (-1)^k sin r + 2k."""
+    def F(x):
+        k = np.floor((x + 0.5 * np.pi) / np.pi)
+        return (-1.0) ** k * np.sin(x) + 2.0 * k
+
+    return F(b) - F(a)
+
+
+def test_segment_breaks_agree_with_the_unsplit_segments():
+    # |cos r| has kinks at pi/2 + k pi; cut there, each segment meets the
+    # same tolerance with fewer points
+    edges = np.array([0.0, 2.0, 8.0, 20.0])
+    kinks = 0.5 * np.pi + np.pi * np.arange(6)
+    points = {}
+
+    def counted(key):
+        def f(r):
+            points[key] = points.get(key, 0) + r.size
+            return np.abs(np.cos(r))[None, :]
+        return f
+
+    split = segment_integrals(counted("split"), edges, 1e-9, 1e-14, breaks=kinks)
+    whole = segment_integrals(counted("whole"), edges, 1e-9, 1e-14)
+    exact = _abs_cos_integral(edges[:-1], edges[1:])
+    assert split[0] == pytest.approx(whole[0], rel=2e-9)
+    assert split[0] == pytest.approx(exact, rel=1e-9)
+    assert points["split"] < points["whole"] / 2
+
+
+def test_segment_breaks_settle_a_near_zero_piece_beside_a_large_one():
+    # a 1e-8 oscillation on [8, 13] stands in for the noise of radial jets:
+    # as a piece of [8, 16] it meets a share of that segment's tolerance,
+    # as a segment of its own only the absolute floor
+    f = lambda r: np.where(r < 13.0, 1e-8 * np.sin(1e5 * r), 100.0 * (r - 13.0))[None, :]
+    got = segment_integrals(f, [8.0, 16.0], 1e-7, 1e-12, breaks=(13.0,))
+    assert got[0, 0] == pytest.approx(450.0, rel=1e-7)
+    with pytest.raises(QuadratureError, match="did not settle"):
+        segment_integrals(f, [8.0, 13.0, 16.0], 1e-7, 1e-12)
+
+
+def test_segment_breaks_keep_the_piece_order_of_the_break_at_one():
+    # the panels of the first call in order: each segment's first piece in
+    # its place, the other pieces after all segments, as the segment
+    # straddling 1 has always been cut
+    def first_panels(breaks):
+        calls = []
+
+        def f(r):
+            calls.append(r.reshape(-1, 46))
+            return np.ones_like(r)[None, :]
+
+        got = segment_integrals(f, [0.25, 0.5, 2.0, 4.0], 1e-8, 0.0, breaks=breaks)
+        assert got[0] == pytest.approx([0.25, 1.5, 2.0], rel=1e-14)
+        assert len(calls) == 1
+        return calls[0]
+
+    for breaks, pieces in (((), [(0.25, 0.5), (0.5, 1.0), (2.0, 4.0), (1.0, 2.0)]),
+                           ((3.0, 0.75), [(0.25, 0.5), (0.5, 0.75), (2.0, 3.0),
+                                          (0.75, 1.0), (1.0, 2.0), (3.0, 4.0)])):
+        panels = first_panels(breaks)
+        assert len(panels) == len(pieces)
+        for nodes, (lo, hi) in zip(panels, pieces):
+            assert lo < nodes.min() and nodes.max() < hi
+
+
 def test_sphere_rule_over_budget_raises_before_allocating():
     tracemalloc.start()
     try:

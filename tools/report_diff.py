@@ -15,12 +15,13 @@ Once per checkout, not per seed, it also compares the full ``analyze``
 reports of FIXED_DOCUMENTS: the workloads' potential operations record only
 condition (a)'s verdict of a non-radial metric, and no workload reaches
 sphere_shell, so these are where numbers from sphere shells (the criteria,
-tau, the volume class) and the messages of refused shells show.  Also once
-per checkout, for n = 2, 4 and 6 it sums ``kernel_basis(n, 5)`` of the
-workloads one ``p + q.scale(c)`` step at a time with seeded coefficients
-and records the sum's ``exps`` and ``vals``: a Pizzetti operation shows
-only its worst residual, so a change in the order or rounding of addition
-shows here.
+tau, the volume class) and the messages of refused shells show; a radial
+cut-off of its own shows where the radial growth criteria cut their
+segments.  Also once per checkout, for n = 2, 4 and 6 it sums
+``kernel_basis(n, 5)`` of the workloads one ``p + q.scale(c)`` step at a
+time with seeded coefficients and records the sum's ``exps`` and ``vals``:
+a Pizzetti operation shows only its worst residual, so a change in the
+order or rounding of addition shows here.
 Numbers are compared exactly.  Changes of text, and values that appear or
 disappear, are counted apart.
 """
@@ -35,16 +36,19 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("gallery", "expression", "potential", "polyharmonic")
-# documents analyzed once per checkout, all non-radial: planted metrics (the
-# product rule on the sphere grid), a shifted centre at n = 2 (its ball
-# integrals run sphere_shell), a metric whose volume class takes the points
-# path at n = 4, and one at n = 6 whose shells are refused by the point budget
+# documents analyzed once per checkout: planted metrics (the product rule on
+# the sphere grid), a shifted centre at n = 2 (its ball integrals run
+# sphere_shell), a metric whose volume class takes the points path at n = 4,
+# one at n = 6 whose shells are refused by the point budget, and a radial
+# n = 4 cut-off whose Delta u changes sign next to its edges 3 and 5, outside
+# the workloads' cut-offs (the sign scan of the radial growth criteria)
 FIXED_DOCUMENTS = (
     *({"n": 4, "kind": "builtin", "name": "planted", "params": {"seed": 5, "degree": degree}}
       for degree in (1, 2)),
     {"n": 2, "kind": "expression", "u": "-0.3*log(1+(x1-2)^2+x2^2)"},
     {"n": 4, "kind": "expression", "u": "0.1*x1*exp(-r^2) - 0.6*log(1+r^2)"},
     {"n": 6, "kind": "expression", "u": "0.1*x1 - 0.6*log(1+r^2)"},
+    {"n": 4, "kind": "expression", "u": "0.7*cutoff(r,3,5)*log(1+r^2)"},
 )
 
 
