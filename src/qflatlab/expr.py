@@ -12,6 +12,10 @@ Identifiers are the coordinates ``x1 .. xn``, the radius ``r`` (sugar for
 sqrt(x1^2 + ... + xn^2)), and the function names below.  Evaluation is
 total on its domain: log/sqrt of a negative argument, division by zero and
 non-finite results raise DomainEvalError instead of producing NaN.
+``compile_ast`` turns an AST into a program once, a tree of closures with
+its constants as Python floats, so that numpy broadcasts them (``x^2``
+takes a scalar exponent); ``evaluate`` runs a program, or compiles and
+runs an AST.
 
 ``cutoff(s, a, b)`` is the smooth step that equals 1 for s <= a and 0 for
 s >= b, built from sigma(t) = exp(-1/t):
@@ -269,11 +273,8 @@ def _check_domain(ok, message):
 
 
 def _sigma(t):
-    out = np.zeros_like(t)
-    pos = t > 0
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        out[pos] = np.exp(-1.0 / t[pos])
-    return out
+        return np.where(t > 0, np.exp(-1.0 / t), 0.0)
 
 
 def smooth_cutoff(s, a, b):
@@ -285,78 +286,115 @@ def smooth_cutoff(s, a, b):
     return 1.0 - num / den
 
 
-def evaluate(node, env):
-    """Evaluate the AST against an environment of coordinate arrays.
+def evaluate(program, env):
+    """Evaluate a compiled program (or an AST, compiled first) against an
+    environment of coordinate arrays.
 
-    ``env`` maps 'x1'.., 'r' to numpy arrays of a common shape.  Raises
-    DomainEvalError instead of returning NaN/inf.
+    ``env`` maps 'x1'.., 'r' to numpy arrays of a common shape; a constant
+    expression comes back at that shape too.  Raises DomainEvalError
+    instead of returning NaN/inf.
     """
-    val = _eval(node, env)
+    if not callable(program):
+        program = compile_ast(program)
+    val = program(env)
     _check_domain(np.isfinite(val), "expression evaluated to a non-finite value")
+    if np.ndim(val) == 0 and env:
+        return np.full(next(iter(env.values())).shape, val)
     return val
 
 
-def _eval(node, env):
+def compile_ast(node):
+    """The AST as a program: a function of the environment built once, one
+    closure per node.  Constants are Python floats that numpy broadcasts,
+    symbols are environment lookups, and every domain check runs when the
+    program is evaluated."""
+    return _compile(node)
+
+
+def _compile(node):
     if isinstance(node, Num):
-        shape = next(iter(env.values())).shape if env else ()
-        return np.full(shape, node.value)
+        value = float(node.value)
+        return lambda env: value
     if isinstance(node, Sym):
-        return env[node.name]
+        name = node.name
+        return lambda env: env[name]
     if isinstance(node, Neg):
-        return -_eval(node.arg, env)
+        arg = _compile(node.arg)
+        return lambda env: -arg(env)
     if isinstance(node, Bin):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
+        left, right = _compile(node.left), _compile(node.right)
         if node.op == "+":
-            return a + b
+            return lambda env: left(env) + right(env)
         if node.op == "-":
-            return a - b
+            return lambda env: left(env) - right(env)
         if node.op == "*":
-            return a * b
+            return lambda env: left(env) * right(env)
         if node.op == "/":
-            _check_domain(b != 0, "division by zero")
-            return a / b
+            def divide(env):
+                a, b = left(env), right(env)
+                _check_domain(b != 0, "division by zero")
+                return a / b
+            return divide
         if node.op == "^":
-            return _power(a, b)
+            return lambda env: _power(left(env), right(env))
         raise TypeError(node.op)
     if isinstance(node, Call):
-        args = [_eval(a, env) for a in node.args]
-        return _apply(node.fn, args)
+        args = tuple(_compile(a) for a in node.args)
+        if node.fn not in _CALLS:
+            raise UnknownSymbolError(f"unknown function {node.fn!r}", 0)
+        apply = _CALLS[node.fn]
+        if len(args) == 1:
+            (arg,) = args
+            return lambda env: apply(arg(env))
+        return lambda env: apply(*[a(env) for a in args])
     raise TypeError(f"not an AST node: {node!r}")
 
 
 def _power(a, b):
     neg_base = a < 0
     if np.any(neg_base):
-        frac = b != np.floor(b)
-        _check_domain(~(neg_base & frac), "negative base with non-integer exponent")
-    _check_domain(~((a == 0) & (b < 0)), "zero raised to a negative power")
+        _reject(neg_base & (b != np.floor(b)), "negative base with non-integer exponent")
+    if np.any(b < 0):
+        _reject((a == 0) & (b < 0), "zero raised to a negative power")
     with np.errstate(over="ignore"):
         return np.power(a, b)
 
 
-def _apply(fn, args):
-    if fn == "log":
-        _check_domain(args[0] > 0, "log of a non-positive argument")
-        return np.log(args[0])
-    if fn == "exp":
-        with np.errstate(over="ignore"):
-            return np.exp(args[0])
-    if fn == "sqrt":
-        _check_domain(args[0] >= 0, "sqrt of a negative argument")
-        return np.sqrt(args[0])
-    if fn == "atan":
-        return np.arctan(args[0])
-    if fn == "pow":
-        return _power(args[0], args[1])
-    if fn == "min":
-        return np.minimum(args[0], args[1])
-    if fn == "max":
-        return np.maximum(args[0], args[1])
-    if fn == "cutoff":
-        a = float(np.ravel(args[1])[0])
-        b = float(np.ravel(args[2])[0])
-        if not a < b:
-            raise DomainEvalError("cutoff requires a < b")
-        return smooth_cutoff(args[0], a, b)
-    raise UnknownSymbolError(f"unknown function {fn!r}", 0)
+def _reject(bad, message):
+    if np.any(bad):
+        raise DomainEvalError(message)
+
+
+def _log(a):
+    _check_domain(a > 0, "log of a non-positive argument")
+    return np.log(a)
+
+
+def _exp(a):
+    with np.errstate(over="ignore"):
+        return np.exp(a)
+
+
+def _sqrt(a):
+    _check_domain(a >= 0, "sqrt of a negative argument")
+    return np.sqrt(a)
+
+
+def _cutoff(s, a, b):
+    a = float(np.ravel(a)[0])
+    b = float(np.ravel(b)[0])
+    if not a < b:
+        raise DomainEvalError("cutoff requires a < b")
+    return smooth_cutoff(s, a, b)
+
+
+_CALLS = {
+    "log": _log,
+    "exp": _exp,
+    "sqrt": _sqrt,
+    "atan": np.arctan,
+    "pow": _power,
+    "min": np.minimum,
+    "max": np.maximum,
+    "cutoff": _cutoff,
+}

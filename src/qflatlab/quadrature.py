@@ -472,8 +472,30 @@ def log_condensation_blocks(log_f, r_start=2.0):
     _, w = gl_rule(CONDENSATION_ORDER)
     ell = vals.reshape(t.shape) + t
     pieces = log_sum_exp(ell + np.log(w) + log_half[:, None], axis=1)
-    return np.array([float(log_sum_exp(pieces[lo:hi]))
-                     for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return _log_sum_exp_blocks(pieces, bounds)
+
+
+def _log_sum_exp_blocks(a, bounds):
+    """log_sum_exp of every block a[bounds[j]:bounds[j + 1]], bit for bit,
+    in one segmented reduction with its max-count/log1p arithmetic; a block
+    whose result is not finite takes log_sum_exp of its slice.  Each block
+    is led by one -inf entry, an exact zero of the shifted sum, so that
+    ``np.add.reduceat`` (first entry plus a pairwise sum of the rest) adds
+    in the order of ``np.sum`` (zero plus a pairwise sum of all)."""
+    starts = np.asarray(bounds[:-1])
+    heads = starts + np.arange(starts.size)
+    led = np.insert(a, starts, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.maximum.reduceat(led, heads)
+        shift = np.repeat(a_max, np.diff(bounds) + 1)
+        top = led == shift
+        m = np.add.reduceat(top, heads, dtype=float)
+        s = np.add.reduceat(np.exp(np.where(top, -np.inf, led) - shift), heads)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    for j in np.flatnonzero(~np.isfinite(out)):
+        out[j] = log_sum_exp(a[bounds[j]:bounds[j + 1]])
+    return out
 
 
 def classify_log_blocks(log_blocks):

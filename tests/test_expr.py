@@ -1,12 +1,16 @@
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qflatlab.expr
 from qflatlab import (ArityError, DomainEvalError, FieldSyntaxError,
                       UnknownSymbolError, parse_field)
-from qflatlab.expr import (Bin, Call, Neg, Num, Sym, evaluate, parse,
+from qflatlab.expr import (Bin, Call, Neg, Num, Sym, compile_ast, evaluate, parse,
                            smooth_cutoff, to_source)
 
 
@@ -114,7 +118,10 @@ class TestCutoff:
 
 # -- parse/print round trip --------------------------------------------------
 
-def _ast_strategy(n=2, depth=3):
+def _ast_strategy(n=2, depth=3, domain=False):
+    """Random ASTs over r, x1, x2; with domain=True they also take '/',
+    '^' (constant exponents), pow, log, sqrt and cutoff, whose arguments
+    can leave their domains."""
     leaves = st.one_of(
         st.floats(min_value=0.0, max_value=9.0, allow_nan=False).map(
             lambda v: Num(round(v, 3))),
@@ -122,7 +129,7 @@ def _ast_strategy(n=2, depth=3):
     )
 
     def extend(children):
-        return st.one_of(
+        ops = [
             st.tuples(st.sampled_from("+-*"), children, children).map(
                 lambda t: Bin(t[0], t[1], t[2])),
             children.map(Neg),
@@ -130,7 +137,18 @@ def _ast_strategy(n=2, depth=3):
             st.tuples(children, children).map(lambda t: Call("max", t)),
             children.map(lambda a: Call("exp", (Call("min", (a, Num(4.0))),))),
             children.map(lambda a: Call("atan", (a,))),
-        )
+        ]
+        if domain:
+            exponents = st.sampled_from([2.0, 3.0, 0.5, 1.5, -1.0, -0.5]).map(Num)
+            ops += [
+                st.tuples(children, children).map(lambda t: Bin("/", *t)),
+                st.tuples(children, exponents).map(lambda t: Bin("^", *t)),
+                st.tuples(children, children).map(lambda t: Call("pow", t)),
+                children.map(lambda a: Call("log", (a,))),
+                children.map(lambda a: Call("sqrt", (a,))),
+                st.tuples(children, children, children).map(lambda t: Call("cutoff", t)),
+            ]
+        return st.one_of(*ops)
 
     return st.recursive(leaves, extend, max_leaves=12)
 
@@ -153,3 +171,135 @@ def test_roundtrip_evaluates_identically(ast):
     a = evaluate(ast, env)
     b = evaluate(reparsed, env)
     assert np.array_equal(a, b)
+
+
+# -- compiled programs against the tree-walking interpreter -------------------
+
+def _reference(node, env):
+    """The tree-walking evaluator that programs replaced: every constant is
+    an array of the environment's shape."""
+    val = _reference_eval(node, env)
+    if not np.all(np.isfinite(val)):
+        raise DomainEvalError("expression evaluated to a non-finite value")
+    return val
+
+
+def _reference_check(ok, message):
+    if not np.all(ok):
+        raise DomainEvalError(message)
+
+
+def _reference_power(a, b):
+    neg_base = a < 0
+    if np.any(neg_base):
+        frac = b != np.floor(b)
+        _reference_check(~(neg_base & frac), "negative base with non-integer exponent")
+    _reference_check(~((a == 0) & (b < 0)), "zero raised to a negative power")
+    with np.errstate(over="ignore"):
+        return np.power(a, b)
+
+
+def _reference_eval(node, env):
+    if isinstance(node, Num):
+        return np.full(next(iter(env.values())).shape, node.value)
+    if isinstance(node, Sym):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_reference_eval(node.arg, env)
+    if isinstance(node, Bin):
+        a = _reference_eval(node.left, env)
+        b = _reference_eval(node.right, env)
+        if node.op == "/":
+            _reference_check(b != 0, "division by zero")
+            return a / b
+        if node.op == "^":
+            return _reference_power(a, b)
+        return {"+": np.add, "-": np.subtract, "*": np.multiply}[node.op](a, b)
+    args = [_reference_eval(a, env) for a in node.args]
+    if node.fn == "log":
+        _reference_check(args[0] > 0, "log of a non-positive argument")
+        return np.log(args[0])
+    if node.fn == "exp":
+        with np.errstate(over="ignore"):
+            return np.exp(args[0])
+    if node.fn == "sqrt":
+        _reference_check(args[0] >= 0, "sqrt of a negative argument")
+        return np.sqrt(args[0])
+    if node.fn == "pow":
+        return _reference_power(args[0], args[1])
+    if node.fn == "cutoff":
+        a, b = float(np.ravel(args[1])[0]), float(np.ravel(args[2])[0])
+        if not a < b:
+            raise DomainEvalError("cutoff requires a < b")
+        return smooth_cutoff(args[0], a, b)
+    return {"atan": np.arctan, "min": np.minimum, "max": np.maximum}[node.fn](*args)
+
+
+def _has_power(node):
+    if isinstance(node, Bin):
+        return node.op == "^" or _has_power(node.left) or _has_power(node.right)
+    if isinstance(node, Call):
+        return node.fn == "pow" or any(_has_power(a) for a in node.args)
+    return isinstance(node, Neg) and _has_power(node.arg)
+
+
+def _outcome(run, ast, env):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return run(ast, env)
+        except DomainEvalError as e:
+            return f"DomainEvalError: {e}"
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_ast_strategy(domain=True))
+def test_program_matches_the_reference_interpreter(ast):
+    pts = np.random.default_rng(7).normal(size=(64, 2)) * 2.0
+    pts[:4] = [[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [2.0, -2.0]]   # zeros, negatives
+    env = {"x1": pts[:, 0], "x2": pts[:, 1], "r": np.hypot(pts[:, 0], pts[:, 1])}
+    ref = _outcome(_reference, ast, env)
+    got = _outcome(lambda a, e: evaluate(compile_ast(a), e), ast, env)
+    if isinstance(ref, str) or isinstance(got, str):
+        assert got == ref
+    elif _has_power(ast):
+        scale = np.max(np.abs(ref))
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+    else:
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_evaluate_compiles_an_ast_and_keeps_the_shape_of_a_constant():
+    env = {"x1": np.array([1.0, -2.0, 3.0])}
+    assert evaluate(parse("2 * x1 - 1", 2), env).tolist() == [1.0, -5.0, 5.0]
+    assert evaluate(parse("log(2) + 1", 2), env).tolist() == [math.log(2) + 1] * 3
+    with pytest.raises(DomainEvalError, match="zero raised to a negative power"):
+        evaluate(parse("0^(-1)", 2), env)
+
+
+def test_sigma_zero_at_and_below_zero_and_exact_above():
+    t = np.array([-1.0, 0.0, 1e-300, 0.3, 1.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = qflatlab.expr._sigma(t)
+    assert got[:2].tolist() == [0.0, 0.0]
+    with np.errstate(under="ignore"):
+        exact = [np.exp(-1.0 / v) for v in t[2:]]
+    assert got[2:].tolist() == exact
+
+
+def test_dropped_expression_field_frees_its_program(monkeypatch):
+    programs = []
+
+    def build(node):
+        programs.append(weakref.ref(program := compile_ast(node)))
+        return program
+
+    monkeypatch.setattr(qflatlab.expr, "compile_ast", build)
+    for src in ("log(2/(1+r^2))", "x1*exp(-r^2)"):
+        field = parse_field(src, 2).to_field()
+        field(np.array([[0.5, 0.25]]))
+        del field
+    gc.collect()
+    assert len(programs) == 2 and all(ref() is None for ref in programs)

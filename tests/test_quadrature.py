@@ -9,6 +9,7 @@ import pytest
 from qflatlab import (Dimension, FieldCaps, Polynomial, QuadratureError, ScalarField,
                       ball_mean_poly, sphere_constants)
 from qflatlab.quadrature import (CONDENSATION_PANEL_WIDTH, POINT_BUDGET, PRODUCT_RULE_POINTS,
+                                 _condensation_grid, _log_sum_exp_blocks,
                                  decade_mass_integral, gl_rule, integrate_radial,
                                  integrate_radial_estimate, log_condensation_blocks,
                                  log_sum_exp, segment_integrals, shell_points, shell_product_rule,
@@ -195,6 +196,37 @@ def test_condensation_blocks_match_per_panel_loop(log_f):
     assert got.tolist() == _per_panel_blocks(log_f).tolist()
 
 
+def _per_block_blocks(log_f, r_start=2.0):
+    """log_condensation_blocks with one log_sum_exp per block of its panel
+    pieces."""
+    t, log_half, bounds = _condensation_grid(r_start)
+    ell = np.asarray(log_f(np.exp(t).ravel()), dtype=float).reshape(t.shape) + t
+    pieces = log_sum_exp(ell + np.log(gl_rule(t.shape[1])[1]) + log_half[:, None], axis=1)
+    return np.array([float(log_sum_exp(pieces[lo:hi]))
+                     for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+@pytest.mark.parametrize("log_f", [
+    lambda r: -0.5 * np.log1p(r ** 2),                            # smooth tail
+    lambda r: np.where(r > 1e12, -np.inf, -np.log(r)),            # -inf panels in the tail
+    lambda r: np.where((r > 10.0) & (r < 40.0), -np.inf, -np.log(r)),   # block 3 is zero
+    lambda r: 700.0 * np.cos(np.log(r)) - 0.5 * np.log(r),        # 700 e-folds in a block
+], ids=["smooth", "zero_tail", "zero_block", "dynamic_range"])
+def test_condensation_blocks_match_per_block_log_sum_exp(log_f):
+    got = log_condensation_blocks(log_f)
+    ref = _per_block_blocks(log_f)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (got, ref)
+
+
+def test_condensation_block_shapes_of_the_reference_cases():
+    blocks = log_condensation_blocks(lambda r: np.where((r > 10.0) & (r < 40.0), -np.inf, 0.0))
+    assert np.isneginf(blocks).tolist() == [j == 3 for j in range(13)]
+    tail = log_condensation_blocks(lambda r: np.where(r > 1e12, -np.inf, -np.log(r)))
+    assert np.isneginf(tail[-1]) and np.isfinite(tail[:6]).all()
+    wide = log_condensation_blocks(lambda r: 700.0 * np.cos(np.log(r)) - 0.5 * np.log(r))
+    assert np.isfinite(wide).all() and np.ptp(wide) > 700.0
+
+
 def _log_sum_exp_cases():
     """Seeded arrays for log_sum_exp: ties at the max, +-inf, NaN, rows of
     -inf only and values near +-700, in 1-D and 2-D."""
@@ -233,6 +265,19 @@ def test_log_sum_exp_matches_scipy_bitwise():
                                   np.asarray(ref).view(np.int64)), (a, axis, got, ref)
 
 
+def test_block_reduction_matches_log_sum_exp_per_block_bitwise():
+    rng = np.random.default_rng(20261020)
+    cases = [c.ravel() for c in _log_sum_exp_cases()]
+    for a in cases + [np.concatenate(cases[i:i + 5]) for i in range(0, len(cases), 5)]:
+        cuts = np.sort(rng.choice(np.arange(1, a.size), size=min(a.size - 1, 12), replace=False))
+        bounds = (0, *cuts.tolist(), a.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # no numpy warning escapes
+            got = _log_sum_exp_blocks(a, bounds)
+        ref = np.array([float(log_sum_exp(a[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])])
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (a, bounds, got, ref)
+
+
 def test_log_sum_exp_of_nothing_is_minus_inf():
     assert log_sum_exp([]) == logsumexp([]) == -np.inf
     assert log_sum_exp(np.empty((3, 0)), axis=1).tolist() == [-np.inf] * 3
@@ -257,6 +302,8 @@ def test_condensation_nonfinite_log_f_raises():
 
     with pytest.raises(QuadratureError, match=r"non-finite log integrand nan at r = 3\d\.\d"):
         log_condensation_blocks(log_f)
+    with pytest.raises(QuadratureError, match=r"non-finite log integrand inf at r = 3\d\.\d"):
+        log_condensation_blocks(lambda r: np.where(r > 30.0, np.inf, 0.0))
     # -inf is an exact zero of the integrand, not an error
     blocks = log_condensation_blocks(lambda r: np.where(r > 30.0, -np.inf, -np.log(r)))
     assert np.isneginf(blocks[-1])

@@ -17,7 +17,9 @@ condition (a)'s verdict of a non-radial metric, and no workload reaches
 sphere_shell, so these are where numbers from sphere shells (the criteria,
 tau, the volume class) and the messages of refused shells show; a radial
 cut-off of its own shows where the radial growth criteria cut their
-segments.  Also once per checkout, for n = 2, 4 and 6 it sums
+segments, and a radial expression through '/', sqrt, atan, max and a
+non-integer '^' shows the evaluator on operators no workload expression
+uses.  Also once per checkout, for n = 2, 4 and 6 it sums
 ``kernel_basis(n, 5)`` of the workloads one ``p + q.scale(c)`` step at a
 time with seeded coefficients and records the sum's ``exps`` and ``vals``:
 a Pizzetti operation shows only its worst residual, so a change in the
@@ -39,9 +41,11 @@ WORKLOADS = ("gallery", "expression", "potential", "polyharmonic")
 # documents analyzed once per checkout: planted metrics (the product rule on
 # the sphere grid), a shifted centre at n = 2 (its ball integrals run
 # sphere_shell), a metric whose volume class takes the points path at n = 4,
-# one at n = 6 whose shells are refused by the point budget, and a radial
-# n = 4 cut-off whose Delta u changes sign next to its edges 3 and 5, outside
-# the workloads' cut-offs (the sign scan of the radial growth criteria)
+# one at n = 6 whose shells are refused by the point budget, a radial n = 4
+# cut-off whose Delta u changes sign next to its edges 3 and 5, outside the
+# workloads' cut-offs (the sign scan of the radial growth criteria), and a
+# radial expression through '/', sqrt, atan, max and a non-integer '^', which
+# no workload expression reaches (the expression evaluator)
 FIXED_DOCUMENTS = (
     *({"n": 4, "kind": "builtin", "name": "planted", "params": {"seed": 5, "degree": degree}}
       for degree in (1, 2)),
@@ -49,6 +53,8 @@ FIXED_DOCUMENTS = (
     {"n": 4, "kind": "expression", "u": "0.1*x1*exp(-r^2) - 0.6*log(1+r^2)"},
     {"n": 6, "kind": "expression", "u": "0.1*x1 - 0.6*log(1+r^2)"},
     {"n": 4, "kind": "expression", "u": "0.7*cutoff(r,3,5)*log(1+r^2)"},
+    {"n": 4, "kind": "expression",
+     "u": "-0.4*log(1+r^2) + atan(r)/sqrt(4+r^2) + 0.3*max(1+r^2, 0.5)^(-0.5)"},
 )
 
 
