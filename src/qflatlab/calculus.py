@@ -20,14 +20,12 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import sphere_constants
-from .errors import (DimensionError, NotRadialError, QflatError,
-                     QuadratureError, RangeOverflowError)
+from .errors import DimensionError, NotRadialError, QflatError, RangeOverflowError
 from .fields import (Dimension, RadialProfile, ScalarField, as_dimension, check_point,
                      radial_field)
 from .polynomials import (Polynomial, apply_laplacian_poly, ball_mean_poly,
                           radial_monomial)
-from .quadrature import (integrate_radial, offset_ball_integral_radial,
-                         shell_product_rule, sphere_shell)
+from .quadrature import integrate_radial, offset_ball_integral_radial, sphere_shell
 
 # ---------------------------------------------------------------------------
 # local Chebyshev fits
@@ -382,47 +380,35 @@ def pizzetti_check(p: Polynomial, center, R) -> float:
 # ball integrals and means of fields
 # ---------------------------------------------------------------------------
 
-def ball_integral(f: ScalarField, center, R, rel_tol):
-    """Integral of f over B_R(center) and the relative change of the last
-    refinement (0.0 on the adaptive paths).
+def ball_integral(f: ScalarField, center, R, rel_tol) -> float:
+    """Integral of f over B_R(center).
 
     Radial fields reduce to 1-D (center at the origin or offset, split at
-    the support edge); general n = 2 fields use adaptive polar shells with
-    an absolute floor of 1e-12, which keeps identically-vanishing integrals
-    convergent; higher-dimensional general fields use the product rule at
-    24/24 refined once to 36/36.
+    the support edge).  Other fields integrate sphere_shell over the radius
+    adaptively, with an absolute floor of 1e-12 that keeps identically
+    vanishing integrals convergent; sphere_shell raises QuadratureError
+    when its rule would exceed the point budget.
     """
     n = f.dim.n
     center = np.asarray(center, dtype=float)
     if f.caps.is_radial:
         bps = (f.caps.support_radius,) if f.caps.support_radius else ()
         return offset_ball_integral_radial(f.along_ray(), n, float(np.linalg.norm(center)),
-                                           R, rel_tol=rel_tol, breakpoints=bps), 0.0
-    if n == 2:
-        def shell(t):
-            return sphere_shell(f, n, center, t, rel_tol / 10)
+                                           R, rel_tol=rel_tol, breakpoints=bps)
 
-        return integrate_radial(shell, 0.0, R, rel_tol=rel_tol, abs_tol=1e-12), 0.0
-    coarse = shell_product_rule(f, n, center, 0.0, R, 24, 24)
-    fine = shell_product_rule(f, n, center, 0.0, R, 36, 36)
-    return fine, abs(fine - coarse) / max(abs(fine), 1e-300)
+    def shell(t):
+        return sphere_shell(f, n, center, t, rel_tol / 10)
+
+    return integrate_radial(shell, 0.0, R, rel_tol=rel_tol, abs_tol=1e-12)
 
 
 def ball_mean(f, center, R, rel_tol=1e-8) -> float:
-    """Mean of f over B_R(center).
-
-    Polynomials are averaged exactly, fields through ball_integral; raises
-    QuadratureError if the product rule of a general field in n >= 4 does
-    not stabilize.
-    """
+    """Mean of f over B_R(center): polynomials exactly, fields through
+    ball_integral."""
     if R <= 0:
         raise QflatError(f"ball radius must be positive, got {R}")
     if isinstance(f, Polynomial):
         return ball_mean_poly(f, center, R)
     n = f.dim.n
-    val, err = ball_integral(f, check_point(center, f.dim), R, rel_tol)
-    if err > max(rel_tol, 1e-5) * 50:
-        raise QuadratureError(
-            f"ball mean in dimension {n} did not stabilize (relative change {err:.2e}); "
-            "only radial integrands support tight tolerances here")
+    val = ball_integral(f, check_point(center, f.dim), R, rel_tol)
     return val / (sphere_constants(n).unit_ball_volume * R ** n)

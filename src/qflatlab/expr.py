@@ -21,7 +21,10 @@ runs an AST.
 s >= b, built from sigma(t) = exp(-1/t):
 
     cutoff(s, a, b) = 1 - sigma(t) / (sigma(t) + sigma(1 - t)),
-    t = (s - a) / (b - a).
+    t = (s - a) / (b - a),
+
+point by point: a band that is not a < b at some point raises
+DomainEvalError.
 """
 
 import re
@@ -381,10 +384,7 @@ def _sqrt(a):
 
 
 def _cutoff(s, a, b):
-    a = float(np.ravel(a)[0])
-    b = float(np.ravel(b)[0])
-    if not a < b:
-        raise DomainEvalError("cutoff requires a < b")
+    _check_domain(np.less(a, b), "cutoff requires a < b")
     return smooth_cutoff(s, a, b)
 
 

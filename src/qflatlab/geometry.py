@@ -108,12 +108,7 @@ def conformal_volume(ctx: MetricContext, R, center=None,
     if R <= 0:
         raise QflatError(f"volume radius must be positive, got {R}")
     center = np.zeros(ctx.n) if center is None else check_point(center, ctx.u.dim)
-    val, err = ball_integral(_volume_field(ctx), center, R, rel_tol)
-    if err > 5e-3:
-        raise QflatError(
-            f"volume quadrature for non-radial metric in n={ctx.n} did not settle "
-            f"(relative change {err:.2e})")
-    return val
+    return ball_integral(_volume_field(ctx), center, R, rel_tol)
 
 
 def volume_growth(ctx: MetricContext, radii) -> GrowthEstimate:

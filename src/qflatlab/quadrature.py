@@ -19,10 +19,13 @@ Four layers:
   which stay decisive even for borderline tails like 1/(t log^c t)
   (``log_condensation_blocks``, ``classify_log_blocks``), reduced by
   ``log_sum_exp``, scipy's log-sum-exp arithmetic without its dispatch;
-* sphere shells and balls: ``shell_values`` evaluates f on radii times
-  sphere_rule directions chunk by chunk after one POINT_BUDGET check;
-  the adaptive ``sphere_shell``, the fixed product rule
-  ``shell_product_rule`` and geometry's volume class reduce its chunks.
+* sphere shells and balls: ``sphere_rule`` is the trapezoid rule on the
+  circle at n = 2 and a Gauss-Jacobi product rule, exact to a degree set
+  by its resolution, at n >= 4; ``shell_values`` evaluates f on radii
+  times its directions chunk by chunk after one POINT_BUDGET check; the
+  adaptive ``sphere_shell`` (under every non-radial ball integral), the
+  fixed product rule ``shell_product_rule`` (the growth criteria) and
+  geometry's volume class reduce its chunks.
   ``offset_ball_integral_radial`` is the exact 1-D reduction for radial
   integrands over offset balls.
 """
@@ -58,8 +61,8 @@ RATIO_AGREEMENT = 1e-8
 MAX_BISECTIONS = 4096     # panel splits of one segment_integrals call
 PANEL_BLOCK = 128         # panels (46 nodes each) per integrand call of the engine
 # Most points of a sphere rule on all radii of one shell_values call, checked
-# before the rule is built: sphere_shell at resolution 48 on 31 radii needs
-# 6.3M at n = 4.
+# before the rule is built: sphere_shell at resolution 96 on 31 radii needs
+# 6.9M at n = 4.
 POINT_BUDGET = 2 ** 23
 # Radii per sphere_shell refinement group (one GL(31) panel): a group doubles
 # its resolution until all its radii settle, so changing it moves numbers.
@@ -529,10 +532,24 @@ def _rule_size(n, resolution):
     """Number of directions of sphere_rule(n, resolution)."""
     if n == 2:
         return 4 * resolution
-    size = max(2 * resolution, 8)
-    for k in range(n - 2):
-        size *= max(resolution - 4 * k, 8)
-    return size
+    return 2 * _polar_nodes(resolution) ** (n - 1)
+
+
+def _polar_nodes(resolution):
+    """Gauss-Jacobi nodes per polar angle of sphere_rule at n >= 4."""
+    return max((resolution + 1) // 2, 4)
+
+
+def _gauss_jacobi(p, a):
+    """p-point Gauss rule for the weight (1 - x^2)^a on [-1, 1], a >= 0, by
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix, and mu0 = sqrt(pi) Gamma(a + 1) / Gamma(a + 3/2) times the
+    squared first eigenvector components are the weights."""
+    j = np.arange(1, p)
+    off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a) ** 2 - 1.0))
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.sqrt(math.pi) * math.gamma(a + 1) / math.gamma(a + 1.5)
+    return x, mu0 * v[0] ** 2
 
 
 def _check_budget(n, resolution, radii):
@@ -548,11 +565,14 @@ def sphere_rule(n, resolution):
     """Product quadrature on the unit sphere S^{n-1} in R^n.
 
     Returns (directions, weights) with sum(weights) = |S^{n-1}|.  For n = 2
-    this is the trapezoid rule on the circle (spectrally accurate); higher
-    n use Gauss-Legendre in each polar angle with the sin^k weight folded
-    into the quadrature weight.  Raises QuadratureError, before building
-    the grid, when it would have more than POINT_BUDGET directions.  Both
-    arrays are cached and read-only.
+    this is the trapezoid rule on the circle with 4 * resolution points
+    (spectrally accurate).  Higher n take p = max(ceil(resolution / 2), 4)
+    Gauss-Jacobi nodes in x_k = cos(theta_k) for the weight
+    (1 - x_k^2)^{(n-3-k)/2} of each polar angle theta_k, k < n - 2, times
+    2p azimuths: 2 p^{n-1} directions, exact for every polynomial of degree
+    at most 2p - 1.  Raises QuadratureError, before building the grid, when
+    it would have more than POINT_BUDGET directions.  Both arrays are
+    cached and read-only.
     """
     _check_budget(n, resolution, 1)
     if n == 2:
@@ -561,36 +581,22 @@ def sphere_rule(n, resolution):
         return _frozen(np.stack([np.cos(th), np.sin(th)], axis=1),
                        np.full(m, 2.0 * np.pi / m))
 
-    # polar angles theta_1..theta_{n-2} in [0, pi], azimuth in [0, 2 pi)
-    grids, weights = [], []
-    for k in range(n - 2):
-        npts = max(resolution - 4 * k, 8)
-        x, w = gl_rule(npts)
-        th = 0.5 * (x + 1.0) * np.pi
-        wt = w * 0.5 * np.pi * np.sin(th) ** (n - 2 - k)
-        grids.append(th)
-        weights.append(wt)
-    m_az = max(2 * resolution, 8)
-    phi = 2.0 * np.pi * np.arange(m_az) / m_az
-    grids.append(phi)
-    weights.append(np.full(m_az, 2.0 * np.pi / m_az))
-
-    mesh = np.meshgrid(*grids, indexing="ij")
-    wmesh = np.meshgrid(*weights, indexing="ij")
-    wts = np.ones_like(wmesh[0])
-    for wm in wmesh:
-        wts = wts * wm
-    wts = wts.ravel()
-
-    angles = [m.ravel() for m in mesh]
+    # cosines of the polar angles theta_1..theta_{n-2}, azimuth in [0, 2 pi)
+    p = _polar_nodes(resolution)
+    rules = [_gauss_jacobi(p, (n - 3 - k) / 2) for k in range(n - 2)]
+    rules.append((np.pi * np.arange(2 * p) / p, np.full(2 * p, np.pi / p)))
+    wts = np.ones(1)
+    for _, w in rules:
+        wts = np.multiply.outer(wts, w)
+    *cosines, phi = [m.ravel() for m in np.meshgrid(*(x for x, _ in rules), indexing="ij")]
     dirs = np.empty((wts.size, n))
     sin_prod = np.ones(wts.size)
-    for k in range(n - 1):
-        ang = angles[k]
-        dirs[:, k] = sin_prod * np.cos(ang)
-        sin_prod = sin_prod * np.sin(ang)
-    dirs[:, n - 1] = sin_prod
-    return _frozen(dirs, wts)
+    for k, x in enumerate(cosines):
+        dirs[:, k] = sin_prod * x
+        sin_prod = sin_prod * np.sqrt(1.0 - x * x)
+    dirs[:, n - 2] = sin_prod * np.cos(phi)
+    dirs[:, n - 1] = sin_prod * np.sin(phi)
+    return _frozen(dirs, wts.ravel())
 
 
 def _frozen(*arrays):
@@ -658,8 +664,9 @@ def sphere_shell(f, n, center, radii, tol):
         return np.concatenate([vals @ wts for _, vals in chunks]) * radii ** (n - 1)
 
     # n = 2: the trapezoid rules with 32 to 4096 points.  n >= 4: each
-    # doubling multiplies the number of directions by about 2^{n-1}, so the
-    # rule stops after three doublings.
+    # doubling multiplies the number of directions by exactly 2^{n-1}, so
+    # the rule stops after three doublings (the point budget refuses 192 on
+    # 31 radii at n = 4, and 24 at n = 6).
     res, last = (8, 1024) if n == 2 else (24, 192)
     prev = at(res)
     while res < last:

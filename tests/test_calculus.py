@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qflatlab import (Dimension, DimensionError, NotRadialError, Polynomial,
-                      QflatError, RangeOverflowError, ball_mean, ball_mean_poly,
+                      QflatError, QuadratureError, RangeOverflowError, ScalarField,
+                      ball_mean, ball_mean_poly,
                       constant_field, curvature_report, field_from_expression,
                       gallery, laplacian_power, pizzetti_check, pizzetti_coeffs,
                       q_curvature, radial_field, scalar_curvature)
@@ -193,6 +194,21 @@ class TestBallMean:
         p = Polynomial(Dimension(2), {(2, 2): 1.0})
         got = ball_mean(f, np.array([0.3, 0.4]), 1.2)
         assert got == pytest.approx(ball_mean_poly(p, [0.3, 0.4], 1.2), rel=1e-7)
+
+    def test_general_n4(self):
+        # sphere_shell over the radius: its sphere rule integrates the
+        # degree-4 polynomial exactly, and so does GL in the radius
+        p = Polynomial(Dimension(4), {(2, 2, 0, 0): 1.0, (0, 0, 1, 3): 0.5,
+                                      (1, 1, 1, 0): -0.7, (0, 0, 0, 1): 0.3})
+        f = ScalarField(dim=Dimension(4), fn=p)
+        center = [0.3, 0.4, -0.2, 0.1]
+        got = ball_mean(f, np.array(center), 1.2)
+        assert got == pytest.approx(ball_mean_poly(p, center, 1.2), rel=1e-12)
+
+    def test_general_n6_is_refused_by_the_point_budget(self):
+        f = field_from_expression("x1^2", 6)
+        with pytest.raises(QuadratureError, match="budget"):
+            ball_mean(f, np.zeros(6), 1.0)
 
     def test_invalid_radius(self):
         with pytest.raises(QflatError):

@@ -115,6 +115,17 @@ class TestCutoff:
         with pytest.raises(DomainEvalError):
             ev("cutoff(r, 5, 5)", 2, [1.0, 0.0])
 
+    def test_band_is_read_at_each_point(self):
+        # cutoff(r, x1, 4) at (3, 0) has t = 0 whichever point comes first
+        pts = np.array([[1.0, 2.0], [3.0, 0.0]])
+        after = ev("cutoff(r, x1, 4)", 2, pts)[1]
+        first = ev("cutoff(r, x1, 4)", 2, pts[::-1])[0]
+        assert after == first == 1.0
+
+    def test_band_out_of_order_at_any_point_raises(self):
+        with pytest.raises(DomainEvalError, match="a < b"):
+            ev("cutoff(r, x1, 4)", 2, [[1.0, 2.0], [5.0, 0.0]])
+
 
 # -- parse/print round trip --------------------------------------------------
 
@@ -228,10 +239,8 @@ def _reference_eval(node, env):
     if node.fn == "pow":
         return _reference_power(args[0], args[1])
     if node.fn == "cutoff":
-        a, b = float(np.ravel(args[1])[0]), float(np.ravel(args[2])[0])
-        if not a < b:
-            raise DomainEvalError("cutoff requires a < b")
-        return smooth_cutoff(args[0], a, b)
+        _reference_check(np.less(args[1], args[2]), "cutoff requires a < b")
+        return smooth_cutoff(*args)
     return {"atan": np.arctan, "min": np.minimum, "max": np.maximum}[node.fn](*args)
 
 

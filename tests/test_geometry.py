@@ -11,6 +11,7 @@ from qflatlab import (GeodesicGrid, GridError, QflatError, classify_ray,
                       geodesic_distance, measure_distance, ray_length,
                       strong_ainfty_ratio, volume_classification,
                       volume_growth)
+from qflatlab.cli import context_from_document
 from qflatlab.gallery import gallery_fresh
 
 RADII = np.geomspace(10.0, 1e4, 12)
@@ -53,6 +54,15 @@ class TestVolumeGrowth:
 
     def test_sphere(self, sphere2):
         assert volume_growth(sphere2, RADII).exponent == pytest.approx(0.0, abs=0.05)
+
+    def test_non_radial_n4(self):
+        # tau = 0: the n = 4 ball integral of e^{4u} settles for a field that
+        # is not radial
+        ctx = context_from_document(
+            {"n": 4, "kind": "expression", "u": "0.1*x1*exp(-r^2) - 0.6*log(1+r^2)"})
+        assert not ctx.is_radial
+        assert volume_growth(ctx, np.geomspace(10, 1e4, 7)).exponent == pytest.approx(
+            0.0, abs=0.05)
 
     def test_window_precondition(self, flat2):
         with pytest.raises(QflatError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qflatlab import (Dimension, FieldCaps, Polynomial, QuadratureError, ScalarField,
-                      ball_mean_poly, sphere_constants)
+                      ball_mean_poly, monomials_upto, sphere_constants)
 from qflatlab.quadrature import (CONDENSATION_PANEL_WIDTH, POINT_BUDGET, PRODUCT_RULE_POINTS,
                                  _condensation_grid, _log_sum_exp_blocks,
                                  decade_mass_integral, gl_rule, integrate_radial,
@@ -33,6 +33,36 @@ def test_sphere_shell_closed_forms(n, kind):
         expected = area * radii ** (n - 1) * 2.5
     got = sphere_shell(f, n, center, radii, 1e-9)
     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n,resolution", [(4, 8), (4, 16), (6, 8), (6, 12)])
+def test_sphere_rule_integrates_monomials_exactly(n, resolution):
+    # p = resolution / 2 Gauss-Jacobi nodes per polar angle: every monomial
+    # y^a of degree <= 2p - 1 integrates over S^{n-1} to
+    # 2 prod Gamma((a_i + 1) / 2) / Gamma((n + |a|) / 2), or 0 for an odd a_i.
+    # A monomial is a head in the first n/2 coordinates times a tail in the
+    # others, so all the sums come out of one matrix product.
+    dirs, wts = sphere_rule(n, resolution)
+    p = max(resolution // 2, 4)
+    assert len(wts) == 2 * p ** (n - 1)
+    assert np.all(wts > 0)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-15)
+    half_gamma = np.array([math.gamma((k + 1) / 2) for k in range(2 * p)])
+    parts = []
+    for x in (dirs[:, :n // 2], dirs[:, n // 2:]):
+        alphas = np.array(monomials_upto(x.shape[1], 2 * p - 1))
+        values = np.ones((len(x), len(alphas)))
+        for i, column in enumerate(x.T):
+            values *= (column[:, None] ** np.arange(2 * p))[:, alphas[:, i]]
+        gammas = np.prod(half_gamma[alphas], axis=1) * np.all(alphas % 2 == 0, axis=1)
+        parts.append((values, alphas.sum(axis=1), gammas))
+    (head, head_degree, head_gamma), (tail, tail_degree, tail_gamma) = parts
+    degree = head_degree[:, None] + tail_degree[None, :]
+    inside = degree <= 2 * p - 1
+    exact = 2 * np.outer(head_gamma, tail_gamma) / np.array(
+        [math.gamma((n + d) / 2) for d in range(4 * p)])[degree]
+    got = (head * wts[:, None]).T @ tail
+    assert np.max(np.abs(got - exact)[inside]) <= 1e-12
 
 
 @pytest.mark.parametrize("r0,r1", [(0.0, 1.0), (2.0, 3.0)])
@@ -74,7 +104,7 @@ def test_product_rule_matches_exact_ball_mean(n):
 
 def test_product_rule_evaluates_few_radii_at_a_time():
     # int_{B_2} e^{-|y|^2} dy = pi^2 (1 - 5 e^{-4}) in n = 4; the rule has
-    # 36 radii of 82,944 directions, which one integrand call would hold
+    # 36 radii of 11,664 directions, which one integrand call would hold
     tracemalloc.start()
     try:
         got = shell_product_rule(lambda pts: np.exp(-np.einsum("ij,ij->i", pts, pts)),
@@ -439,10 +469,11 @@ def test_segment_breaks_keep_the_piece_order_of_the_break_at_one():
 
 
 def test_sphere_rule_over_budget_raises_before_allocating():
+    # sphere_rule(6, 48) would have 2 * 24^5 = 15,925,248 directions
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureError, match="budget"):
-            sphere_rule(6, 36)
+            sphere_rule(6, 48)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -512,8 +543,8 @@ def test_decade_walk_raises_only_on_reached_nan(nan_from, raises):
 
 def test_shell_integrand_takes_more_radii_than_one_evaluation():
     # the engine hands its integrand whole panels (46 nodes each), while
-    # sphere_shell at n = 4 fits at most 41 radii of resolution 48 in
-    # POINT_BUDGET; int_{B_R} e^{-|y|^2} dy = pi^2 (1 - (1 + R^2) e^{-R^2})
+    # sphere_shell refines SHELL_RADII = 31 radii at a time;
+    # int_{B_R} e^{-|y|^2} dy = pi^2 (1 - (1 + R^2) e^{-R^2})
     # in n = 4
     sizes = []
 

@@ -14,8 +14,9 @@ that change occurred, and every ``errors`` key that appears or disappears
 Once per checkout, not per seed, it also compares the full ``analyze``
 reports of FIXED_DOCUMENTS: the workloads' potential operations record only
 condition (a)'s verdict of a non-radial metric, and no workload reaches
-sphere_shell, so these are where numbers from sphere shells (the criteria,
-tau, the volume class) and the messages of refused shells show; a radial
+sphere_shell, which every non-radial ball integral runs, so these are where
+numbers from sphere shells (the criteria, tau, the volume class) and the
+messages of refused shells show; a radial
 cut-off of its own shows where the radial growth criteria cut their
 segments, and a radial expression through '/', sqrt, atan, max and a
 non-integer '^' shows the evaluator on operators no workload expression
@@ -38,9 +39,10 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("gallery", "expression", "potential", "polyharmonic")
-# documents analyzed once per checkout: planted metrics (the product rule on
-# the sphere grid), a shifted centre at n = 2 (its ball integrals run
-# sphere_shell), a metric whose volume class takes the points path at n = 4,
+# documents analyzed once per checkout: planted metrics (the growth
+# criteria's product rule and the ball integrals' sphere_shell, both on the
+# sphere grid), a shifted centre at n = 2 and a metric at n = 4 whose ball
+# integrals run sphere_shell on points (the latter's volume class too),
 # one at n = 6 whose shells are refused by the point budget, a radial n = 4
 # cut-off whose Delta u changes sign next to its edges 3 and 5, outside the
 # workloads' cut-offs (the sign scan of the radial growth criteria), and a
