@@ -271,7 +271,8 @@ def _print(node, parent_prec):
 # ---------------------------------------------------------------------------
 
 def _check_domain(ok, message):
-    if not np.all(ok):
+    # a comparison of constants is a Python bool, which has no .all()
+    if not (ok if isinstance(ok, bool) else ok.all()):
         raise DomainEvalError(message)
 
 

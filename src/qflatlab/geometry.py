@@ -23,8 +23,8 @@ from .errors import GridError, QflatError, RangeOverflowError
 from .fields import FieldCaps, ScalarField, check_point, radial_field
 from .fitting import GrowthEstimate, fit_log_slope, fit_loglog, require_window
 from .quadrature import (TailClassification, classify_log_blocks, integrate_radial,
-                         log_condensation_blocks, log_sum_exp, segment_integrals,
-                         shell_values)
+                         log_condensation_blocks, log_sum_exp, running_integrals,
+                         shell_values, sphere_shell)
 
 EXP_OVERFLOW = 700.0
 VOLUME_REL_TOL = 1e-6     # conformal volumes behind tau and measure distances
@@ -111,28 +111,34 @@ def conformal_volume(ctx: MetricContext, R, center=None,
     return ball_integral(_volume_field(ctx), center, R, rel_tol)
 
 
+def _log_shell_volume(ctx: MetricContext):
+    """t -> n phi(t) + (n-1) log t + log |S^{n-1}|: the log volume per unit
+    radius of a radial metric (t^{n-1} alone overflows at t = 1e7 from n = 46)."""
+    n, phi, area = ctx.n, ctx.u.along_ray(), sphere_constants(ctx.n).boundary_area
+    return lambda t: (n * np.asarray(phi(t), dtype=float)
+                      + (n - 1) * np.log(np.maximum(t, 1e-300)) + math.log(area))
+
+
 def volume_growth(ctx: MetricContext, radii) -> GrowthEstimate:
     """Fitted slope of log V_g(B_R) against log |B_R|.
 
-    For radial metrics the volumes are running sums of one segment_integrals
-    pass over the segments between 0 and the radii.
-    """
+    The volumes are the running integrals of one pass over the sweep, for
+    every metric: of exp(_log_shell_volume) if radial, else of sphere_shell(e^{nu})."""
     radii = np.sort(require_window(np.asarray(radii, dtype=float), what="volume radii"))
     n = ctx.n
     omega = sphere_constants(n).unit_ball_volume
     if ctx.is_radial:
-        phi = ctx.u.along_ray()
-        area = sphere_constants(n).boundary_area
+        log_shell = _log_shell_volume(ctx)
 
-        def integrand(t):
-            return _guarded_exp(
-                n * np.asarray(phi(t), dtype=float) + (n - 1) * np.log(np.maximum(t, 1e-300))
-                + math.log(area), "volume growth")[None, :]
-
-        vols = np.cumsum(segment_integrals(integrand, np.concatenate(([0.0], radii)),
-                                           VOLUME_REL_TOL, 0.0)[0])
+        def shell(t):
+            return _guarded_exp(log_shell(t), "volume growth")
     else:
-        vols = np.array([conformal_volume(ctx, R) for R in radii])
+        volume = _volume_field(ctx)
+
+        def shell(t):
+            return sphere_shell(volume, n, np.zeros(n), t, VOLUME_REL_TOL / 10)
+
+    vols = running_integrals(shell, radii, VOLUME_REL_TOL, 0.0)
     # log |B_R| as log omega_n + n log R: omega_n R^n overflows at R = 1e7 from n = 46
     return fit_log_slope(math.log(omega) + n * np.log(radii), vols, radii)
 
@@ -274,13 +280,8 @@ def diameter_estimate(ctx: MetricContext) -> DiameterReport:
 def volume_classification(ctx: MetricContext) -> DiameterReport:
     """Finite-vs-infinite classification of the total conformal volume."""
     n = ctx.n
-    area = sphere_constants(n).boundary_area
     if ctx.is_radial:
-        phi = ctx.u.along_ray()
-
-        def log_integrand(t):
-            t = np.asarray(t, dtype=float)
-            return n * phi(t) + (n - 1) * np.log(t) + math.log(area)
+        log_integrand = _log_shell_volume(ctx)
     else:
         def log_integrand(t):
             # a condensation pass asks for all of its panels' radii at once
@@ -443,10 +444,7 @@ def distance_growth_exponent(ctx: MetricContext, p, radii) -> GrowthEstimate:
     p = check_point(p, ctx.u.dim)
     if not ctx.is_radial:
         raise QflatError("distance growth exponent needs a radial metric")
-    speed = _ray_speed(ctx)
-    dists = np.cumsum(segment_integrals(lambda t: speed(t)[None, :],
-                                        np.concatenate(([0.0], radii)), RAY_REL_TOL, 0.0)[0])
-    return fit_loglog(radii, dists)
+    return fit_loglog(radii, running_integrals(_ray_speed(ctx), radii, RAY_REL_TOL, 0.0))
 
 
 @dataclass(frozen=True)

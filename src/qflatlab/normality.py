@@ -35,7 +35,7 @@ from .geometry import (DiameterReport, MetricContext, diameter_estimate,
                        volume_classification, volume_growth)
 from .polynomials import Polynomial, monomials_upto, radial_monomial
 from .potential import FLUX_SETTLE_TOL, PotentialEvaluator, total_mass_alpha
-from .quadrature import segment_integrals, shell_product_rule
+from .quadrature import running_integrals, shell_product_rule
 
 # Verdict boundary: fitted slopes sit strictly below a clean power because
 # lower-order terms bias finite windows; a small guard absorbs that bias
@@ -181,7 +181,7 @@ def _growth_criterion(w: ScalarField, signed, threshold, radii, margin,
     criterion as a vectorized point function, its sphere-grid form or None,
     and the reduction (np.abs, or a scaled positive part) that makes the
     nonnegative integrand.  Radial fields sweep the integrand along t e_1
-    in one segment_integrals pass whose first panels are cut at the sign
+    in one running_integrals pass whose first panels are cut at the sign
     changes of h, where the reduction has its kinks (_sign_changes; a root
     the scan misses is left to the engine's bisection).  Other fields use
     product-rule shells (classifier grade), on the sphere grid when h has a
@@ -193,15 +193,10 @@ def _growth_criterion(w: ScalarField, signed, threshold, radii, margin,
     values, shells, reduce = signed(w)
     g = _integrand(w, values, shells, reduce)
     if w.caps.is_radial:
-        area = sphere_constants(n).boundary_area
-        edges = np.concatenate(([0.0], radii))
-        g_axis = _on_axis(g, n)
-
-        def radial(t):
-            return (g_axis(t) * area * t ** (n - 1))[None, :]
-
-        vals = np.cumsum(segment_integrals(radial, edges, 1e-7, 1e-12,
-                                           breaks=_sign_changes(_on_axis(values, n), edges))[0])
+        area, g_axis = sphere_constants(n).boundary_area, _on_axis(g, n)
+        breaks = _sign_changes(_on_axis(values, n), np.concatenate(([0.0], radii)))
+        vals = running_integrals(lambda t: g_axis(t) * area * t ** (n - 1), radii,
+                                 1e-7, 1e-12, breaks)
     else:
         origin = np.zeros(n)
         vals = np.cumsum([shell_product_rule(g, n, origin, a, b, 16, 12)

@@ -175,17 +175,11 @@ class PotentialEvaluator:
     def mass(self):
         """integral of f over R^n (signed), with tail extrapolation."""
         if self._mass_cache is None:
-            supp = self.f.caps.support_radius
-            if self._phi is not None:
-                res = decade_mass_integral(self._radial_mass_density, rel_tol=self.rel_tol,
-                                           support_radius=supp,
-                                           breakpoints=self.breakpoints)
-            else:
-                shell = self._shell(np.zeros(self.n))
-                res = decade_mass_integral(shell, rel_tol=self.rel_tol,
-                                           support_radius=supp,
-                                           breakpoints=self.breakpoints)
-            self._mass_cache = res
+            density = (self._radial_mass_density if self._phi is not None
+                       else self._shell(np.zeros(self.n)))
+            self._mass_cache = decade_mass_integral(
+                density, rel_tol=self.rel_tol, support_radius=self.f.caps.support_radius,
+                breakpoints=self.breakpoints)
         return self._mass_cache
 
     @property

@@ -8,8 +8,8 @@ of the same shape).
 Four layers:
 
 * one adaptive engine, a GL(15/31) panel pass over many radial segments
-  at once: ``segment_integrals`` (vector-valued; its cumulative sums give
-  running integrals over a sweep of radii), the strict ``integrate_radial``
+  at once: ``segment_integrals`` (vector-valued; ``running_integrals`` sums
+  it from 0 to each radius of a sweep), the strict ``integrate_radial``
   and the non-strict ``integrate_radial_estimate``/``adaptive_estimate``;
 * signed improper integrals over [r0, inf) by blocks of decades on that
   engine, with geometric tails and a Cauchy-condensation convergence test
@@ -23,8 +23,8 @@ Four layers:
   circle at n = 2 and a Gauss-Jacobi product rule, exact to a degree set
   by its resolution, at n >= 4; ``shell_values`` evaluates f on radii
   times its directions chunk by chunk after one POINT_BUDGET check; the
-  adaptive ``sphere_shell`` (under every non-radial ball integral), the
-  fixed product rule ``shell_product_rule`` (the growth criteria) and
+  adaptive ``sphere_shell`` (every non-radial ball integral and tau sweep),
+  the fixed product rule ``shell_product_rule`` (the growth criteria) and
   geometry's volume class reduce its chunks.
   ``offset_ball_integral_radial`` is the exact 1-D reduction for radial
   integrands over offset balls.
@@ -194,10 +194,17 @@ def _segment_list(edges, seg, shown=3):
 
 def segment_integrals(f, edges, rel_tol, abs_tol, breaks=()):
     """The (K, segments) integrals of the strict engine pass with
-    MAX_BISECTIONS splits, first panels cut at the ``breaks``; their
-    cumulative sums give running integrals over a sweep of radii."""
+    MAX_BISECTIONS splits, first panels cut at the ``breaks``."""
     return _panel_pass(f, edges, rel_tol, abs_tol, MAX_BISECTIONS, strict=True,
                        breaks=breaks)[0]
+
+
+def running_integrals(f, radii, rel_tol, abs_tol, breaks=()):
+    """The integrals of a scalar f from 0 to each of the sorted radii: the
+    cumulative sums of one segment_integrals pass over [0, *radii]."""
+    edges = np.concatenate(([0.0], radii))
+    return np.cumsum(segment_integrals(lambda t: f(t)[None, :], edges, rel_tol, abs_tol,
+                                       breaks)[0])
 
 
 def _radial_pass(f, r0, r1, rel_tol, abs_tol, breakpoints, max_panels, strict):

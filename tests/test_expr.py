@@ -84,7 +84,8 @@ class TestPrecedence:
 
 
 class TestDomainErrors:
-    @pytest.mark.parametrize("src", ["log(x1)", "sqrt(x1)", "1/x1", "x1^(-1)"])
+    @pytest.mark.parametrize("src", ["log(x1)", "sqrt(x1)", "1/x1", "x1^(-1)",
+                                     "x1/0", "x1 + log(0)", "x1 + sqrt(-1)"])
     def test_raises_not_nan(self, src):
         field = parse_field(src, 2).to_field()
         with pytest.raises(DomainEvalError):

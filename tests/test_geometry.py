@@ -64,6 +64,32 @@ class TestVolumeGrowth:
         assert volume_growth(ctx, np.geomspace(10, 1e4, 7)).exponent == pytest.approx(
             0.0, abs=0.05)
 
+    def test_non_radial_sweep_matches_per_radius_volumes(self, monkeypatch):
+        # the running sums of one shell pass against a full ball integral
+        # from 0 for each radius, on a fraction of the volume-field points
+        from qflatlab import ScalarField
+        from qflatlab.constants import sphere_constants
+        from qflatlab.fitting import fit_log_slope
+        ctx = context_from_document(
+            {"n": 2, "kind": "expression", "u": "-0.3*log(1+(x1-2)^2+x2^2)"})
+        assert not ctx.is_radial
+        radii = np.geomspace(10, 1e4, 7)
+        call, points = ScalarField.__call__, []
+
+        def counted(self, x):
+            if self.name == "e^(2u)":
+                points.append(len(np.atleast_2d(x)))
+            return call(self, x)
+
+        monkeypatch.setattr(ScalarField, "__call__", counted)
+        got = volume_growth(ctx, radii).exponent
+        assert sum(points) <= 50_000
+        monkeypatch.undo()
+        vols = [conformal_volume(ctx, R) for R in radii]
+        want = fit_log_slope(math.log(sphere_constants(2).unit_ball_volume)
+                             + 2 * np.log(radii), vols, radii).exponent
+        assert got == pytest.approx(want, abs=1e-8)
+
     def test_window_precondition(self, flat2):
         with pytest.raises(QflatError):
             volume_growth(flat2, np.geomspace(10, 50, 8))

@@ -12,8 +12,8 @@ from qflatlab.quadrature import (CONDENSATION_PANEL_WIDTH, POINT_BUDGET, PRODUCT
                                  _condensation_grid, _log_sum_exp_blocks,
                                  decade_mass_integral, gl_rule, integrate_radial,
                                  integrate_radial_estimate, log_condensation_blocks,
-                                 log_sum_exp, segment_integrals, shell_points, shell_product_rule,
-                                 sphere_rule, sphere_shell)
+                                 log_sum_exp, running_integrals, segment_integrals, shell_points,
+                                 shell_product_rule, sphere_rule, sphere_shell)
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
@@ -185,6 +185,20 @@ def test_running_integrals_match_closed_form():
                                       np.concatenate(([0.0], radii)), 1e-7, 1e-12)[0])
     exact = 6.0 - np.exp(-radii) * (radii ** 3 + 3 * radii ** 2 + 6 * radii + 6)
     assert np.allclose(got, exact, rtol=1e-7, atol=0.0)
+
+
+def test_running_integrals_cut_at_breaks():
+    # int_0^R |r^2 - 2| dr, the kink at sqrt(2) a break: 2R - R^3/3 up to
+    # sqrt(2), R^3/3 - 2R + 8 sqrt(2)/3 after; the cumulative sums of the
+    # segment pass, bit for bit
+    radii = np.array([1.0, 3.0, 10.0, 100.0])
+    f, breaks = (lambda r: np.abs(r ** 2 - 2.0)), (math.sqrt(2.0),)
+    got = running_integrals(f, radii, 1e-10, 0.0, breaks)
+    assert np.array_equal(got, np.cumsum(segment_integrals(
+        lambda r: f(r)[None, :], np.concatenate(([0.0], radii)), 1e-10, 0.0, breaks)[0]))
+    exact = np.where(radii < math.sqrt(2.0), 2 * radii - radii ** 3 / 3,
+                     radii ** 3 / 3 - 2 * radii + 8 * math.sqrt(2.0) / 3)
+    assert np.allclose(got, exact, rtol=1e-10, atol=0.0)
 
 
 def _per_panel_blocks(log_f, r_start=2.0):

@@ -14,17 +14,17 @@ that change occurred, and every ``errors`` key that appears or disappears
 Once per checkout, not per seed, it also compares the full ``analyze``
 reports of FIXED_DOCUMENTS: the workloads' potential operations record only
 condition (a)'s verdict of a non-radial metric, and no workload reaches
-sphere_shell, which every non-radial ball integral runs, so these are where
-numbers from sphere shells (the criteria, tau, the volume class) and the
-messages of refused shells show; a radial
-cut-off of its own shows where the radial growth criteria cut their
-segments, and a radial expression through '/', sqrt, atan, max and a
-non-integer '^' shows the evaluator on operators no workload expression
-uses.  Also once per checkout, for n = 2, 4 and 6 it sums
-``kernel_basis(n, 5)`` of the workloads one ``p + q.scale(c)`` step at a
-time with seeded coefficients and records the sum's ``exps`` and ``vals``:
-a Pizzetti operation shows only its worst residual, so a change in the
-order or rounding of addition shows here.
+sphere_shell, which every non-radial ball integral and tau sweep runs, so
+these are where numbers from sphere shells (the criteria, tau, the volume
+class) and the messages of refused shells show; a radial cut-off of its own
+shows where the radial growth criteria cut their segments, and a radial
+expression through '/', sqrt, atan, max and a non-integer '^' shows the
+evaluator on operators no workload expression uses.  Also once per
+checkout, for n = 2, 4 and 6 it sums ``kernel_basis(n, 5)`` of the
+workloads one ``p + q.scale(c)`` step at a time with seeded coefficients
+and records the sum's ``exps`` and ``vals``: a Pizzetti operation shows
+only its worst residual, so a change in the order or rounding of addition
+shows here.
 Numbers are compared exactly.  Changes of text, and values that appear or
 disappear, are counted apart.
 """
@@ -40,9 +40,9 @@ from pathlib import Path
 
 WORKLOADS = ("gallery", "expression", "potential", "polyharmonic")
 # documents analyzed once per checkout: planted metrics (the growth
-# criteria's product rule and the ball integrals' sphere_shell, both on the
-# sphere grid), a shifted centre at n = 2 and a metric at n = 4 whose ball
-# integrals run sphere_shell on points (the latter's volume class too),
+# criteria's product rule and tau's sweep of sphere_shell, both on the
+# sphere grid), a shifted centre at n = 2 and a metric at n = 4 whose tau
+# sweeps run sphere_shell on points (the latter's volume class too),
 # one at n = 6 whose shells are refused by the point budget, a radial n = 4
 # cut-off whose Delta u changes sign next to its edges 3 and 5, outside the
 # workloads' cut-offs (the sign scan of the radial growth criteria), and a
