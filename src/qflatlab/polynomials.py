@@ -19,11 +19,13 @@ operand, the common step of p + q.scale(c), is found by one key comparison;
 a longer one by a sorted search.  When some exponent is >= R the keys are
 None, and a sum keys the stacked rows of both operands instead (_row_keys).
 
-Operations whose rows really do repeat (shift, Laplacians, |x|^2k) merge
+Only shift, Delta and |x|^2k, whose rows really do repeat, merge rows:
 equal rows at their first occurrence, summed in term order.  The kernel
 dimension of Delta^{n/2} on degree <= D is an exact rank mod a large prime,
 one homogeneous-degree block at a time, checked against
-C(n+D, n) - C(D, n).
+C(n+D, n) - C(D, n).  Each block comes from the closed form of
+Delta^{n/2} x^a, one exact int64 entry per row and multi-index j with
+|j| = n/2, with no merge.
 """
 
 import math
@@ -34,10 +36,17 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import QflatError
+from .errors import InputError, QflatError
 from .fields import Dimension, as_dimension
 
 _RANK_PRIME = 2_147_483_647  # 2^31 - 1; entries of Laplacian matrices are tiny integers
+# Most entries of an array ph_dimension builds, checked before it builds
+# any: the monomial table (count x n) and the last, largest degree block
+# (rows x columns).  n = 6, d = 10 needs 3.8e5.  Within it every exponent is
+# below the radix 2^(63 // n), and an entry of the degree-k block, at most
+# k!/(k - n)! (the sum of the coefficients of Delta^{n/2} x^a), is below
+# 2^63: int64 entries and radix keys cannot overflow.
+ENTRY_BUDGET = 2 ** 22
 _EVAL_BLOCK = 1 << 18        # terms x points evaluated at once
 _SHELLS_KEPT = 16            # (polynomial, directions) pairs whose parts on_shells keeps
 # on_shells: (id(p), id(dirs)) -> (p, dirs, homogeneous parts); an entry
@@ -205,24 +214,19 @@ def _radix_keys(exps):
     return exps @ radix ** np.arange(n, dtype=np.int64)
 
 
-def _row_keys(exps, owner=None):
-    """One int64 key per row of a nonnegative integer matrix (and its owner,
-    when given): equal rows of one owner, equal keys."""
-    base, top = int(exps.max(initial=0)) + 1, 0 if owner is None else int(owner.max(initial=0))
-    span = base ** exps.shape[1]
-    if span * (top + 1) < 2 ** 63:
-        keys = exps @ base ** np.arange(exps.shape[1], dtype=np.int64)
-        return keys if owner is None else owner * span + keys
-    rows = exps if owner is None else np.column_stack((owner, exps))
-    return np.unique(rows, axis=0, return_inverse=True)[1]
+def _row_keys(exps):
+    """One int64 key per row of a nonnegative integer matrix: equal rows,
+    equal keys."""
+    base = int(exps.max(initial=0)) + 1
+    if base ** exps.shape[1] < 2 ** 63:
+        return exps @ base ** np.arange(exps.shape[1], dtype=np.int64)
+    return np.unique(exps, axis=0, return_inverse=True)[1]
 
 
-def _merge(exps, vals, owner=None):
-    """Sum vals over equal rows of exps (of one owner, when given): the index
-    of each distinct row's first occurrence, in row order, and its sum,
-    taken in row order."""
-    _, first, inverse = np.unique(_row_keys(exps, owner), return_index=True,
-                                  return_inverse=True)
+def _merge(exps, vals):
+    """Sum vals over equal rows of exps: the index of each distinct row's
+    first occurrence, in row order, and its sum, taken in row order."""
+    _, first, inverse = np.unique(_row_keys(exps), return_index=True, return_inverse=True)
     order = np.argsort(first)
     slot = np.empty_like(order)
     slot[order] = np.arange(len(order))
@@ -247,22 +251,21 @@ def _monomial_array(n, max_degree):
     return table
 
 
-def _laplacian(owner, exps, vals, m):
-    """Delta^m of the polynomials whose terms are the rows (owner, exps,
-    vals): each step adds c * k * (k - 1) per term and variable, in that
-    order, and merges per owner."""
+def _laplacian(exps, vals, m):
+    """Delta^m of the polynomial whose terms are the rows (exps, vals): each
+    step adds c * k * (k - 1) per term and variable, in that order, and
+    merges equal rows."""
     for _ in range(m):
         t, i = np.nonzero(exps >= 2)
         k, exps = exps[t, i], exps[t] - 2 * np.eye(exps.shape[1], dtype=np.int64)[i]
-        keep, vals = _merge(exps, vals[t] * k * (k - 1), owner[t])
-        owner, exps = owner[t][keep], exps[keep]
-    return owner, exps, vals
+        keep, vals = _merge(exps, vals[t] * k * (k - 1))
+        exps = exps[keep]
+    return exps, vals
 
 
 def apply_laplacian_poly(p: Polynomial, m: int = 1) -> Polynomial:
     """Exact coefficient-level Delta^m p."""
-    _, exps, vals = _laplacian(np.zeros(len(p.vals), dtype=np.int64), p.exps, p.vals, m)
-    return Polynomial._of(p.dim, exps, vals)
+    return Polynomial._of(p.dim, *_laplacian(p.exps, p.vals, m))
 
 
 def poly_partial(p: Polynomial, i: int) -> Polynomial:
@@ -343,24 +346,44 @@ def _rank_mod_p(matrix, p=_RANK_PRIME):
     return rank
 
 
-def _polyharmonic_entries(n, degree):
-    """Delta^{n/2} of every monomial of degree <= degree in one pass: columns,
-    rows (degree <= degree - n) and the row, column, value of each entry."""
-    cols, rows = monomials_upto(n, degree), _monomial_array(n, degree - n)
-    col, img, val = _laplacian(np.arange(len(cols)), _monomial_array(n, degree),
-                               np.ones(len(cols)), n // 2)
-    keys = _row_keys(np.concatenate((rows, img)))
-    order = np.argsort(keys[:len(rows)])
-    row = order[np.searchsorted(keys[:len(rows)], keys[len(rows):], sorter=order)]
-    return cols, rows, row, col, np.rint(val).astype(np.int64)
+def _degree_block(monos, k):
+    """Delta^{n/2} from the monomials of degree k >= n to those of degree
+    k - n, as an int64 matrix; monos is a _monomial_array of degree >= k,
+    whose degree-k rows (and degree-(k - n) rows) are one contiguous slice.
+
+    By the closed form Delta^m x^a = sum_{|j|=m} (m!/j!) prod_i a_i!/(a_i -
+    2 j_i)! x^(a - 2j), row b has one entry per j with |j| = m = n/2, in
+    column a = b + 2j, of value (m!/j!) prod_i (b_i + 2 j_i)!/b_i!.  Within
+    one degree the lexicographic order of monomials_upto is the order of
+    the radix keys of the reversed exponents, so columns are found by a
+    sorted search."""
+    n = monos.shape[1]
+    m = n // 2
+    rows, cols = (monos[math.comb(n + e - 1, n):math.comb(n + e, n)] for e in (k - n, k))
+    steps = monos[math.comb(n + m - 1, n):math.comb(n + m, n)]
+    fact = np.array([math.factorial(i) for i in range(m + 1)], dtype=np.int64)
+    # rising[b, s] = (b + s)! / b! = (b + 1) ... (b + s)
+    rising = np.arange(k - n + 1)[:, None] + np.arange(n + 1)
+    rising[:, 0] = 1
+    rising = np.cumprod(rising, axis=1)
+    vals = (math.factorial(m) // fact[steps].prod(axis=1)
+            * rising[rows[:, None, :], 2 * steps].prod(axis=2))
+    targets = (rows[:, None, :] + 2 * steps).reshape(-1, n)
+    col = np.searchsorted(_radix_keys(cols[:, ::-1]), _radix_keys(targets[:, ::-1]))
+    block = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    block[np.repeat(np.arange(len(rows)), len(steps)), col] = vals.ravel()
+    return block
 
 
 def _polyharmonic_matrix(dim: Dimension, degree):
     """(monomials of degree <= degree, integer matrix of Delta^{n/2} from them
-    to the monomials of degree <= degree - n, with no rows when degree < n)."""
-    cols, rows, row, col, val = _polyharmonic_entries(dim.n, degree)
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    mat[row, col] = val
+    to the monomials of degree <= degree - n, with no rows when degree < n),
+    assembled from the degree blocks."""
+    n, cols, monos = dim.n, monomials_upto(dim.n, degree), _monomial_array(dim.n, degree)
+    mat = np.zeros((math.comb(degree, n) if degree >= n else 0, len(cols)), dtype=np.int64)
+    for k in range(n, degree + 1):
+        mat[math.comb(k - 1, n):math.comb(k, n),
+            math.comb(n + k - 1, n):math.comb(n + k, n)] = _degree_block(monos, k)
     return cols, mat
 
 
@@ -371,18 +394,25 @@ def ph_dimension(dim, d) -> int:
     by exact rank of the coefficient-level map, then cross-checks against
     the closed form C(n + D, n) - C(D, n).  The map sends degree k to
     degree k - n, so its matrix is block-diagonal and its rank is the sum
-    of the ranks of the blocks (cut to their nonzero rows and columns)."""
+    of the ranks of the degree blocks.  A degree D >= n whose monomial table
+    or last block would have more than ENTRY_BUDGET entries is refused
+    before either is built."""
     dim = as_dimension(dim)
     if not (d >= 0 and math.isfinite(d)):
         raise QflatError(f"growth exponent must be finite and >= 0, got {d}")
     n, big_d = dim.n, int(math.floor(d))
-    cols, rows, row, col, val = _polyharmonic_entries(n, big_d)
-    kernel_dim, degree = len(cols), rows.sum(axis=1)[row]
-    for k in np.unique(degree):
-        r, c = (np.unique(a[degree == k], return_inverse=True)[1] for a in (row, col))
-        block = np.zeros((r.max() + 1, c.max() + 1), dtype=np.int64)
-        block[r, c] = val[degree == k]
-        kernel_dim -= _rank_mod_p(block)
+    ranks = 0
+    if big_d >= n:
+        # blocks grow with k, so the last one (k = D) is the largest
+        size = max(n * math.comb(n + big_d, n),
+                   math.comb(big_d - 1, n - 1) * math.comb(big_d + n - 1, n - 1))
+        if size > ENTRY_BUDGET:
+            raise InputError(
+                f"polyharmonic dimension for n={n} up to degree {big_d} needs an array "
+                f"over the budget of {ENTRY_BUDGET} entries")
+        monos = _monomial_array(n, big_d)
+        ranks = sum(_rank_mod_p(_degree_block(monos, k)) for k in range(n, big_d + 1))
+    kernel_dim = math.comb(n + big_d, n) - ranks
 
     closed = math.comb(n + big_d, n) - (math.comb(big_d, n) if big_d >= n else 0)
     if kernel_dim != closed:

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ from scipy import integrate
 from qflatlab import (Dimension, Polynomial, apply_laplacian_poly,
                       ball_mean_poly, monomials_upto, ph_dimension,
                       poly_partial, radial_monomial)
-from qflatlab.polynomials import (_UNSET, _monomial_array, _polyharmonic_matrix,
+from qflatlab.polynomials import (ENTRY_BUDGET, _UNSET, _monomial_array, _polyharmonic_matrix,
                                   _radix_keys, _rank_mod_p)
 
 
@@ -121,6 +123,41 @@ class TestPhDimension:
         for d in (-1, math.nan, math.inf):
             with pytest.raises(QflatError, match="growth exponent"):
                 ph_dimension(Dimension(2), d)
+
+    def test_oversized_degree_refused_before_allocating(self):
+        # n = 6, d = 30 would need a monomial table of 2.0e6 rows and a last
+        # block of 3.9e10 entries
+        from qflatlab import InputError
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(InputError, match="over the budget"):
+                ph_dimension(Dimension(6), 30)
+            with pytest.raises(InputError, match="over the budget"):
+                ph_dimension(Dimension(2), 1e300)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 50e6, (elapsed, peak)
+
+    def test_entries_and_keys_fit_int64_within_the_budget(self):
+        # at the largest degree D each n admits, exponents stay below the
+        # radix 2^(63 // n) and an entry, at most D!/(D - n)!, below 2^63
+        def size(n, big_d):
+            return max(n * math.comb(n + big_d, n),
+                       math.comb(big_d - 1, n - 1) * math.comb(big_d + n - 1, n - 1))
+
+        admitted = 0
+        for n in range(2, 40, 2):
+            big_d = n - 1
+            while size(n, big_d + 1) <= ENTRY_BUDGET:
+                big_d += 1
+            if big_d >= n:
+                admitted += 1
+                assert big_d < 2 ** (63 // n), n
+                assert math.perm(big_d, n) < 2 ** 63, n
+        assert admitted == 5  # n = 2 to 10
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +283,23 @@ def test_matrix_matches_per_monomial_laplacian(n):
                     expect[rows[mi2], j] = int(round(c))
         assert cols == monomials_upto(n, d)
         assert np.array_equal(mat, expect), (n, d)
+
+
+def test_n6_degree_blocks_match_per_monomial_laplacian():
+    # every degree block k = 6..8 of the n = 6 matrix, and zeros off the blocks
+    n, dim = 6, Dimension(6)
+    cols, mat = _polyharmonic_matrix(dim, 8)
+    rows = {mi: i for i, mi in enumerate(monomials_upto(n, 2))}
+    expect = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, mi in enumerate(cols):
+        if sum(mi) >= n:
+            for mi2, c in apply_laplacian_poly(Polynomial(dim, {mi: 1.0}), n // 2).coeffs.items():
+                expect[rows[mi2], j] = int(round(c))
+    for k in range(n, 9):
+        block = np.s_[math.comb(k - 1, n):math.comb(k, n),
+                      math.comb(n + k - 1, n):math.comb(n + k, n)]
+        assert np.array_equal(mat[block], expect[block]), k
+    assert np.array_equal(mat, expect)
 
 
 def test_ph_dimension_builds_no_polynomial(monkeypatch):

@@ -17,9 +17,11 @@ condition (a)'s verdict of a non-radial metric, and no workload reaches
 sphere_shell, which every non-radial ball integral and tau sweep runs, so
 these are where numbers from sphere shells (the criteria, tau, the volume
 class) and the messages of refused shells show; a radial cut-off of its own
-shows where the radial growth criteria cut their segments, and a radial
+shows where the radial growth criteria cut their segments, a radial
 expression through '/', sqrt, atan, max and a non-integer '^' shows the
-evaluator on operators no workload expression uses.  Also once per
+evaluator on operators no workload expression uses, and the radial n = 6
+``-log(1+r^2)`` shows alpha0 where its flux limit settles least, so a move
+in the radial jets or the flux extrapolation shows there first.  Also once per
 checkout, for n = 2, 4 and 6 it sums ``kernel_basis(n, 5)`` of the
 workloads one ``p + q.scale(c)`` step at a time with seeded coefficients
 and records the sum's ``exps`` and ``vals``: a Pizzetti operation shows
@@ -47,7 +49,8 @@ WORKLOADS = ("gallery", "expression", "potential", "polyharmonic")
 # cut-off whose Delta u changes sign next to its edges 3 and 5, outside the
 # workloads' cut-offs (the sign scan of the radial growth criteria), and a
 # radial expression through '/', sqrt, atan, max and a non-integer '^', which
-# no workload expression reaches (the expression evaluator)
+# no workload expression reaches (the expression evaluator), and a radial
+# n = 6 expression, the only radial one at n = 6 (its alpha0 flux limit)
 FIXED_DOCUMENTS = (
     *({"n": 4, "kind": "builtin", "name": "planted", "params": {"seed": 5, "degree": degree}}
       for degree in (1, 2)),
@@ -57,6 +60,7 @@ FIXED_DOCUMENTS = (
     {"n": 4, "kind": "expression", "u": "0.7*cutoff(r,3,5)*log(1+r^2)"},
     {"n": 4, "kind": "expression",
      "u": "-0.4*log(1+r^2) + atan(r)/sqrt(4+r^2) + 0.3*max(1+r^2, 0.5)^(-0.5)"},
+    {"n": 6, "kind": "expression", "u": "-log(1+r^2)"},
 )
 
 
