@@ -19,13 +19,22 @@ operand, the common step of p + q.scale(c), is found by one key comparison;
 a longer one by a sorted search.  When some exponent is >= R the keys are
 None, and a sum keys the stacked rows of both operands instead (_row_keys).
 
-Only shift, Delta and |x|^2k, whose rows really do repeat, merge rows:
-equal rows at their first occurrence, summed in term order.  The kernel
-dimension of Delta^{n/2} on degree <= D is an exact rank mod a large prime,
-one homogeneous-degree block at a time, checked against
+Shift, Delta and |x|^2k, whose rows really do repeat, merge rows: equal
+rows at their first occurrence, summed in term order.  A ball mean needs
+only the even moments of p(center + z), so each term expands over the even
+powers j <= a alone, prod_i (a_i//2 + 1) rows where a full shift makes
+prod_i (a_i + 1); those rows merge the same way, and the mean is the full
+shift's bit for bit.
+
+The kernel dimension of Delta^{n/2} on degree <= D is an exact rank mod a
+large prime, one homogeneous-degree block at a time, checked against
 C(n+D, n) - C(D, n).  Each block comes from the closed form of
 Delta^{n/2} x^a, one exact int64 entry per row and multi-index j with
-|j| = n/2, with no merge.
+|j| = n/2, with no merge.  A block is already in row echelon form: row b
+pivots at column b + n e_n, the lexicographically first of its columns
+b + 2j, and b -> b + n e_n keeps that order.  So its rank is read off as
+its number of nonzero rows, and the elimination runs only on a matrix that
+is not echelon.  The monomial table under the blocks is built in numpy.
 """
 
 import math
@@ -186,21 +195,7 @@ class Polynomial:
 
     def shift(self, center):
         """p(x + center), expanded exactly via per-variable binomials."""
-        center = np.asarray(center, dtype=float)
-        owner, vals = np.arange(len(self.vals)), self.vals
-        exps = np.zeros((len(owner), 0), dtype=np.int64)
-        for i in range(self.dim.n):
-            # a term with x_i^k spreads over (x_i + c)^k = sum_j C(k, j) c^(k-j) x_i^j
-            rep = self.exps[owner, i] + 1
-            j = np.arange(rep.sum()) - np.repeat(np.cumsum(rep) - rep, rep)
-            owner, vals, exps, k = (np.repeat(a, rep, axis=0)
-                                    for a in (owner, vals, exps, rep - 1))
-            size = range(int(rep.max(initial=1)))
-            table = np.array([[math.comb(kk, jj) * center[i] ** (kk - jj) if jj <= kk else 0.0
-                               for jj in size] for kk in size])
-            vals, exps = vals * table[k, j], np.column_stack((exps, j))
-        keep, vals = _merge(exps, vals)
-        return Polynomial._of(self.dim, exps[keep], vals)
+        return Polynomial._of(self.dim, *_shifted_rows(self, center, 1))
 
 
 def _radix_keys(exps):
@@ -245,8 +240,16 @@ def monomials_upto(n, max_degree):
 @lru_cache(maxsize=None)
 def _monomial_array(n, max_degree):
     """monomials_upto(n, max_degree) as a read-only (count, n) int64 array;
-    (0, n) when max_degree < 0."""
-    table = np.array(monomials_upto(n, max_degree), dtype=np.int64).reshape(-1, n)
+    (0, n) when max_degree < 0.  Built in numpy, one variable at a time:
+    the degree-d monomials in the last v variables are, for each first
+    exponent a = 0..d in turn, a followed by each degree-(d - a) monomial
+    in the last v - 1, which is lexicographic order."""
+    blocks = [np.full((1, 1), d, dtype=np.int64) for d in range(max_degree + 1)]
+    for _ in range(n - 1):
+        blocks = [np.column_stack((np.repeat(np.arange(d + 1), [len(b) for b in blocks[d::-1]]),
+                                   np.concatenate(blocks[d::-1])))
+                  for d in range(max_degree + 1)]
+    table = np.concatenate(blocks) if blocks else np.zeros((0, n), dtype=np.int64)
     table.flags.writeable = False
     return table
 
@@ -299,22 +302,56 @@ def radial_monomial(dim, power2) -> Polynomial:
     return Polynomial._of(dim, exps, vals)
 
 
+@lru_cache(maxsize=None)
+def _binomials(size):
+    """C(k, j) for 0 <= j, k < size as a read-only float table."""
+    table = np.array([[math.comb(k, j) for j in range(size)] for k in range(size)], dtype=float)
+    table.flags.writeable = False
+    return table
+
+
+def _shifted_rows(p, center, step):
+    """The terms of p(x + center) whose exponents are all multiples of
+    step, as (exps, vals) with equal rows merged.  A term with x_i^k spreads
+    over (x_i + c)^k = sum_j C(k, j) c^(k-j) x_i^j, one variable at a time,
+    and only the j divisible by step are made."""
+    center = np.asarray(center, dtype=float)
+    size = int(p.exps.max(initial=0)) + 1
+    binom, drop = _binomials(size), np.maximum(np.arange(size)[:, None] - np.arange(size), 0)
+    owner, vals = np.arange(len(p.vals)), p.vals
+    exps = np.zeros((len(owner), 0), dtype=np.int64)
+    for i in range(p.dim.n):
+        count = p.exps[owner, i] // step + 1
+        j = step * (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
+        owner, vals, exps = (np.repeat(a, count, axis=0) for a in (owner, vals, exps))
+        # scalar pow: numpy's array power can differ from it in the last bit
+        power = np.array([center[i] ** e for e in range(size)])
+        vals = vals * (binom * power[drop])[p.exps[owner, i], j]
+        exps = np.column_stack((exps, j))
+    keep, vals = _merge(exps, vals)
+    return exps[keep], vals
+
+
 def ball_mean_poly(p: Polynomial, center, R) -> float:
-    """Exact mean of p over B_R(center).  Over the unit ball of R^n, z^mi
-    has mean 0 for odd mi, else 2 prod_i Gamma((k_i+1)/2) /
-    (Gamma((n+|mi|)/2) (n+|mi|) omega_n)."""
-    q = p.shift(np.asarray(center, dtype=float))
-    n, total = p.dim.n, q.exps.sum(axis=1)
+    """Exact mean of p over B_R(center), from the even moments of p(center + z).
+
+    Over the unit ball of R^n, z^j has mean 0 unless every j_i is even, and
+    then 2 prod_i Gamma((j_i+1)/2) / (Gamma((n+|j|)/2) (n+|j|) omega_n).  So
+    each term x^a of p expands over the even j <= a only: prod_i (a_i//2 +
+    1) rows where the full shift makes prod_i (a_i + 1).  They merge as in
+    shift, so the mean is the one shift's even terms give, bit for bit."""
+    even, vals = _shifted_rows(p, center, 2)
+    n, total = p.dim.n, even.sum(axis=1)
     top = int(total.max(initial=0))
     gamma = np.array([1.0] + [math.gamma(j / 2) for j in range(1, n + top + 1)])
     mean = np.full(len(total), 2.0)
     for i in range(n):
-        mean = mean * gamma[q.exps[:, i] + 1]
+        mean = mean * gamma[even[:, i] + 1]
     mean /= gamma[n + total]
     omega = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
     mean = np.where(total == 0, 1.0, mean / ((n + total) * omega))
-    on = ~np.any(q.exps % 2 == 1, axis=1) & (mean != 0.0)
-    terms = q.vals[on] * mean[on] * np.array([R ** d for d in range(top + 1)])[total[on]]
+    on = (vals != 0.0) & (mean != 0.0)
+    terms = vals[on] * mean[on] * np.array([R ** d for d in range(top + 1)])[total[on]]
     return float(np.cumsum(terms)[-1]) + 0.0 if len(terms) else 0.0
 
 
@@ -323,14 +360,27 @@ def ball_mean_poly(p: Polynomial, center, R) -> float:
 # ---------------------------------------------------------------------------
 
 def _rank_mod_p(matrix, p=_RANK_PRIME):
-    """Rank of an integer matrix over GF(p) by Gaussian elimination.
+    """Rank of an integer matrix over GF(p).
 
-    Each row in turn pivots on its first nonzero column and clears that
-    column from the rows below it; the rank is the number of nonzero rows
-    met.  int64 is safe: entries stay in [0, p) with p = 2^31 - 1, so
-    products fit well below 2^63.
+    Entries are reduced mod p only when one lies outside [0, p).  When the
+    leading columns of the nonzero rows then strictly increase, the matrix
+    is in row echelon form and its rank is the number of nonzero rows: the
+    elimination would clear nothing.  Every degree block of ph_dimension is
+    read this way.  Otherwise each row in turn pivots on its first nonzero
+    column and clears that column from the rows below it; the rank is the
+    number of nonzero rows met.  int64 is safe: entries stay in [0, p) with
+    p = 2^31 - 1, so products fit well below 2^63.
     """
-    mat = np.asarray(matrix, dtype=np.int64) % p
+    mat = np.asarray(matrix, dtype=np.int64)
+    if not mat.size:
+        return 0
+    if mat.min() < 0 or mat.max() >= p:
+        mat = mat % p
+    nonzero = mat != 0
+    lead = nonzero.argmax(axis=1)[nonzero.any(axis=1)]
+    if np.all(lead[1:] > lead[:-1]):
+        return len(lead)
+    mat = mat % p  # a copy the elimination writes into
     rank = 0
     for i, row in enumerate(mat):
         nz = np.flatnonzero(row)

@@ -53,3 +53,39 @@ def test_no_correct_run_has_no_median():
     wall = bench_pairs.summarize(pairs, END_TO_END)["wall_s"]
     assert wall["parent_median"] is None and wall["change_median"] is None
     assert wall["parent_iqr"] == 0.0 and wall["pairs_compared"] == 0
+
+
+def test_rising_counts_lists_only_rises():
+    parent = {"polynomials.add.calls": 100, "fields.eval.points": 50, "quadrature.points": 0}
+    change = {"polynomials.add.calls": 120, "fields.eval.points": 40, "quadrature.points": 0,
+              "geometry.errors": 2}
+    assert bench_pairs.rising_counts(parent, change) == {
+        "geometry.errors": [0, 2], "polynomials.add.calls": [100, 120]}
+    assert bench_pairs.rising_counts(parent, parent) == {}
+
+
+def test_traced_counts_keep_count_metrics_of_one_traced_pass(monkeypatch):
+    import json
+    import subprocess
+    seen = []
+    metrics = {"polynomials.add.calls": {"value": 7, "unit": "count"},
+               "polynomials.self_s": {"value": 0.5, "unit": "s"},
+               "calculus.radial_jet.distinct_ratio": {"value": 0.9, "unit": "frac"}}
+
+    def fake_run(cmd, cwd, capture_output, text):
+        seen.append(cmd)
+        out = json.dumps({"record": {}}) + "\n" + json.dumps(
+            {"correct": True, "failed": 0, "metrics": metrics})
+        return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.traced_counts("somewhere", "polyharmonic", 7) == {
+        "polynomials.add.calls": 7}
+    cmd = seen[0]
+    assert cmd[cmd.index("--trace") + 1] == "1" and cmd[cmd.index("--seed") + 1] == "7"
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kw:
+                        subprocess.CompletedProcess(cmd, 1, stdout="", stderr="Traceback\nboom"))
+    assert bench_pairs.traced_counts("somewhere", "polyharmonic", 7) == {"error": "exit 1: boom"}
+    assert bench_pairs.run_once("somewhere", "polyharmonic", 7, 25) == {
+        "correct": False, "error": "exit 1: boom"}

@@ -556,3 +556,145 @@ def test_rank_mod_p_matches_reference():
         assert _rank_mod_p(mat) == ref_rank(mat.tolist()), mat
     assert _rank_mod_p(np.zeros((3, 0), dtype=np.int64)) == 0
     assert _rank_mod_p(np.zeros((0, 4), dtype=np.int64)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the echelon read of _rank_mod_p, and kernel ranks at n = 8 and 10
+# ---------------------------------------------------------------------------
+
+def _leads_increase(mat):
+    """Whether the first nonzero columns of the nonzero rows strictly
+    increase (row echelon form)."""
+    leads = [int(np.flatnonzero(row)[0]) for row in mat if row.any()]
+    return all(a < b for a, b in zip(leads, leads[1:]))
+
+
+def test_echelon_read_matches_reference():
+    # small echelon matrices S, some rows zero, plus multiples of p anywhere
+    # (also left of a row's lead, so its first nonzero column moves once
+    # reduced): mod p they are S again, and a copy with its first and last
+    # nonzero rows swapped is not echelon, so it runs the elimination
+    from qflatlab.polynomials import _RANK_PRIME as p
+    rng = np.random.default_rng(11)
+    swapped_runs = moved_leads = 0
+    for _ in range(200):
+        rows, cols = (int(k) for k in rng.integers(1, 9, size=2))
+        small = np.zeros((rows, cols), dtype=np.int64)
+        live = np.flatnonzero(rng.random(rows) < 0.7)[:cols]
+        leads = np.sort(rng.choice(cols, size=len(live), replace=False))
+        for r, lead in zip(live, leads):
+            small[r, lead] = rng.choice([-3, -2, -1, 1, 2, 3])
+            small[r, lead + 1:] = rng.integers(-3, 4, size=cols - lead - 1)
+        shifted = small + p * rng.integers(-2, 3, size=(rows, cols)) * (rng.random((rows, cols)) < 0.4)
+        moved_leads += any((row != 0).argmax() != (row % p != 0).argmax() for row in shifted)
+        # small % p is already in [0, p), so it is not reduced
+        for mat in (shifted, small % p):
+            assert _leads_increase(mat % p)
+            kept = mat.copy()
+            assert _rank_mod_p(mat) == ref_rank(small.tolist()) == len(live), mat
+            assert np.array_equal(mat, kept)
+            if len(live) >= 2:
+                order = np.arange(rows)
+                order[[live[0], live[-1]]] = order[[live[-1], live[0]]]
+                swapped = mat[order]
+                assert not _leads_increase(swapped % p)
+                kept = swapped.copy()
+                assert _rank_mod_p(swapped) == ref_rank(small[order].tolist()), swapped
+                assert np.array_equal(swapped, kept)
+                swapped_runs += 1
+    assert swapped_runs > 200 and moved_leads > 50
+
+
+def test_degree_blocks_are_echelon():
+    # row b of a degree block pivots at column b + n e_n: the
+    # lexicographically first of its columns b + 2j, an order-keeping map
+    from qflatlab.polynomials import _degree_block
+    for n, big_d in ((2, 40), (4, 12), (6, 10), (8, 10)):
+        monos = _monomial_array(n, big_d)
+        for k in range(n, big_d + 1):
+            assert _leads_increase(_degree_block(monos, k)), (n, k)
+
+
+def test_ph_dimension_at_n8_and_n10_up_to_the_budget():
+    # D = 11 is the largest degree the entry budget admits at n = 10
+    start = time.perf_counter()
+    for n in (8, 10):
+        for d in range(12):
+            closed = math.comb(n + d, n) - (math.comb(d, n) if d >= n else 0)
+            assert ph_dimension(Dimension(n), d) == closed, (n, d)
+    elapsed = time.perf_counter() - start
+    from qflatlab import InputError
+    with pytest.raises(InputError, match="over the budget"):
+        ph_dimension(Dimension(10), 12)
+    assert elapsed < 1.0, elapsed
+
+
+# ---------------------------------------------------------------------------
+# ball means from even moments against a dict reference
+# ---------------------------------------------------------------------------
+
+def ref_ball_mean(a, center, R):
+    """Mean over B_R(center): shift term by term, then the unit-ball mean
+    prod_i Gamma((j_i+1)/2) Gamma(n/2+1) / (pi^(n/2) Gamma((n+|j|)/2+1)) of
+    each monomial z^j with every j_i even (0 otherwise)."""
+    n = len(center)
+    parts = []
+    for mi, c in ref_shift(a, center).items():
+        if all(k % 2 == 0 for k in mi):
+            mean = (math.prod(math.gamma((k + 1) / 2) for k in mi) * math.gamma(n / 2 + 1)
+                    / (math.pi ** (n / 2) * math.gamma((n + sum(mi)) / 2 + 1)))
+            parts.append(c * mean * R ** sum(mi))
+    return math.fsum(parts)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_ball_mean_matches_dict_reference(n):
+    rng = np.random.default_rng(n)
+    monos = monomials_upto(n, 7)
+    for _ in range(12):
+        picks = rng.choice(len(monos), size=int(rng.integers(1, 30)), replace=False)
+        a = {monos[i]: float(rng.normal()) for i in picks}
+        center, R = rng.normal(size=n), float(rng.uniform(0.3, 2.5))
+        assert ball_mean_poly(poly(n, a), center, R) == pytest.approx(
+            ref_ball_mean(a, center.tolist(), R), rel=1e-12, abs=0.0), (a, center, R)
+
+
+def test_ball_mean_is_the_full_shift_mean_bit_for_bit():
+    # the even-moment expansion merges and sums in the order of shift, so
+    # the mean over shift's merged rows, summed in their order, is the same
+    # float
+    def shift_mean(p, center, R):
+        q, n = p.shift(center), p.dim.n
+        total = q.exps.sum(axis=1)
+        gamma = np.array([1.0] + [math.gamma(j / 2) for j in range(1, n + int(total.max()) + 1)])
+        mean = np.full(len(total), 2.0)
+        for i in range(n):
+            mean = mean * gamma[q.exps[:, i] + 1]
+        mean /= gamma[n + total]
+        omega = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+        mean = np.where(total == 0, 1.0, mean / ((n + total) * omega))
+        on = ~np.any(q.exps % 2 == 1, axis=1)
+        return float(np.cumsum(q.vals[on] * mean[on] * np.array([R ** int(d) for d in total[on]]))[-1])
+
+    rng = np.random.default_rng(3)
+    for n in (2, 4, 6):
+        monos = monomials_upto(n, 7)
+        for _ in range(10):
+            picks = rng.choice(len(monos), size=min(40, len(monos)), replace=False)
+            p = poly(n, {monos[i]: float(rng.normal()) for i in picks})
+            center, R = rng.normal(size=n), float(rng.uniform(0.3, 2.5))
+            assert ball_mean_poly(p, center, R) == shift_mean(p, center, R), (n, center, R)
+
+
+def test_pizzetti_coefficients_keep_their_bits():
+    from qflatlab import pizzetti_coeffs
+    pinned = {
+        2: ("0x1.0000000000000p+0", "0x1.0000000000000p-3", "0x1.5555555555556p-8",
+            "0x1.c71c71c71c71cp-14"),
+        4: ("0x1.0000000000000p+0", "0x1.5555555555554p-4", "0x1.5555555555557p-9",
+            "0x1.6c16c16c16c16p-15"),
+        6: ("0x1.0000000000000p+0", "0x1.ffffffffffffdp-5", "0x1.9999999999999p-10",
+            "0x1.6c16c16c16c18p-16"),
+    }
+    for n, bits in pinned.items():
+        assert pizzetti_coeffs(Dimension(n), 4).c == tuple(float.fromhex(b) for b in bits), n

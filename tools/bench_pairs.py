@@ -12,6 +12,12 @@ parent's interquartile range, the number of pairs the change won and the
 metric's bound from BENCHMARK.json.  A run whose result says
 ``"correct": false``, or that ends without a result, is kept in the file
 but left out of the medians and the wins.
+
+After its pairs, each workload runs one ``--trace 1`` pass per side.  The
+output file keeps both sides' per-layer counts (the traced metrics in unit
+``count``), and every count that is higher on the change side is printed
+and listed under ``rising``: counts are deterministic, so a rise is more
+work, whatever the wall clock says.
 """
 
 import argparse
@@ -24,19 +30,45 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout, workload, seed, seconds):
-    """One run.py process in checkout: {"correct", "failed", "metrics"},
-    or {"correct": False, "error"} when it gives no result."""
+def _run(checkout, workload, seed, trace, seconds):
+    """One run.py process in checkout: (its result as JSON, None), or
+    (None, the reason) when it gives no result."""
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--trace", "0", "--seconds", str(seconds)]
+           "--trace", str(trace), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     try:
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        return json.loads(proc.stdout.strip().splitlines()[-1]), None
+    except (IndexError, ValueError):
+        tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        return None, f"exit {proc.returncode}: {tail}"
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One untraced run: {"correct", "failed", "metrics"}, or
+    {"correct": False, "error"} when it gives no result."""
+    result, error = _run(checkout, workload, seed, 0, seconds)
+    try:
         return {"correct": bool(result["correct"]), "failed": result["failed"],
                 "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
-    except (IndexError, KeyError, ValueError):
-        tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-        return {"correct": False, "error": f"exit {proc.returncode}: {tail}"}
+    except (KeyError, TypeError):
+        return {"correct": False, "error": error or "result without metrics"}
+
+
+def traced_counts(checkout, workload, seed):
+    """The per-layer counts of one ``--trace 1`` pass: {name: value} over
+    the metrics in unit "count", or {"error"} when it gives no result."""
+    result, error = _run(checkout, workload, seed, 1, 1)
+    try:
+        return {k: v["value"] for k, v in result["metrics"].items() if v["unit"] == "count"}
+    except (KeyError, TypeError):
+        return {"error": error or "result without metrics"}
+
+
+def rising_counts(parent, change):
+    """{name: [parent value, change value]} for every count higher on the
+    change side; a count the parent lacks counts as 0 there."""
+    return {name: [parent.get(name, 0), value] for name, value in sorted(change.items())
+            if value > parent.get(name, 0)}
 
 
 def _quartile_spread(values):
@@ -97,8 +129,18 @@ def main(argv=None):
                                       bench["run_seconds"])
                 print(f"{workload} pair {i + 1} {side}: {pair[side]}", flush=True)
             pairs.append(pair)
+        counts = {side: traced_counts(checkouts[side], workload, args.seed) for side in SIDES}
+        if any("error" in c for c in counts.values()):
+            counts["rising"] = None
+            print(f"{workload} traced pass: {counts}", flush=True)
+        else:
+            counts["rising"] = rising_counts(counts["parent"], counts["change"])
+            for name, (before, after) in counts["rising"].items():
+                print(f"{workload} count rises: {name} {before} -> {after}", flush=True)
+            if not counts["rising"]:
+                print(f"{workload}: no count rises", flush=True)
         report["workloads"][workload] = {
-            "pairs": pairs, "summary": summarize(pairs, bench["end_to_end"])}
+            "pairs": pairs, "summary": summarize(pairs, bench["end_to_end"]), "counts": counts}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
