@@ -15,9 +15,22 @@ a row is its exponents as digits in the fixed radix R = 2^(63 // n), so it
 fits in int64 whenever every exponent is below R.  A Polynomial computes its
 keys the first time they are needed and passes them on: `scale` shares them,
 a sum concatenates them and the zero-drop filters them.  A one-term right
-operand, the common step of p + q.scale(c), is found by one key comparison;
-a longer one by a sorted search.  When some exponent is >= R the keys are
-None, and a sum keys the stacked rows of both operands instead (_row_keys).
+operand with a key, the common step of p + q.scale(c), is found by one key
+comparison: a new row is appended with no scan for zeros, since both
+operands' coefficients are nonzero, and a found row adds its coefficient
+and drops if it cancels.  A longer operand is found by a sorted search.
+When some exponent is >= R the keys are None, and a sum keys the stacked
+rows of both operands instead (_row_keys) and searches them the same way.
+
+Evaluation (terms, which __call__, on_shells and decompose's monomial
+columns use) reads each power from a table per variable over the exponents
+that variable carries, the tables stacked in one array, so x1^(2^40) costs
+one row.  A row is x ** k as numpy takes it for an integer k: 1.0, x and
+x * x for k = 0, 1, 2, and one array power over every row with k >= 3,
+the power ufunc numpy's x ** k runs.  Each term then multiplies its rows
+into its coefficient in variable order, c * x_1^k_1 * ... * x_n^k_n, which
+is the product of a masked loop over each variable's exponents bit for
+bit: x_i^0 = 1.0 is exact.
 
 Shift, Delta and |x|^2k, whose rows really do repeat, merge rows: equal
 rows at their first occurrence, summed in term order.  A ball mean needs
@@ -34,7 +47,8 @@ Delta^{n/2} x^a, one exact int64 entry per row and multi-index j with
 pivots at column b + n e_n, the lexicographically first of its columns
 b + 2j, and b -> b + n e_n keeps that order.  So its rank is read off as
 its number of nonzero rows, and the elimination runs only on a matrix that
-is not echelon.  The monomial table under the blocks is built in numpy.
+is not echelon.  The monomial table under the blocks is built in numpy,
+and one is kept per n: a smaller degree gets a view of its first rows.
 """
 
 import math
@@ -62,6 +76,8 @@ _SHELLS_KEPT = 16            # (polynomial, directions) pairs whose parts on_she
 # holds p and dirs, so neither id is reused while it is kept
 _shell_parts = {}
 _UNSET = object()            # row keys not computed yet
+# _monomial_array: n -> (the largest monomial table built, {degree: its prefix view})
+_monomial_tables = {}
 
 
 class Polynomial:
@@ -89,8 +105,10 @@ class Polynomial:
         self._set(dim, np.fromiter(chain.from_iterable(clean), np.int64).reshape(-1, dim.n),
                   np.fromiter(clean.values(), float, len(clean)))
 
-    def _set(self, dim, exps, vals, keys=_UNSET):
-        if np.count_nonzero(vals) == len(vals):  # no copy when no term drops
+    def _set(self, dim, exps, vals, keys=_UNSET, nonzero=False):
+        """Take the arrays, dropping the terms whose coefficient is 0.0,
+        unless the caller knows that all are nonzero."""
+        if nonzero or np.count_nonzero(vals) == len(vals):  # no copy when no term drops
             self.dim, self.exps, self.vals, self._keys = dim, exps, vals, keys
             return self
         keep = vals != 0.0
@@ -99,8 +117,8 @@ class Polynomial:
         return self
 
     @classmethod
-    def _of(cls, dim, exps, vals, keys=_UNSET):
-        return cls.__new__(cls)._set(dim, exps, vals, keys)
+    def _of(cls, dim, exps, vals, keys=_UNSET, nonzero=False):
+        return cls.__new__(cls)._set(dim, exps, vals, keys, nonzero)
 
     def _carried_keys(self):
         """The row keys, computed on first use (None when an exponent is
@@ -114,11 +132,34 @@ class Polynomial:
         return MappingProxyType(dict(zip(map(tuple, self.exps.tolist()), self.vals.tolist())))
 
     def terms(self, pts):
-        """c * x_1^k_1 * ... * x_n^k_n per term (rows) and point (columns)."""
-        out = np.repeat(self.vals[:, None], len(pts), axis=1)
-        for i, col in enumerate(self.exps.T.tolist()):
-            for k in set(col) - {0}:
-                out[self.exps[:, i] == k] *= pts[:, i] ** k
+        """c * x_1^k_1 * ... * x_n^k_n per term (rows) and point (columns),
+        multiplied in variable order.  The powers come from a table per
+        variable over the exponents it carries (the module docstring); a
+        term without x_i takes x_i^0 = 1.0."""
+        if not len(self.vals):
+            return np.zeros((0, len(pts)))
+        top = int(self.exps.max())
+        if top < len(self.vals):  # exponents 0..top, one table slot each
+            ks, at = np.arange(top + 1), self.exps
+        else:  # exponents far apart, as x1^(2^40): a slot per distinct one
+            ks, at = np.unique(self.exps, return_inverse=True)
+            at = at.reshape(self.exps.shape)
+        # each term's (variable i, exponent ks[j]) pair per variable, as i * K + j
+        at = at + len(ks) * np.arange(self.dim.n)
+        pairs = np.bincount(at.ravel(), minlength=self.dim.n * len(ks)) > 0
+        var, j = np.divmod(np.flatnonzero(pairs), len(ks))
+        x, k = pts.T[var], ks[j]
+        # x ** k as numpy takes it for an integer k: 1.0, x and x * x for
+        # k = 0, 1, 2, and the power ufunc for k >= 3; that ufunc on an
+        # array of exponents need not round x^2 as x * x does
+        table = np.where(k[:, None] == 0, 1.0, x)
+        table[k == 2] = np.square(x[k == 2])
+        high = k > 2
+        table[high] = x[high] ** k[high, None].astype(float)
+        rows = (np.cumsum(pairs) - 1)[at].T  # each term's table row, per variable
+        out = self.vals[:, None] * table[rows[0]]
+        for row in rows[1:]:
+            out *= table[row]
         return out
 
     def __call__(self, x):
@@ -169,18 +210,22 @@ class Polynomial:
         # rows are distinct on each side: find other's rows among self's
         mine, theirs = self._carried_keys(), other._carried_keys()
         carried = mine is not None and theirs is not None
+        if carried and len(theirs) == 1:  # the step of p + q.scale(c) for a one-term q
+            slot = (mine == theirs).nonzero()[0]
+            if not len(slot):  # a new row; both coefficients are nonzero, so none drops
+                return Polynomial._of(self.dim, np.concatenate((self.exps, other.exps)),
+                                      np.concatenate((self.vals, other.vals)),
+                                      np.concatenate((mine, theirs)), True)
+            vals = self.vals.copy()
+            vals[slot[0]] += other.vals[0]  # a + b, as 0 + a + b in term order
+            return Polynomial._of(self.dim, self.exps, vals, mine)
         if not carried:
             keys = _row_keys(np.concatenate((self.exps, other.exps)))
             mine, theirs = keys[:size], keys[size:]
-        if len(theirs) == 1:  # the step of p + q.scale(c) for a one-term q
-            slot = (mine == theirs[0]).nonzero()[0]
-            # other's one row is either found or new
-            found, new = (slice(None), slice(0)) if len(slot) else (slice(0), slice(None))
-        else:
-            order = np.argsort(mine)
-            slot = order[np.minimum(np.searchsorted(mine, theirs, sorter=order), size - 1)]
-            found = mine[slot] == theirs
-            slot, new = slot[found], ~found
+        order = np.argsort(mine)
+        slot = order[np.minimum(np.searchsorted(mine, theirs, sorter=order), size - 1)]
+        found = mine[slot] == theirs
+        slot, new = slot[found], ~found
         if len(slot) == len(theirs):  # no new row: self's rows and keys stay
             vals = self.vals.copy()
             vals[slot] += other.vals  # a + b, as 0 + a + b in term order
@@ -225,7 +270,9 @@ def _merge(exps, vals):
     order = np.argsort(first)
     slot = np.empty_like(order)
     slot[order] = np.arange(len(order))
-    return first[order], np.bincount(slot[inverse], weights=vals, minlength=len(order))
+    # bincount of an empty array is int64, weights or not
+    sums = np.bincount(slot[inverse], weights=vals, minlength=len(order)).astype(float, copy=False)
+    return first[order], sums
 
 
 @lru_cache(maxsize=None)
@@ -237,19 +284,33 @@ def monomials_upto(n, max_degree):
          for combo in combinations_with_replacement(range(n), d)}))
 
 
-@lru_cache(maxsize=None)
 def _monomial_array(n, max_degree):
     """monomials_upto(n, max_degree) as a read-only (count, n) int64 array;
-    (0, n) when max_degree < 0.  Built in numpy, one variable at a time:
-    the degree-d monomials in the last v variables are, for each first
-    exponent a = 0..d in turn, a followed by each degree-(d - a) monomial
-    in the last v - 1, which is lexicographic order."""
+    (0, n) when max_degree < 0.  Each table is a prefix of the next larger
+    one, so one table per n is kept, the largest asked for, and a degree
+    gets a view of its first C(n + max_degree, n) rows, the same view on
+    every call until a larger degree replaces the table."""
+    table, views = _monomial_tables.get(n, (None, {}))
+    if max_degree not in views:
+        count = math.comb(n + max_degree, n) if max_degree >= 0 else 0
+        if table is None or len(table) < count:
+            table, views = _monomial_table(n, max(max_degree, 0)), {}
+            _monomial_tables[n] = table, views
+        views[max_degree] = table[:count]
+    return views[max_degree]
+
+
+def _monomial_table(n, max_degree):
+    """The rows of monomials_upto(n, max_degree), read-only, built in numpy
+    one variable at a time: the degree-d monomials in the last v variables
+    are, for each first exponent a = 0..d in turn, a followed by each
+    degree-(d - a) monomial in the last v - 1, which is lexicographic order."""
     blocks = [np.full((1, 1), d, dtype=np.int64) for d in range(max_degree + 1)]
     for _ in range(n - 1):
         blocks = [np.column_stack((np.repeat(np.arange(d + 1), [len(b) for b in blocks[d::-1]]),
                                    np.concatenate(blocks[d::-1])))
                   for d in range(max_degree + 1)]
-    table = np.concatenate(blocks) if blocks else np.zeros((0, n), dtype=np.int64)
+    table = np.concatenate(blocks)
     table.flags.writeable = False
     return table
 

@@ -258,6 +258,75 @@ def test_blocked_evaluation_matches_unblocked(monkeypatch):
     assert np.array_equal(p(pts), whole)
 
 
+def ref_terms(p, pts):
+    """Polynomial.terms as a masked loop: each variable's nonzero exponents
+    in turn multiply the rows that carry them by x_i ** k."""
+    out = np.repeat(p.vals[:, None], len(pts), axis=1)
+    for i, col in enumerate(p.exps.T.tolist()):
+        for k in set(col) - {0}:
+            out[p.exps[:, i] == k] *= pts[:, i] ** k
+    return out
+
+
+def _by_masked_loop(monkeypatch, evaluate):
+    with monkeypatch.context() as patch:
+        patch.setattr(Polynomial, "terms", ref_terms)
+        return evaluate()
+
+
+def _same_as_masked_loop(monkeypatch, p, pts, shells=True):
+    """terms, __call__ (on points and on one point) and, with shells,
+    on_shells of p are those that the masked loop gives, bit for bit."""
+    t = np.linspace(0.0, 2.5, 4)
+    assert np.array_equal(p.terms(pts), ref_terms(p, pts))
+
+    def evaluate():  # a writeable dirs array is not kept by on_shells
+        return (p(pts), p(pts[0])) + ((p.on_shells(t, pts),) if shells else ())
+
+    got, want = evaluate(), _by_masked_loop(monkeypatch, evaluate)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_evaluation_matches_masked_loop_bit_for_bit(n, monkeypatch):
+    import qflatlab.polynomials as polynomials
+    rng = np.random.default_rng(n)
+    monos = monomials_upto(n, 7)
+    polys = [poly(n, {}), poly(n, {(0,) * n: -1.5}), poly(n, {(0,) * n: 3e-300})]
+    polys += [poly(n, {monos[i]: rng.normal()
+                       for i in rng.choice(len(monos), min(size, len(monos)), replace=False)})
+              for size in (1, 3, 30, 300)]
+    for m in (1, 1000):
+        # negative coordinates, exact zeros and both signs of zero
+        pts = rng.normal(scale=1.5, size=(m, n))
+        pts[rng.random(size=pts.shape) < 0.1] = 0.0
+        pts[rng.random(size=pts.shape) < 0.05] = -0.0
+        for p in polys:
+            _same_as_masked_loop(monkeypatch, p, pts)
+    monkeypatch.setattr(polynomials, "_EVAL_BLOCK", 7)  # a few points per block
+    for p in polys[3:]:
+        _same_as_masked_loop(monkeypatch, p, pts)
+
+
+def test_huge_exponents_evaluate_without_a_table_up_to_them(monkeypatch):
+    # x1^1024 at n = 6 and x1^(2^40) at n = 2 each take one table row
+    rng = np.random.default_rng(8)
+    e, big = (0,) * 5, 2 ** 40
+    for p in (poly(6, {(1024,) + e: 2.0, (1,) + e: -1.0, e + (3,): 0.5}),
+              poly(2, {(big, 1): 1.5, (0, big + 1): -2.0, (1, 0): 1.0})):
+        pts = rng.uniform(-1.0, 1.0, size=(1000, p.dim.n))
+        pts[:4] = [[1.0] * p.dim.n, [-1.0] * p.dim.n, [0.0] * p.dim.n, [-0.0] * p.dim.n]
+        tracemalloc.start()
+        try:
+            p.terms(pts), p(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        _same_as_masked_loop(monkeypatch, p, pts, shells=False)
+
+
 # ---------------------------------------------------------------------------
 # kernel ranks: per-degree blocks, the full matrix and the per-monomial map
 # ---------------------------------------------------------------------------
@@ -353,6 +422,16 @@ def test_monomial_arrays_are_read_only_tables(n):
         assert _monomial_array(n, degree) is table
         with pytest.raises(ValueError):
             table[...] = 0
+
+
+def test_monomial_tables_of_one_dimension_share_one_array():
+    # each table is a prefix of the next larger one: after ph_dimension at
+    # n = 10 for d = 0..11 the tables held take no more bytes than the largest
+    for d in range(12):
+        ph_dimension(Dimension(10), d)
+    tables = [_monomial_array(10, d) for d in range(12)]
+    held = {id(a): a for a in (t if t.base is None else t.base for t in tables)}
+    assert sum(a.nbytes for a in held.values()) <= tables[-1].nbytes
 
 
 @pytest.mark.parametrize("coeffs", [{(1,): 1.0}, {(-1, 0): 1.0}, {(0, 0, 0): 1.0}])
@@ -482,6 +561,7 @@ def test_add_across_dimensions_rejected():
 def _distinct(p):
     assert len(np.unique(p.exps, axis=0)) == len(p.exps), p.exps
     assert np.all(p.vals != 0.0)
+    assert p.vals.dtype == np.float64, p.vals.dtype
     # keys carried from the operands are those of the result's own rows
     if p._keys is not _UNSET:
         assert np.array_equal(p._keys, _radix_keys(p.exps)), (p._keys, p.exps)
@@ -498,10 +578,13 @@ def test_every_algebra_result_has_distinct_rows():
                  rng.choice(len(monos), size=8, replace=False)} for _ in range(2))
         p, q = _distinct(poly(n, a)), _distinct(poly(n, b))
         one, cancel = poly(n, {monos[3]: 1.0}), poly(n, {mi: -c for mi, c in b.items()})
+        linear = poly(n, {monos[0]: 2.0, monos[1]: -1.0})
         for r in (p + q, p + 2.0, p + p.scale(-1.0), p.scale(0.5), p.shift(rng.normal(size=n)),
                   apply_laplacian_poly(p, 1), apply_laplacian_poly(p, 2), poly_partial(p, 0),
                   radial_monomial(Dimension(n), 3), p + one.scale(-2.0), q + one + one.scale(0.5),
-                  p + q + cancel, (p + q + cancel) + q, p + q.scale(3.0) + p.scale(-1.0)):
+                  p + q + cancel, (p + q + cancel) + q, p + q.scale(3.0) + p.scale(-1.0),
+                  # a vanishing Laplacian and the shift of zero merge no rows at all
+                  apply_laplacian_poly(linear, 1), poly(n, {}).shift(np.full(n, 0.5))):
             _distinct(r)
             assert r._keys is not None
         # verification builds its random kernel polynomials from basis rows

@@ -24,9 +24,11 @@ evaluator on operators no workload expression uses, and the radial n = 6
 in the radial jets or the flux extrapolation shows there first.  Also once per
 checkout, for n = 2, 4 and 6 it sums ``kernel_basis(n, 5)`` of the
 workloads one ``p + q.scale(c)`` step at a time with seeded coefficients
-and records the sum's ``exps`` and ``vals``: a Pizzetti operation shows
-only its worst residual, so a change in the order or rounding of addition
-shows here.
+and records the sum's ``exps`` and ``vals``, and the values of the sum and
+of each of its nonzero iterated Laplacians at seeded points, taken on all
+the points at once and on the first point alone: a Pizzetti operation
+shows only its worst residual, so a change in the order or rounding of
+addition or of evaluation shows here.
 Numbers are compared exactly.  Changes of text, and values that appear or
 disappear, are counted apart.
 """
@@ -41,6 +43,10 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("gallery", "expression", "potential", "polyharmonic")
+# points at which the summed kernel polynomials are evaluated: more than an
+# n = 2 sum has terms and fewer than an n = 6 sum has, so both of the
+# ways __call__ adds up its terms are recorded
+EVAL_POINTS = 64
 # documents analyzed once per checkout: planted metrics (the growth
 # criteria's product rule and tau's sweep of sphere_shell, both on the
 # sphere grid), a shifted centre at n = 2 and a metric at n = 4 whose tau
@@ -65,15 +71,27 @@ FIXED_DOCUMENTS = (
 
 
 def _polynomial_sum(workloads, n):
-    """sum_k c_k q_k over kernel_basis(n, 5), added one scaled term at a time."""
+    """sum_k c_k q_k over kernel_basis(n, 5), added one scaled term at a
+    time, and the values of it and of its iterated Laplacians at
+    EVAL_POINTS seeded points, negative coordinates and exact zeros among
+    them."""
     import numpy as np
-    from qflatlab import Dimension, Polynomial
+    from qflatlab import Dimension, Polynomial, apply_laplacian_poly
     basis = workloads.kernel_basis(n, 5)
-    coeff = np.random.default_rng([n, 20231017]).normal(size=len(basis))
+    rng = np.random.default_rng([n, 20231017])
+    coeff = rng.normal(size=len(basis))
     p = Polynomial(Dimension(n), {})
     for c, q in zip(coeff, basis):
         p = p + q.scale(c)
-    return {"exps": p.exps.tolist(), "vals": p.vals.tolist()}
+    pts = rng.normal(scale=1.5, size=(EVAL_POINTS, n))
+    pts[rng.random(size=pts.shape) < 0.1] = 0.0
+    out = {"exps": p.exps.tolist(), "vals": p.vals.tolist()}
+    lap, k = p, 0
+    while len(lap.vals):
+        label = "values" if k == 0 else f"laplacian^{k} values"
+        out[label] = lap(pts).tolist() + [lap(pts[0])]
+        lap, k = apply_laplacian_poly(lap, 1), k + 1
+    return out
 
 
 def _jsonable(result):
