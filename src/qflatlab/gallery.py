@@ -40,7 +40,7 @@ from .fields import (Dimension, FieldCaps, ScalarField, ShellEvaluator, as_dimen
                      radial_field)
 from .geometry import MetricContext
 from .polynomials import Polynomial, apply_laplacian_poly, poly_gradient, poly_partial
-from .potential import PotentialEvaluator
+from .potential import shared_evaluator
 from .calculus import jet_density, radial_jet, radial_laplacian_batch
 
 HUBER_CUTOFF = (10.0, 20.0)   # eta = 1 inside r <= 10, 0 outside r >= 20
@@ -238,7 +238,7 @@ def _build_gaussian(params, dim):
         raise InputError(f"gaussian_source mass must be positive, got {mass}")
     n = dim.n
     density = _gaussian_density(mass, dim)
-    prof = PotentialEvaluator(density).profile()
+    prof = shared_evaluator(density).profile()
     u = radial_field(prof, dim, name=f"gaussian_source(mass={mass})")
     ctx = MetricContext(u=u, density=density, label=f"gaussian_source(mass={mass})[n={n}]")
     facts = {
@@ -307,7 +307,7 @@ def _build_planted(params, dim):
     rng = np.random.default_rng(77000 + seed)
     mass = float(rng.uniform(0.3, 0.8))
     density = _gaussian_density(mass, dim)
-    prof = PotentialEvaluator(density).profile()
+    prof = shared_evaluator(density).profile()
 
     coeffs = {(0,) * n: float(rng.uniform(-2.0, 2.0))}
     if degree >= 1:

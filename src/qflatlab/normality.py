@@ -34,7 +34,7 @@ from .fitting import GrowthEstimate
 from .geometry import (DiameterReport, MetricContext, diameter_estimate,
                        volume_classification, volume_growth)
 from .polynomials import Polynomial, monomials_upto, radial_monomial
-from .potential import FLUX_SETTLE_TOL, PotentialEvaluator, total_mass_alpha
+from .potential import FLUX_SETTLE_TOL, shared_evaluator, total_mass_alpha
 from .quadrature import running_integrals, shell_product_rule
 
 # Verdict boundary: fitted slopes sit strictly below a clean power because
@@ -423,7 +423,8 @@ def decompose(w: ScalarField, f: ScalarField, sample_set=None, max_degree=None,
 
     When w and f are both radial, so is w - L(f), and the fit runs in
     span{r^2j : 2j <= max_degree} on the radii of decompose_samples (or the
-    norms of sample_set), with L(f) from one value_radial pass.  Otherwise
+    norms of sample_set), with L(f) from one value_radial pass of the
+    evaluator (potential.shared_evaluator(f) when none is given).  Otherwise
     it runs in the monomial basis on the sample points.  Flags NONCONSTANT
     when any degree >= 1 coefficient exceeds 10x its fit standard error
     (with a small absolute floor against quadrature noise).
@@ -451,7 +452,7 @@ def decompose(w: ScalarField, f: ScalarField, sample_set=None, max_degree=None,
             f"{len(labels)} basis terms (need 3x)")
     if np.max(radii) / max(np.min(radii), 1e-300) < 100.0:
         raise QflatError("decomposition samples must span >= 2 decades of |x|")
-    ev = evaluator if evaluator is not None else PotentialEvaluator(f)
+    ev = evaluator if evaluator is not None else shared_evaluator(f)
     if radial:
         y = w.along_ray()(radii) - ev.value_radial(radii)
         cols = radii[:, None] ** (2.0 * np.arange(len(terms)))

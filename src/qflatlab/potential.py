@@ -42,10 +42,17 @@ the divergence theorem turns its mass in B_R into a boundary flux of u,
 read from one batched radial jet of u at R = 10, 100, ...; alpha0 is the
 limit R -> inf, extrapolated in 1/log R (Sidi, Practical Extrapolation
 Methods, CUP 2003, ch. 1).
+
+A density's evaluator caches the decade walk of its mass, which its
+potential also reads (the effective support).  ``shared_evaluator`` hands
+out one default-tolerance evaluator per density field, so total_mass_alpha,
+normality.decompose without an evaluator and the gallery builds' profiles
+walk that mass once between them.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,6 +158,10 @@ class PotentialEvaluator:
     eps = min(1, 1/(1+|x|)) gets the subtraction
     f(x) * integral_{B_eps} log(1/|z|) dz plus a smooth remainder, the rest
     is adaptive polar quadrature around x.
+
+    The mass walk is cached on the evaluator, and value_radial reads it, so
+    callers at the default tolerance share one evaluator per density
+    through shared_evaluator; one built with other settings is its own.
     """
 
     def __init__(self, f: ScalarField, rel_tol=1e-8, breakpoints=()):
@@ -339,6 +350,17 @@ class PotentialEvaluator:
         return self.gconst * (self._log_moment() + newt)
 
 
+@lru_cache(maxsize=8)
+def shared_evaluator(f: ScalarField) -> PotentialEvaluator:
+    """The default-tolerance PotentialEvaluator of the density f, one per
+    field, so that its decade walk of f's mass runs once: total_mass_alpha,
+    decompose without an evaluator and the gallery builds' profiles share
+    it.  A ScalarField hashes by identity, and the cache holds the last 8
+    fields it was asked for; callers treat the evaluator as read-only.
+    Evaluators with other tolerances or breakpoints are built apart."""
+    return PotentialEvaluator(f)
+
+
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
@@ -359,9 +381,10 @@ def total_mass_alpha(f: ScalarField) -> AlphaEstimate:
     density is integrated to relative tolerance 1e-8 by decade blocks
     (method "mass_integral"); radial ones reduce to a 1-D integral against
     |S^{n-1}| r^{n-1}, and NonIntegrableError propagates when the
-    condensed decade tails fail the ratio test.
+    condensed decade tails fail the ratio test.  Either way it reads f's
+    shared_evaluator.
     """
-    ev = PotentialEvaluator(f)
+    ev = shared_evaluator(f)
     if f.caps.source is not None:
         return _boundary_flux_alpha(ev)
     res = ev.mass()

@@ -10,7 +10,11 @@ Four layers:
 * one adaptive engine, a GL(15/31) panel pass over many radial segments
   at once: ``segment_integrals`` (vector-valued; ``running_integrals`` sums
   it from 0 to each radius of a sweep), the strict ``integrate_radial``
-  and the non-strict ``integrate_radial_estimate``/``adaptive_estimate``;
+  and the non-strict ``integrate_radial_estimate``/``adaptive_estimate``.
+  Most calls settle in one round on a few panels, so the pass keeps its
+  fixed cost low: one integrand call up to PANEL_BLOCK panels, sums per
+  segment by one ``np.bincount``, no split bookkeeping after the last
+  round, and logs of the log-panel ends only;
 * signed improper integrals over [r0, inf) by blocks of decades on that
   engine, with geometric tails and a Cauchy-condensation convergence test
   (``decade_mass_integral``);
@@ -77,6 +81,17 @@ def gl_rule(order):
     return x, w
 
 
+@lru_cache(maxsize=None)
+def _engine_rule():
+    """The engine's nodes, GL(15) then GL(31), and a (46, 2) weight matrix
+    whose columns give the GL(15) and the GL(31) sums; both read-only."""
+    x15, w15 = gl_rule(15)
+    x31, w31 = gl_rule(31)
+    weights = np.zeros((46, 2))
+    weights[:15, 0], weights[15:, 1] = w15, w31
+    return _frozen(np.concatenate([x15, x31]), weights)
+
+
 def fixed_gl(f, a, b, order=32):
     """Gauss-Legendre estimate of integral_a^b f on one panel."""
     x, w = gl_rule(order)
@@ -111,26 +126,25 @@ def _panel_pass(f, edges, rel_tol, abs_tol, max_bisections, strict, breaks=()):
     n_seg = len(edges) - 1
     a, b, seg, share = edges[:-1], edges[1:], np.arange(n_seg), np.ones(n_seg)
     r0, r1 = float(edges[0]), float(edges[-1])
-    cuts = np.array(sorted({c for c in (1.0, *np.asarray(breaks, dtype=float).tolist())
-                            if r0 < c < r1}))
-    k = a.searchsorted(cuts, side="right") - 1      # the segment of each cut
-    inside = a[k] < cuts                              # not on an edge
-    k, cuts = k[inside], cuts[inside]
-    if len(cuts):
-        # a piece ends at the next cut, or at its segment's end when that comes first
-        after = np.concatenate((cuts, [np.inf]))
-        b = np.minimum(np.concatenate((b, b[k])),
-                       np.concatenate((after[cuts.searchsorted(a, side="right")], after[1:])))
-        a, seg = np.concatenate((a, cuts)), np.concatenate((seg, k))
-        share = 1.0 / (np.bincount(k, minlength=n_seg) + 1)[seg]
+    cuts = sorted({c for c in (1.0, *np.asarray(breaks, dtype=float).tolist()) if r0 < c < r1})
+    if cuts:
+        cuts = np.array(cuts)
+        k = a.searchsorted(cuts, side="right") - 1      # the segment of each cut
+        inside = a[k] < cuts                              # not on an edge
+        k, cuts = k[inside], cuts[inside]
+        if len(cuts):
+            # a piece ends at the next cut, or at its segment's end when that comes first
+            after = np.concatenate((cuts, [np.inf]))
+            b = np.minimum(np.concatenate((b, b[k])),
+                           np.concatenate((after[cuts.searchsorted(a, side="right")],
+                                           after[1:])))
+            a, seg = np.concatenate((a, cuts)), np.concatenate((seg, k))
+            share = 1.0 / (np.bincount(k, minlength=n_seg) + 1)[seg]
     in_log = a >= 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a, b = np.where(in_log, np.log(a), a), np.where(in_log, np.log(b), b)
-    x15, w15 = gl_rule(15)
-    x31, w31 = gl_rule(31)
-    nodes = np.concatenate([x15, x31])
-    weights = np.zeros((len(nodes), 2))     # columns: GL(15), GL(31)
-    weights[:15, 0], weights[15:, 1] = w15, w31
+    if in_log.any():
+        a, b = a.copy(), b.copy()      # a and b may be views of the caller's edges
+        a[in_log], b[in_log] = np.log(a[in_log]), np.log(b[in_log])
+    nodes, weights = _engine_rule()
 
     def rules(a, b, in_log):
         """GL(15) and GL(31) values of each panel: shape (2, K, panels)."""
@@ -142,12 +156,23 @@ def _panel_pass(f, edges, rel_tol, abs_tol, max_bisections, strict, breaks=()):
             vals = vals * np.where(in_log[:, None], r, 1.0)
             return half * (vals @ weights).transpose(2, 0, 1)
 
+    def per_segment(seg, *values):
+        """The (K, segments) sums of each (K, panels) array of values over
+        the panels of each segment, added in panel order from 0."""
+        rows = len(values[0])
+        idx = seg if rows == 1 else (np.arange(rows)[:, None] * n_seg + seg).ravel()
+        return [np.bincount(idx, v.ravel(), minlength=rows * n_seg).reshape(rows, n_seg)
+                for v in values]
+
     lim, bisections, settled = None, 0, []
-    while len(a):
+    while True:
         # f sees PANEL_BLOCK panels at a time, which bounds the memory
-        coarse, fine = np.concatenate(
-            [rules(a[i:i + PANEL_BLOCK], b[i:i + PANEL_BLOCK], in_log[i:i + PANEL_BLOCK])
-             for i in range(0, len(a), PANEL_BLOCK)], axis=-1)
+        if len(a) <= PANEL_BLOCK:
+            coarse, fine = rules(a, b, in_log)
+        else:
+            coarse, fine = np.concatenate(
+                [rules(a[i:i + PANEL_BLOCK], b[i:i + PANEL_BLOCK], in_log[i:i + PANEL_BLOCK])
+                 for i in range(0, len(a), PANEL_BLOCK)], axis=-1)
         bad = ~np.isfinite(fine).all(axis=0)
         if strict and bad.any():
             raise QuadratureError(
@@ -157,32 +182,34 @@ def _panel_pass(f, edges, rel_tol, abs_tol, max_bisections, strict, breaks=()):
                 # per segment: the floor, and rel_tol |first estimate|
                 lim = np.zeros((2, len(fine), n_seg))
                 lim[0] += abs_tol
-                np.add.at(lim[1].T, seg, fine.T)
-                lim[1] = rel_tol * np.abs(lim[1])
+                lim[1] = rel_tol * np.abs(per_segment(seg, fine)[0])
             err = np.abs(fine - coarse)
             floor, first = lim[..., seg]
             # fmax: a non-finite first estimate leaves the other tests
             done = bad | (err <= np.fmax(np.fmax(rel_tol * np.abs(fine), floor),
                                          share * first)).all(axis=0)
-        if bisections + np.count_nonzero(~done) > max_bisections:
+        keep = ~done
+        open_panels = np.count_nonzero(keep)
+        if open_panels and bisections + open_panels > max_bisections:
             if strict:
                 raise QuadratureError(
                     f"segment quadrature did not settle within {max_bisections} "
-                    f"bisections on {_segment_list(edges, seg[~done])}")
-            done[:] = True
+                    f"bisections on {_segment_list(edges, seg[keep])}")
+            open_panels = 0
+        if not open_panels:
+            settled.append((seg, fine, err))
+            break
         settled.append((seg[done], fine[:, done], err[:, done]))
-        keep = ~done
         a, b, seg, in_log, share = a[keep], b[keep], seg[keep], in_log[keep], share[keep]
         mid = 0.5 * (a + b)
-        bisections += len(a)
+        bisections += open_panels
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         seg, in_log = np.concatenate([seg, seg]), np.concatenate([in_log, in_log])
         share = np.concatenate([share, share]) * 0.5
-    total, errors = np.zeros((2, len(lim[0]), n_seg))
-    seg, fine, err = (np.concatenate(part, axis=-1) for part in zip(*settled))
-    np.add.at(total.T, seg, fine.T)
-    np.add.at(errors.T, seg, err.T)
-    return total, errors
+    if len(settled) > 1:
+        settled = [[np.concatenate(part, axis=-1) for part in zip(*settled)]]
+    seg, fine, err = settled[0]
+    return tuple(per_segment(seg, fine, err))
 
 
 def _segment_list(edges, seg, shown=3):

@@ -89,3 +89,24 @@ def test_traced_counts_keep_count_metrics_of_one_traced_pass(monkeypatch):
     assert bench_pairs.traced_counts("somewhere", "polyharmonic", 7) == {"error": "exit 1: boom"}
     assert bench_pairs.run_once("somewhere", "polyharmonic", 7, 25) == {
         "correct": False, "error": "exit 1: boom"}
+
+
+def test_summary_keeps_both_sides_quartiles():
+    pairs = [{"first": "parent", "parent": run(1.0), "change": run(0.9)},
+             {"first": "change", "parent": run(2.0), "change": run(2.5)},
+             {"first": "parent", "parent": run(3.0), "change": run(0.8)},
+             {"first": "change", "parent": run(4.0), "change": run(0.7)},
+             {"first": "parent", "parent": run(5.0), "change": run(0.6)}]
+    wall = bench_pairs.summarize(pairs, END_TO_END)["wall_s"]
+    assert wall["parent_quartiles"] == pytest.approx([2.0, 4.0])
+    assert wall["change_quartiles"] == pytest.approx([0.7, 0.9])
+    assert wall["parent_iqr"] == pytest.approx(2.0)
+    line = bench_pairs.summary_line(wall)
+    assert line == "parent 3 [2, 4], change 0.8 [0.7, 0.9], change won 4/5"
+
+    one = bench_pairs.summarize(pairs[:1], END_TO_END)["wall_s"]
+    assert one["parent_quartiles"] == [1.0, 1.0] and one["change_quartiles"] == [0.9, 0.9]
+    none = bench_pairs.summarize([{"first": "parent", "parent": run(1.0, correct=False),
+                                   "change": run(1.0, correct=False)}], END_TO_END)["wall_s"]
+    assert none["parent_quartiles"] is None and none["change_quartiles"] is None
+    assert bench_pairs.summary_line(none) == "parent -, change -, change won 0/0"

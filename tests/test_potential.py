@@ -1,3 +1,5 @@
+import collections
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +11,10 @@ from qflatlab import (NonIntegrableError, PotentialEvaluator,
                       field_from_expression, log_potential,
                       potential_asymptote, potential_bound_check, radial_field,
                       total_mass_alpha)
+from qflatlab.cli import run_analysis
+from qflatlab.gallery import gallery, gallery_fresh
+from qflatlab.normality import decompose
+from qflatlab.potential import shared_evaluator
 from qflatlab.fitting import fit_loglog
 from qflatlab.quadrature import decade_mass_integral, integrate_radial
 
@@ -296,3 +302,73 @@ class TestMomentPass:
         assert np.array_equal(ev(pts), expected)
         # one point alone gets other segment edges: equal up to rounding
         assert ev(pts[2]) == pytest.approx(expected[2], abs=1e-13)
+
+
+class TestSharedEvaluator:
+    """One default-tolerance evaluator per density field: the gallery
+    build's profile, alpha0 and the decomposition walk its mass once."""
+
+    @staticmethod
+    def count_walks(monkeypatch):
+        """Mass walks per density field, read where PotentialEvaluator.mass
+        hands its integrand to the decade walk."""
+        potential = importlib.import_module("qflatlab.potential")
+        walk, walks = potential.decade_mass_integral, collections.Counter()
+
+        def counted(f, *args, **kwargs):
+            ev = getattr(f, "__self__", None)
+            if isinstance(ev, PotentialEvaluator):
+                walks[ev.f] += 1
+            return walk(f, *args, **kwargs)
+
+        monkeypatch.setattr(potential, "decade_mass_integral", counted)
+        return walks
+
+    @staticmethod
+    def count_evaluators(monkeypatch):
+        built = []
+        init = PotentialEvaluator.__init__
+
+        def counted(self, f, *args, **kwargs):
+            built.append(f)
+            init(self, f, *args, **kwargs)
+
+        monkeypatch.setattr(PotentialEvaluator, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("name,params", [("gaussian_source", {"mass": 0.5}), ("flat", {})])
+    def test_analysis_walks_the_density_once(self, monkeypatch, name, params):
+        importlib.import_module("qflatlab.gallery")._build_cached.cache_clear()
+        walks = self.count_walks(monkeypatch)
+        rep = run_analysis({"n": 4, "kind": "builtin", "name": name, "params": params})
+        density = gallery(name, params, 4).density
+        assert walks[density] == 1 and sum(walks.values()) == 1
+        assert rep.decomposition is not None and not rep.errors
+        # the shared walk gives what a walk of its own gives, bit for bit
+        own = PotentialEvaluator(density)
+        assert rep.alpha0 == own.gconst * own.mass().value
+
+    @pytest.mark.parametrize("name,params,n", [("planted", {"seed": 3, "degree": 0}, 2),
+                                               ("planted", {"seed": 3, "degree": 2}, 4),
+                                               ("gaussian_source", {"mass": 0.4}, 4)])
+    def test_build_and_decomposition_share_one_evaluator(self, monkeypatch, name, params, n):
+        built = self.count_evaluators(monkeypatch)
+        ctx, _ = gallery_fresh(name, params, n)
+        dec = decompose(ctx.u, ctx.density)
+        assert built == [ctx.density]
+        assert dec.potential_part is shared_evaluator(ctx.density)
+        # a second build has fields of its own, so nothing is shared with the first
+        again, _ = gallery_fresh(name, params, n)
+        assert decompose(again.u, again.density).potential_part is not dec.potential_part
+        assert built == [ctx.density, again.density]
+
+    def test_other_settings_build_their_own(self):
+        f = sphere_density()
+        shared = shared_evaluator(f)
+        assert shared_evaluator(f) is shared and shared.rel_tol == 1e-8
+        own = PotentialEvaluator(f, rel_tol=1e-7)
+        assert own is not shared and own.rel_tol == 1e-7
+        w = radial_field(lambda r: -np.log1p(np.asarray(r) ** 2), 2, name="u")
+        assert decompose(w, f, evaluator=own).potential_part is own
+        assert decompose(w, f).potential_part is shared
+        assert total_mass_alpha(f).alpha_hat == shared.alpha

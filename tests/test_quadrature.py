@@ -8,8 +8,9 @@ import pytest
 
 from qflatlab import (Dimension, FieldCaps, Polynomial, QuadratureError, ScalarField,
                       ball_mean_poly, monomials_upto, sphere_constants)
-from qflatlab.quadrature import (CONDENSATION_PANEL_WIDTH, POINT_BUDGET, PRODUCT_RULE_POINTS,
-                                 _condensation_grid, _log_sum_exp_blocks,
+from qflatlab.quadrature import (CONDENSATION_PANEL_WIDTH, PANEL_BLOCK, POINT_BUDGET,
+                                 PRODUCT_RULE_POINTS, _condensation_grid, _log_sum_exp_blocks,
+                                 _panel_pass, _segment_list,
                                  decade_mass_integral, gl_rule, integrate_radial,
                                  integrate_radial_estimate, log_condensation_blocks,
                                  log_sum_exp, running_integrals, segment_integrals, shell_points,
@@ -570,3 +571,176 @@ def test_shell_integrand_takes_more_radii_than_one_evaluation():
     got = integrate_radial(shell, 0.0, 0.5)
     assert max(sizes) > 31
     assert got == pytest.approx(math.pi ** 2 * (1 - 1.25 * math.exp(-0.25)), rel=1e-10, abs=0)
+
+
+def _reference_panel_pass(f, edges, rel_tol, abs_tol, max_bisections, strict, breaks=()):
+    """The engine pass as it was written with np.add.at, one rules call per
+    PANEL_BLOCK panels in every round and the split bookkeeping after the
+    last: the reference that quadrature._panel_pass must match bit for bit."""
+    edges = np.asarray(edges, dtype=float)
+    n_seg = len(edges) - 1
+    a, b, seg, share = edges[:-1], edges[1:], np.arange(n_seg), np.ones(n_seg)
+    r0, r1 = float(edges[0]), float(edges[-1])
+    cuts = np.array(sorted({c for c in (1.0, *np.asarray(breaks, dtype=float).tolist())
+                            if r0 < c < r1}))
+    k = a.searchsorted(cuts, side="right") - 1
+    inside = a[k] < cuts
+    k, cuts = k[inside], cuts[inside]
+    if len(cuts):
+        after = np.concatenate((cuts, [np.inf]))
+        b = np.minimum(np.concatenate((b, b[k])),
+                       np.concatenate((after[cuts.searchsorted(a, side="right")], after[1:])))
+        a, seg = np.concatenate((a, cuts)), np.concatenate((seg, k))
+        share = 1.0 / (np.bincount(k, minlength=n_seg) + 1)[seg]
+    in_log = a >= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = np.where(in_log, np.log(a), a), np.where(in_log, np.log(b), b)
+    x15, w15 = gl_rule(15)
+    x31, w31 = gl_rule(31)
+    nodes = np.concatenate([x15, x31])
+    weights = np.zeros((len(nodes), 2))
+    weights[:15, 0], weights[15:, 1] = w15, w31
+
+    def rules(a, b, in_log):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        x = mid[:, None] + half[:, None] * nodes
+        r = np.where(in_log[:, None], np.exp(x), x)
+        vals = np.asarray(f(r.ravel()), dtype=float).reshape(-1, *r.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = vals * np.where(in_log[:, None], r, 1.0)
+            return half * (vals @ weights).transpose(2, 0, 1)
+
+    lim, bisections, settled = None, 0, []
+    while len(a):
+        coarse, fine = np.concatenate(
+            [rules(a[i:i + PANEL_BLOCK], b[i:i + PANEL_BLOCK], in_log[i:i + PANEL_BLOCK])
+             for i in range(0, len(a), PANEL_BLOCK)], axis=-1)
+        bad = ~np.isfinite(fine).all(axis=0)
+        if strict and bad.any():
+            raise QuadratureError(
+                f"non-finite segment integral on {_segment_list(edges, seg[bad])}")
+        with np.errstate(invalid="ignore"):
+            if lim is None:
+                lim = np.zeros((2, len(fine), n_seg))
+                lim[0] += abs_tol
+                np.add.at(lim[1].T, seg, fine.T)
+                lim[1] = rel_tol * np.abs(lim[1])
+            err = np.abs(fine - coarse)
+            floor, first = lim[..., seg]
+            done = bad | (err <= np.fmax(np.fmax(rel_tol * np.abs(fine), floor),
+                                         share * first)).all(axis=0)
+        if bisections + np.count_nonzero(~done) > max_bisections:
+            if strict:
+                raise QuadratureError(
+                    f"segment quadrature did not settle within {max_bisections} "
+                    f"bisections on {_segment_list(edges, seg[~done])}")
+            done[:] = True
+        settled.append((seg[done], fine[:, done], err[:, done]))
+        keep = ~done
+        a, b, seg, in_log, share = a[keep], b[keep], seg[keep], in_log[keep], share[keep]
+        mid = 0.5 * (a + b)
+        bisections += len(a)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        seg, in_log = np.concatenate([seg, seg]), np.concatenate([in_log, in_log])
+        share = np.concatenate([share, share]) * 0.5
+    total, errors = np.zeros((2, len(lim[0]), n_seg))
+    seg, fine, err = (np.concatenate(part, axis=-1) for part in zip(*settled))
+    np.add.at(total.T, seg, fine.T)
+    np.add.at(errors.T, seg, err.T)
+    return total, errors
+
+
+def _six_rows(r):
+    """Six rows like the potential's moments: log r, 1, r^2, r^4, r^-1 and
+    r^-2 times r^3 e^{-r^2} (1 + 0.3 cos 5r)."""
+    base = np.exp(-r * r) * (1.0 + 0.3 * np.cos(5.0 * r))
+    vals = r ** np.array([3.0, 3.0, 5.0, 7.0, 2.0, 1.0])[:, None] * base
+    vals[0] *= np.log(r)
+    return vals
+
+
+_WIDE = np.concatenate(([0.0], np.geomspace(1e-3, 1e4, 705)))     # 705 segments
+_ENGINE_CASES = {
+    # one segment straddling 1, a scalar integrand
+    "one segment": (lambda r: np.exp(-r) * np.cos(3.0 * r), [0.0, 7.0], 1e-10, 0.0, 4096,
+                    True, ()),
+    # 705 segments, more than PANEL_BLOCK panels in the first round, K = 1
+    # with an abs_tol array of shape (1, segments)
+    "705 segments": (lambda r: (np.exp(-r) * np.sin(r))[None, :], _WIDE, 1e-9,
+                     np.full((1, 705), 1e-15), 4096, True, ()),
+    # K = 6 rows with a (6, segments) abs_tol, on 705 segments with breaks
+    # on an edge, inside segments and at 1
+    "six rows": (_six_rows, _WIDE, 1e-10,
+                 1e-14 / np.minimum(_WIDE[None, 1:] ** np.arange(6)[:, None], 1.0),
+                 4096, True, (_WIDE[100], 0.5 * (_WIDE[200] + _WIDE[201]), 1.0, 3.3, 3.31)),
+    "six rows on a few segments": (_six_rows, [0.0, 0.5, 1.0, 2.0, 30.0], 1e-12,
+                                   np.full((6, 4), 1e-13), 4096, True, (0.5, 1.5, 1.6)),
+    # a kink per break, non-strict, the decade walk's abs_tol per segment
+    "kinks non-strict": (lambda r: np.abs(np.cos(r)), [0.0, 2.0, 8.0, 20.0], 1e-9,
+                         np.array([1e-14, 2e-14, 3e-14]), 1024, False,
+                         0.5 * np.pi + np.pi * np.arange(6)),
+    "kinks strict": (lambda r: np.abs(np.cos(r))[None, :], [0.0, 2.0, 8.0, 20.0], 1e-9,
+                     1e-14, 4096, True, 0.5 * np.pi + np.pi * np.arange(6)),
+    # a non-finite panel: the non-strict pass makes its segment NaN, the
+    # strict one raises naming it
+    "non-finite non-strict": (lambda r: np.where(r > 5.0, np.nan, np.sin(r)),
+                              [0.0, 1.0, 10.0, 20.0], 1e-8, 1e-13, 4096, False, ()),
+    "non-finite strict": (lambda r: np.where(r > 5.0, np.nan, np.sin(r)),
+                          [0.0, 1.0, 10.0, 20.0], 1e-8, 1e-13, 4096, True, ()),
+    # an exhausted bisection budget: non-strict adds what is left, strict raises
+    "budget non-strict": (lambda r: np.sin(1.0 / r), [1e-4, 0.1, 1.0, 3.0], 1e-10, 0.0, 60,
+                          False, ()),
+    "budget strict": (lambda r: np.sin(1.0 / r), [1e-4, 0.1, 1.0, 3.0], 1e-10, 0.0, 60,
+                      True, ()),
+    # a round of more than PANEL_BLOCK panels after bisection
+    "wide bisection": (lambda r: np.cos(200.0 * r) * np.exp(-r), np.linspace(0.0, 12.0, 80),
+                       1e-12, 0.0, 4096, True, (6.05,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
+def test_panel_pass_matches_the_reference_bit_for_bit(case):
+    f, edges, rel_tol, abs_tol, max_bisections, strict, breaks = _ENGINE_CASES[case]
+    calls = {}
+
+    def counted(key):
+        def g(r):
+            calls.setdefault(key, []).append(r.size)
+            return f(r)
+        return g
+
+    edges_before = np.array(edges, dtype=float)
+    outcome = {}
+    for key, engine in (("reference", _reference_panel_pass), ("engine", _panel_pass)):
+        try:
+            outcome[key] = engine(counted(key), edges, rel_tol, abs_tol, max_bisections,
+                                  strict, breaks)
+        except QuadratureError as e:
+            outcome[key] = str(e)
+    ref, got = outcome["reference"], outcome["engine"]
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        for want, have in zip(ref, got):
+            assert have.shape == want.shape and have.dtype == want.dtype
+            assert have.tobytes() == want.tobytes()
+    # the same panels in the same calls, and the caller's edges untouched
+    assert calls["engine"] == calls["reference"]
+    assert np.array_equal(np.asarray(edges, dtype=float), edges_before)
+    if case == "705 segments":
+        assert calls["engine"][0] == PANEL_BLOCK * 46
+    if case == "wide bisection":
+        assert PANEL_BLOCK * 46 in calls["engine"][1:]
+
+
+def test_panel_pass_keeps_the_integrand_warnings():
+    # the integrand runs outside the engine's errstate: its own warnings surface
+    def f(r):
+        return np.log(r - 0.55)     # invalid below 0.55
+
+    for engine in (_reference_panel_pass, _panel_pass):
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in log"):
+            engine(f, [0.0, 1.0, 2.0], 1e-8, 0.0, 64, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _panel_pass(lambda r: np.exp(-r), [0.0, 1.0, 1e3], 1e-8, 0.0, 4096, True)

@@ -7,9 +7,10 @@ Each pair runs ``python3 perfbench/run.py --workload W --seed S --trace 0
 --seconds T`` once in each checkout, one process at a time, where T is the
 ``run_seconds`` of the change's BENCHMARK.json.  The side that runs first
 alternates from pair to pair.  The output file holds every run's end-to-end
-metrics and, per workload and metric, the median of each side, the
-parent's interquartile range, the number of pairs the change won and the
-metric's bound from BENCHMARK.json.  A run whose result says
+metrics and, per workload and metric, the median and quartiles of each
+side, the parent's interquartile range, the number of pairs the change won
+and the metric's bound from BENCHMARK.json; each workload's summary is also
+printed, one line per metric.  A run whose result says
 ``"correct": false``, or that ends without a result, is kept in the file
 but left out of the medians and the wins.
 
@@ -71,18 +72,20 @@ def rising_counts(parent, change):
             if value > parent.get(name, 0)}
 
 
-def _quartile_spread(values):
+def _quartiles(values):
+    """[first, third] quartile of values (inclusive method); [v, v] for one
+    value and None for none."""
     if len(values) < 2:
-        return 0.0
+        return [values[0]] * 2 if values else None
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q3 - q1
+    return [q1, q3]
 
 
 def summarize(pairs, end_to_end):
     """Per metric of end_to_end (BENCHMARK.json entries with name, better
-    and bound): the median of each side over its correct runs, the
-    parent's interquartile range, the pairs where both runs are correct,
-    and how many of those the change won (strictly better)."""
+    and bound): the median and quartiles of each side over its correct
+    runs, the parent's interquartile range, the pairs where both runs are
+    correct, and how many of those the change won (strictly better)."""
     out = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -92,16 +95,33 @@ def summarize(pairs, end_to_end):
         both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
                 if all(p[s]["correct"] and name in p[s]["metrics"] for s in SIDES)]
         medians = {side: statistics.median(v) if v else None for side, v in sides.items()}
+        quartiles = {side: _quartiles(v) for side, v in sides.items()}
+        parent_q = quartiles["parent"]
         out[name] = {
             "parent_median": medians["parent"],
             "change_median": medians["change"],
-            "parent_iqr": _quartile_spread(sides["parent"]),
+            "parent_quartiles": parent_q,
+            "change_quartiles": quartiles["change"],
+            "parent_iqr": parent_q[1] - parent_q[0] if parent_q else 0.0,
             "pairs_compared": len(both),
             "change_wins": sum((c < p) if lower else (c > p) for p, c in both),
             "better": spec["better"],
             "bound": spec["bound"],
         }
     return out
+
+
+def summary_line(m):
+    """One metric's summary as a line: each side's median and quartiles,
+    and the pairs the change won."""
+    def side(name):
+        q = m[f"{name}_quartiles"]
+        spread = f" [{q[0]:.4g}, {q[1]:.4g}]" if q else ""
+        median = m[f"{name}_median"]
+        return f"{name} {'-' if median is None else format(median, '.4g')}{spread}"
+
+    return (f"{side('parent')}, {side('change')}, "
+            f"change won {m['change_wins']}/{m['pairs_compared']}")
 
 
 def main(argv=None):
@@ -139,8 +159,10 @@ def main(argv=None):
                 print(f"{workload} count rises: {name} {before} -> {after}", flush=True)
             if not counts["rising"]:
                 print(f"{workload}: no count rises", flush=True)
-        report["workloads"][workload] = {
-            "pairs": pairs, "summary": summarize(pairs, bench["end_to_end"]), "counts": counts}
+        summary = summarize(pairs, bench["end_to_end"])
+        for name, m in summary.items():
+            print(f"{workload} {name}: {summary_line(m)}", flush=True)
+        report["workloads"][workload] = {"pairs": pairs, "summary": summary, "counts": counts}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -29,6 +29,11 @@ of each of its nonzero iterated Laplacians at seeded points, taken on all
 the points at once and on the first point alone: a Pizzetti operation
 shows only its worst residual, so a change in the order or rounding of
 addition or of evaluation shows here.
+Last, each checkout runs ``python -m qflatlab verify --json`` in its own
+process and every check's ``got`` is recorded, keyed by case id and
+quantity, with each case's error text: paths that only the verification
+suite reaches (the general potential path, the 50 planted decompositions)
+show there.
 Numbers are compared exactly.  Changes of text, and values that appear or
 disappear, are counted apart.
 """
@@ -38,6 +43,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +150,22 @@ def dump(seeds):
     return out
 
 
+def verify_checks(root):
+    """The checks of ``python -m qflatlab verify --json`` run from root's
+    src/: {"verify <case id>": {"error": text, "checks": {quantity: got}}}.
+    A failing suite exits 3 and still prints its JSON."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "qflatlab", "verify", "--json"],
+                          capture_output=True, text=True, cwd=root, env=env)
+    if proc.returncode not in (0, 3):
+        raise SystemExit(f"verify failed in {root} (exit {proc.returncode}): "
+                         f"{(proc.stderr.strip().splitlines() or ['no output'])[-1]}")
+    return {f"verify {case['id']}": {
+        "error": case["error"],
+        "checks": {check["quantity"]: check["got"] for check in case["checks"]}}
+        for case in json.loads(proc.stdout)["cases"]}
+
+
 def collect(checkout, seeds):
     root = Path(checkout).resolve()
     code = ("import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2], sys.argv[3]]; "
@@ -152,7 +174,7 @@ def collect(checkout, seeds):
         [sys.executable, "-c", code, str(root / "src"), str(root / "perfbench"),
          str(Path(__file__).resolve().parent), json.dumps(seeds)],
         capture_output=True, text=True, check=True, cwd=root)
-    return json.loads(proc.stdout.splitlines()[-1])
+    return {**json.loads(proc.stdout.splitlines()[-1]), **verify_checks(root)}
 
 
 def flatten(obj, path=""):
