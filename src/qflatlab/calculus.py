@@ -1,19 +1,25 @@
 """Iterated Laplacians, curvature extraction, Pizzetti means, ball means.
 
-Radial fields get an exact-structure path: with phi(rho) = q(rho^2) the
-Laplacian acts on the even part as
+Radial fields get a jet (radial_jet) at a batch of radii, which gives every
+iterated Laplacian and the radial derivatives of one profile.  A radial
+expression field carries the Taylor series of its profile
+(expr.SeriesProgram), and its jet is exact to rounding: Delta =
+d^2/dr^2 + (n-1)/r d/dr acts on the series at each radius, and near r = 0,
+where that form cancels, on the even part q of the expansion at r = 0,
+phi(rho) = q(rho^2), as
 
-    (Delta phi)(s) = 2 n q'(s) + 4 s q''(s),        s = rho^2,
+    (Delta phi)(s) = 2 n q'(s) + 4 s q''(s),        s = rho^2.
 
-which is a polynomial-to-polynomial operation on a local fit of q.  One
-Chebyshev least-squares fit therefore yields all m iterated Laplacians by
-exact coefficient algebra, avoiding the noise amplification of composed
-difference stencils.  The full-dimensional finite-difference path composes
-the standard (2n+1)-point second-order stencil on the integer lattice with
+Any other profile (a gallery closure, a spline table) is fitted instead: a
+Chebyshev least-squares fit of q on a window in s around each radius,
+through which the same coefficient algebra yields all m iterated
+Laplacians.  The full-dimensional finite-difference path composes the
+standard (2n+1)-point second-order stencil on the integer lattice with
 exact combined weights.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,6 +27,7 @@ import numpy as np
 
 from .constants import sphere_constants
 from .errors import DimensionError, NotRadialError, QflatError, RangeOverflowError
+from .expr import cauchy_product
 from .fields import (Dimension, RadialProfile, ScalarField, as_dimension, check_point,
                      radial_field)
 from .polynomials import (Polynomial, apply_laplacian_poly, ball_mean_poly,
@@ -126,10 +133,135 @@ def _poly_der(coeffs):
     return coeffs[:, 1:] * k[None, :]
 
 
+@dataclass
+class SeriesJet:
+    """Taylor coefficients of phi(r + h) at a batch of radii r >= 0, from
+    the profile's series, with the interface of RadialJet.
+
+    Delta = d^2/dr^2 + (n-1)/r d/dr acts on the series exactly: 1/(r + h)
+    is a geometric series and the product a Cauchy product, and each
+    Laplacian costs two orders.  Near r = 0 that form cancels from Delta^2
+    on, so the radii in ``near`` read instead the even part q(s), s = r^2,
+    of phi's expansion at r = 0 (_origin_expansion): laps[k] holds the
+    coefficients of Delta^k q and ``powers`` the powers of s at those radii.
+    """
+
+    r: np.ndarray
+    coeffs: np.ndarray   # (K+1, N): row k multiplies h^k
+    dim: int
+    near: np.ndarray     # mask of the radii served by the expansion at r = 0
+    powers: np.ndarray   # (near.sum(), J+1): s^j at those radii
+    laps: list | None    # laps[k]: coefficients in s of Delta^k q
+
+    def _laplacian_series(self, k, order):
+        """The series of Delta^k phi up to h^order."""
+        c = self.coeffs[:2 * k + order + 1]
+        if len(c) < 2 * k + order + 1:
+            raise QflatError(f"a jet of order {len(self.coeffs) - 1} has no Delta^{k} "
+                             f"to order {order}")
+        if not k:
+            return c
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv = (-1.0 / self.r) ** np.arange(len(c) - 2)[:, None] / self.r
+            for _ in range(k):
+                j = np.arange(1, len(c))[:, None]
+                d1 = c[1:] * j
+                c = d1[1:] * j[:-1] + (self.dim - 1) * cauchy_product(inv[:len(c) - 2], d1[:-1])
+        return c
+
+    def radial_derivative(self, k=0):
+        """d/dr of Delta^k phi: 2 r q_k'(s) at the radii near r = 0."""
+        out = self._laplacian_series(k, 1)[1]
+        if len(self.powers):
+            lap = self.laps[k]
+            slope = self.powers[:, :len(lap) - 1] @ (lap[1:] * np.arange(1, len(lap)))
+            out[self.near] = 2.0 * self.r[self.near] * slope
+        return out
+
+    def laplacian_power(self, m):
+        out = self._laplacian_series(m, 0)[0]
+        if len(self.powers):
+            out[self.near] = self.powers[:, :len(self.laps[m])] @ self.laps[m]
+        return out
+
+
+JET_ORIGIN_EXTRA = 8     # even orders of the expansion at r = 0 beyond n/2
+JET_ORIGIN_SHARE = 0.1   # it serves r below this share of min(1, its radius)
+JET_ORIGIN_TOL = 1e-12   # its value and slope must match the series at r
+_ORIGINS = weakref.WeakKeyDictionary()   # series -> {n: (reach, laps)}
+
+
+def _origin_expansion(series, n, max_m):
+    """(reach, laps) of the even part q(s) = sum_j q_j s^j of phi's
+    expansion at r = 0, to s^(M + JET_ORIGIN_EXTRA) with M = max(max_m, n/2)
+    (to s^1 for M = 1, which serves r = 0 alone).  laps[k] holds the
+    coefficients of Delta^k q for k <= M, from
+    Delta s^j = 2j (n + 2j - 2) s^(j-1).  The expansion serves
+    r < reach = JET_ORIGIN_SHARE min(1, rho), where rho is the root-test
+    radius of its coefficients, so that the terms it leaves out stay
+    negligible after M Laplacians; one with a non-finite coefficient (phi
+    has no such derivative at 0) serves none.  Kept per series and n.  A
+    profile that cannot be evaluated at r = 0 raises its DomainEvalError
+    here, as the fit did for radii whose window reaches r = 0: it is no
+    function on all of R^n."""
+    memo = _ORIGINS.setdefault(series, {})
+    if n not in memo or len(memo[n][1]) <= max_m:
+        top = max(max_m, n // 2)
+        c = series(np.zeros(1), 2 * (top + (JET_ORIGIN_EXTRA if top > 1 else 0)))[:, 0]
+        q = c[::2]
+        live = np.flatnonzero(q[1:]) + 1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rho = (np.min(np.abs(q[live[0]] / q[live[1:]]) ** (0.5 / (live[1:] - live[0])))
+                   if len(live) > 1 else np.inf)
+        laps = [q]
+        for _ in range(top):
+            j = np.arange(1, len(laps[-1]))
+            laps.append(laps[-1][1:] * 2 * j * (n + 2 * j - 2))
+        reach = JET_ORIGIN_SHARE * min(1.0, rho) if np.all(np.isfinite(c)) else 0.0
+        memo[n] = reach, laps
+    return memo[n]
+
+
+def _series_jet(series, r, n, max_m):
+    """The SeriesJet of order 2 max_m.  The expansion at r = 0 serves
+    r = 0 and, when max_m >= 2, the radii below its reach where its value
+    and slope match the series at r within JET_ORIGIN_TOL: an odd term (phi
+    not smooth at the origin) or a break of the expression (a cutoff edge)
+    inside the reach shows there.  One Laplacian reads u'/r, which loses no
+    digits, so max_m = 1 needs the expansion at r = 0 alone."""
+    coeffs = series(r, 2 * max_m)
+    near = r < JET_ORIGIN_SHARE
+    powers, laps = np.zeros((0, 0)), None
+    if near.any():
+        reach, laps = _origin_expansion(series, n, max_m)
+        near &= (r < reach) if max_m > 1 else (r == 0.0)
+    if near.any():
+        rn = r[near]
+        powers = (rn * rn)[:, None] ** np.arange(len(laps[0]))
+        q = laps[0]
+        value = powers @ q
+        slope = 2.0 * rn * (powers[:, :-1] @ (q[1:] * np.arange(1, len(q))))
+        c0, c1 = coeffs[0, near], coeffs[1, near]
+        tol = JET_ORIGIN_TOL * (1.0 + np.abs(c0) + np.abs(c1))
+        ok = ((np.abs(value - c0) <= tol) & (np.abs(slope - c1) <= tol)) | (rn == 0.0)
+        near[near] = ok
+        powers = powers[ok]
+    return SeriesJet(r=r, coeffs=coeffs, dim=n, near=near, powers=powers, laps=laps)
+
+
 def radial_jet(phi, r, dim, max_m=1):
-    """Fit local even-part polynomials of phi around each radius in r."""
+    """The jet of the radial profile phi at each radius in r >= 0, for
+    laplacian_power(m), m <= max_m, and radial_derivative(k), k < max_m.
+
+    A profile with a series (phi.series, set by along_ray() of a radial
+    expression field) gives a SeriesJet of order 2 max_m; any other
+    profile a RadialJet, a Chebyshev fit of its even part on a window in
+    s = r^2 around each radius."""
     n = int(dim)
     r = np.atleast_1d(np.asarray(r, dtype=float))
+    series = getattr(phi, "series", None)
+    if series is not None:
+        return _series_jet(series, r, n, max_m)
     degree = 2 * max_m + _POLY_DEG_EXTRA
     n_nodes = degree + 6
     tau, _ = _cheb_design(n_nodes, degree)
@@ -210,7 +342,7 @@ def laplacian_power(f: ScalarField, x, m: int, method: str = "auto", h=None) -> 
     """Delta^m f at x.
 
     method: "analytic" uses the field's closed-form chain; "radial" the
-    even-part fit (requires a radial field); "finite_difference" the
+    radial jet (requires a radial field); "finite_difference" the
     composed stencil with step h (default 1e-2 * (1 + |x|)); "auto" picks
     the best available in that order.
     """

@@ -15,7 +15,8 @@ non-finite results raise DomainEvalError instead of producing NaN.
 ``compile_ast`` turns an AST into a program once, a tree of closures with
 its constants as Python floats, so that numpy broadcasts them (``x^2``
 takes a scalar exponent); ``evaluate`` runs a program, or compiles and
-runs an AST.
+runs an AST.  ``SeriesProgram`` gives the truncated Taylor series of a
+radial expression at a batch of radii, for exact radial jets.
 
 ``cutoff(s, a, b)`` is the smooth step that equals 1 for s <= a and 0 for
 s >= b, built from sigma(t) = exp(-1/t):
@@ -27,8 +28,10 @@ point by point: a band that is not a < b at some point raises
 DomainEvalError.
 """
 
+import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -398,4 +401,284 @@ _CALLS = {
     "min": np.minimum,
     "max": np.maximum,
     "cutoff": _cutoff,
+}
+
+
+# ---------------------------------------------------------------------------
+# truncated Taylor series of radial expressions
+# ---------------------------------------------------------------------------
+
+class SeriesProgram:
+    """The Taylor series of a radial AST (its only symbol is r).
+
+    A call with radii R (N,) and an order K returns the coefficients of the
+    expression at r = R + h as a (K+1, N) array whose row k multiplies h^k.
+    The program mirrors compile_ast, one closure per node, and is compiled
+    on its first call.  Its arithmetic is truncated Taylor arithmetic
+    (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008,
+    ch. 13): sums add coefficients and products are Cauchy products;
+    division, exp, log, sqrt and atan run the standard recurrences; an
+    integer constant power is repeated products and any other power is
+    exp(b log a); min and max take the series of the branch their values
+    select, and cutoff is a logistic function of 1/t - 1/(1-t) inside its
+    band and a constant outside.  Constant subtrees stay Python floats.
+    Row 0 holds the values, on which every domain check runs as in
+    evaluate and raises the same DomainEvalError; a coefficient of order
+    >= 1 may be non-finite where the expression has no such derivative
+    (sqrt at 0).
+    """
+
+    def __init__(self, node):
+        self._node = node
+        self._program = None
+
+    def __call__(self, r, order):
+        if self._program is None:
+            self._program = _compile_series(self._node)
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            out = self._program(r, order)
+        if not _is_series(out):
+            out = _lift(out, order, len(r))
+        _check_domain(np.isfinite(out[0]), "expression evaluated to a non-finite value")
+        return out
+
+
+def _is_series(x):
+    return isinstance(x, np.ndarray) and x.ndim == 2
+
+
+def _value(x):
+    return x[0] if _is_series(x) else x
+
+
+def _lift(c, order, size):
+    out = np.zeros((order + 1, size))
+    out[0] = c
+    return out
+
+
+def _compile_series(node):
+    if isinstance(node, Num):
+        value = float(node.value)
+        return lambda r, order: value
+    if isinstance(node, Sym):
+        def radius(r, order):
+            out = _lift(r, order, len(r))
+            out[1:2] = 1.0
+            return out
+        return radius
+    if isinstance(node, Neg):
+        arg = _compile_series(node.arg)
+        return lambda r, order: -arg(r, order)
+    if isinstance(node, Bin):
+        left, right = _compile_series(node.left), _compile_series(node.right)
+        op = _SERIES_OPS[node.op]
+        return lambda r, order: op(left(r, order), right(r, order))
+    if isinstance(node, Call):
+        args = tuple(_compile_series(a) for a in node.args)
+        if node.fn not in _CALLS:
+            raise UnknownSymbolError(f"unknown function {node.fn!r}", 0)
+        on_values, on_series = _CALLS[node.fn], _SERIES_CALLS[node.fn]
+
+        def call(r, order):
+            vals = [a(r, order) for a in args]
+            return (on_series if any(_is_series(v) for v in vals) else on_values)(*vals)
+        return call
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _add(a, b):
+    if _is_series(a) == _is_series(b):
+        return a + b
+    if _is_series(b):
+        a, b = b, a
+    out = a.copy()
+    out[0] += b
+    return out
+
+
+def _sub(a, b):
+    return _add(a, -b)
+
+
+def _mul(a, b):
+    if _is_series(a) and _is_series(b):
+        return cauchy_product(a, b)
+    return a * b
+
+
+@lru_cache(maxsize=None)
+def _cauchy_pairs(order):
+    """The index pairs (j, k - j), k = 0..order, j = 0..k, in that order,
+    and where each k starts."""
+    k, j = np.tril_indices(order + 1)
+    return j, k - j, np.searchsorted(k, np.arange(order + 1))
+
+
+def cauchy_product(a, b):
+    """The product of two (K+1, N) coefficient arrays, truncated at order K:
+    row k sums a_j b_{k-j} over j = 0..k, so it reads no row beyond k."""
+    if len(a) == 1:
+        return a * b
+    left, right, starts = _cauchy_pairs(len(a) - 1)
+    return np.add.reduceat(a[left] * b[right], starts, axis=0)
+
+
+def _div(a, b):
+    _check_domain(_value(b) != 0, "division by zero")
+    return _ratio(a, b)
+
+
+def _ratio(a, b):
+    return _quotient(a, b) if _is_series(b) else a / b
+
+
+def _dot(x, y):
+    """sum_j x_j y_j over the rows of two (k, N) arrays."""
+    if len(x) < 2:
+        return x[0] * y[0] if len(x) else 0.0
+    return np.einsum("jn,jn->n", x, y)
+
+
+def _quotient(a, b):
+    """a / b for a series b: q_k = (a_k - sum_{j=1..k} b_j q_{k-j}) / b_0."""
+    q = np.empty_like(b)
+    if not _is_series(a):
+        q[0] = a / b[0]
+        for k in range(1, len(b)):
+            q[k] = -_dot(b[1:k + 1], q[k - 1::-1]) / b[0]
+        return q
+    q[:1] = a[:1] / b[:1]
+    for k in range(1, len(b)):
+        q[k] = (a[k] - _dot(b[1:k + 1], q[k - 1::-1])) / b[0]
+    return q
+
+
+def _power_series(a, b):
+    if not (_is_series(a) or _is_series(b)):
+        return _power(a, b)
+    if not _is_series(b) and np.isfinite(b) and b == math.floor(b):
+        # _power refuses nothing but zero to a negative integer power
+        value = np.power(a[0], b) if b >= 0 else _power(a[0], b)
+        out = _integer_power(a, abs(int(b)))
+        if b < 0:
+            out = _quotient(1.0, out)
+    else:
+        value = _power(_value(a), _value(b))
+        if not _is_series(a):
+            a = _lift(a, len(b) - 1, b.shape[1])
+        out = _exp_series(_mul(b, _log_series(a, np.log(a[0]))))
+    out[0] = value
+    return out
+
+
+def _integer_power(a, k):
+    """a^k by repeated squaring, as a new array."""
+    out, base = None, a
+    while k:
+        if k & 1:
+            out = base if out is None else cauchy_product(out, base)
+        k >>= 1
+        if k:
+            base = cauchy_product(base, base)
+    if out is None:
+        return _lift(1.0, len(a) - 1, a.shape[1])
+    return out.copy() if out is a else out
+
+
+def _derivative(a):
+    return a[1:] * np.arange(1, len(a))[:, None]
+
+
+def _integral(q, value):
+    return np.concatenate([value[None], q / np.arange(1, len(q) + 1)[:, None]])
+
+
+def _log_series(a, value):
+    """log a from (log a)' = a'/a."""
+    return _integral(_quotient(_derivative(a), a[:-1]), value)
+
+
+def _exp_series(a):
+    """e = exp(a) from e' = a' e."""
+    da = _derivative(a)
+    out = np.empty_like(a)
+    out[0] = np.exp(a[0])
+    for k in range(1, len(a)):
+        out[k] = _dot(da[:k], out[k - 1::-1]) / k
+    return out
+
+
+def _sqrt_series(a):
+    """s = sqrt(a) from s^2 = a."""
+    out = np.empty_like(a)
+    out[0] = _sqrt(a[0])
+    for k in range(1, len(a)):
+        out[k] = (a[k] - _dot(out[1:k], out[k - 1:0:-1])) / (2.0 * out[0])
+    return out
+
+
+def _atan_series(a):
+    """atan a from (atan a)' = a'/(1 + a^2)."""
+    return _integral(_quotient(_derivative(a), _add(1.0, cauchy_product(a, a)[:-1])),
+                     np.arctan(a[0]))
+
+
+def _branch(pick_left, on_values):
+    def select(a, b):
+        order, size = (a if _is_series(a) else b).shape
+        a, b = (x if _is_series(x) else _lift(x, order - 1, size) for x in (a, b))
+        out = np.where(pick_left(a[0], b[0]), a, b)
+        out[0] = on_values(a[0], b[0])
+        return out
+    return select
+
+
+def _cutoff_series(s, a, b):
+    """cutoff = L(g), L(x) = 1/(1 + e^-x), g = 1/t - 1/(1-t), from
+    L' = g' L (1 - L).  L and 1 - L start from sigma(1 - t) and sigma(t)
+    over their sum, so neither loses digits at the edges of the band; where
+    one of them vanishes (t <= 0, t >= 1, or sigma underflows) so does
+    L (1 - L), and the step is the constant of its value.  There g is
+    taken at t = 1/2, which keeps it finite."""
+    _check_domain(np.less(_value(a), _value(b)), "cutoff requires a < b")
+    t = _ratio(_sub(s, a), _sub(b, a))
+    up, down = _sigma(np.stack([t[0], 1.0 - t[0]]))
+    den = up + down
+    out = _lift(1.0 - up / den, len(t) - 1, t.shape[1])
+    band = (up > 0) & (down > 0)
+    if len(t) == 1 or not band.any():
+        return out
+    t = t.copy()
+    t[0] = np.where(band, t[0], 0.5)
+    if t[2:].any():
+        g = _quotient(_add(1.0, -2.0 * t), cauchy_product(t, _add(1.0, -t)))
+    else:   # t = t0 + t1 h: 1/t and 1/(1 - t) are geometric series in h
+        k = np.arange(len(t))[:, None]
+        lo, hi = 1.0 / t[0], 1.0 / (1.0 - t[0])
+        g = lo * (-lo * t[1]) ** k - hi * (hi * t[1]) ** k
+    dg = _derivative(g)
+    step, rest = down / den, up / den
+    spread = rest - step
+    c = out                  # row 0 keeps the value evaluate gives
+    w = np.empty_like(t)     # w = L (1 - L)
+    w[0] = step * rest
+    for k in range(1, len(t)):
+        c[k] = _dot(dg[:k], w[k - 1::-1]) / k
+        w[k] = c[k] * spread - _dot(c[1:k], c[k - 1:0:-1])
+    return out
+
+
+_SERIES_OPS = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _power_series}
+
+_SERIES_CALLS = {
+    "log": lambda a: _log_series(a, _log(a[0])),
+    "exp": _exp_series,
+    "sqrt": _sqrt_series,
+    "atan": _atan_series,
+    "pow": _power_series,
+    "min": _branch(np.less_equal, np.minimum),
+    "max": _branch(np.greater_equal, np.maximum),
+    "cutoff": _cutoff_series,
 }

@@ -80,7 +80,9 @@ class FieldCaps:
     tabulated_source marks a source read from a table
     (RadialProfile.from_table).  shells, the sphere-grid evaluator, maps
     radii t (k,) and unit directions dirs (m, n) to f(t_i dirs_j) as a
-    (k, m) array without forming the k m points.
+    (k, m) array without forming the k m points.  series, set for a radial
+    expression field, maps radii R and an order K to the Taylor
+    coefficients of the profile at R + h (expr.SeriesProgram).
     """
 
     profile: object | None = None
@@ -90,6 +92,7 @@ class FieldCaps:
     source: object | None = None
     tabulated_source: bool = False
     shells: object | None = None
+    series: object | None = None
 
     @property
     def is_radial(self):
@@ -143,13 +146,15 @@ class ScalarField:
     def along_ray(self, direction=None):
         """phi(t) = f(t * direction) as a vectorized function of t >= 0.
 
-        Without a direction a radial field evaluates its profile at |t|."""
+        Without a direction a radial field evaluates its profile at |t|, and
+        phi.series is the field's series capability (None without one)."""
         profile = self.caps.profile
         if direction is None and profile is not None:
             def radial(t):
                 t = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
                 return self._checked(profile(t), t[:, None])
 
+            radial.series = self.caps.series
             return radial
         n = self.dim.n
         d = np.zeros(n)
@@ -236,7 +241,7 @@ def expression_to_field(fe: FieldExpression) -> ScalarField:
 
     if syms <= {"r"}:
         f = radial_field(lambda r: evaluate({s: r for s in syms}, np.shape(r)), fe.dim,
-                         name=fe.source)
+                         series=expr_mod.SeriesProgram(fe.ast), name=fe.source)
         _radial_spot_check(f)
         return f
 
@@ -258,7 +263,7 @@ def field_from_expression(src: str, dim) -> ScalarField:
 
 def radial_field(phi, dim, support_radius=None, laplacian_chain=None,
                  gradient=None, source=None, tabulated_source=False,
-                 name="") -> ScalarField:
+                 series=None, name="") -> ScalarField:
     """Field x -> phi(|x|) from a vectorized radial function phi, which the
     field keeps as its profile."""
     dim = as_dimension(dim)
@@ -271,7 +276,8 @@ def radial_field(phi, dim, support_radius=None, laplacian_chain=None,
         dim=dim, fn=fn,
         caps=FieldCaps(profile=phi, support_radius=support_radius,
                        laplacian_chain=laplacian_chain, gradient=gradient,
-                       source=source, tabulated_source=tabulated_source),
+                       source=source, tabulated_source=tabulated_source,
+                       series=series),
         name=name or "radial",
     )
 

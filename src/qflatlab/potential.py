@@ -70,7 +70,7 @@ ASYMPTOTE_BALL_RADIUS = 1.0    # ball means behind potential_asymptote
 ASYMPTOTE_REL_TOL = 1e-7
 POTENTIAL_FLOOR = 1e-13        # absolute error floor of the radial moments
 FLUX_DECADES = 60              # boundary-flux radii R = 10^k, k = 1..60, for n <= 4
-FLUX_DECADES_HIGH_N = 12       # n >= 6: the window-jet error grows with log R
+FLUX_DECADES_HIGH_N = 12       # n >= 6: a fitted jet's error grows with log R
 FLUX_SETTLE_TOL = 1e-2         # largest residual of an accepted flux limit
 FLUX_DIVERGENT_SLOPE = 0.5     # log-log slope of |Phi(R)| read as a diverging total curvature
 

@@ -197,3 +197,24 @@ def test_table_residual_covers_the_unit_ball_gap(scale, n, settles):
     else:
         with pytest.raises(QflatError, match="does not settle: residual"):
             total_mass_alpha(table)
+
+
+ORACLE_BETAS = (0.2, 0.45, 0.5, 0.6, 1.0)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6))
+@pytest.mark.parametrize("bump", ("", " + 0.5*exp(-r^2)"))
+def test_log_family_expressions_meet_alpha0_exactly(n, bump):
+    # u = -beta log(1+r^2) has alpha0 = 2 beta at every n, and a compact
+    # bump does not move it; exact radial jets put the flux limit there to
+    # rounding
+    for beta in ORACLE_BETAS:
+        ctx = context_from_document({"n": n, "kind": "expression",
+                                     "u": f"-{beta}*log(1+r^2){bump}"})
+        est = total_mass_alpha(_curvature_density(ctx))
+        assert abs(est.alpha_hat - 2 * beta) <= 1e-10, (beta, est.alpha_hat)
+
+
+def test_sphere_expression_n6_meets_alpha0_exactly():
+    ctx = context_from_document({"n": 6, "kind": "expression", "u": "log(2/(1+r^2))"})
+    assert abs(total_mass_alpha(_curvature_density(ctx)).alpha_hat - 2.0) <= 1e-10

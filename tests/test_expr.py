@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import qflatlab.expr
 from qflatlab import (ArityError, DomainEvalError, FieldSyntaxError,
                       UnknownSymbolError, parse_field)
-from qflatlab.expr import (Bin, Call, Neg, Num, Sym, compile_ast, evaluate, parse,
-                           smooth_cutoff, to_source)
+from qflatlab.expr import (Bin, Call, Neg, Num, SeriesProgram, Sym, compile_ast, evaluate,
+                           parse, smooth_cutoff, to_source)
 
 
 def ev(src, n, pts):
@@ -130,14 +130,14 @@ class TestCutoff:
 
 # -- parse/print round trip --------------------------------------------------
 
-def _ast_strategy(n=2, depth=3, domain=False):
-    """Random ASTs over r, x1, x2; with domain=True they also take '/',
-    '^' (constant exponents), pow, log, sqrt and cutoff, whose arguments
-    can leave their domains."""
+def _ast_strategy(n=2, depth=3, domain=False, symbols=("r", "x1", "x2")):
+    """Random ASTs over the symbols (r, x1, x2); with domain=True they also
+    take '/', '^' (constant exponents), pow, log, sqrt and cutoff, whose
+    arguments can leave their domains."""
     leaves = st.one_of(
         st.floats(min_value=0.0, max_value=9.0, allow_nan=False).map(
             lambda v: Num(round(v, 3))),
-        st.sampled_from([Sym("r"), Sym("x1"), Sym("x2")]),
+        st.sampled_from([Sym(name) for name in symbols]),
     )
 
     def extend(children):
@@ -278,6 +278,20 @@ def test_program_matches_the_reference_interpreter(ast):
     else:
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_ast_strategy(domain=True, symbols=("r",)))
+def test_series_values_and_domain_errors_are_those_of_evaluate(ast):
+    # row 0 of a radial expression's series holds its values, bit for bit,
+    # and it raises what evaluate raises
+    r = np.array([0.0, 1e-6, 0.5, 1.0, 2.0, 3.5, 9.0])
+    want = _outcome(lambda a, e: evaluate(compile_ast(a), e), ast, {"r": r})
+    got = _outcome(lambda a, e: SeriesProgram(a)(e["r"], 3)[0], ast, {"r": r})
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_evaluate_compiles_an_ast_and_keeps_the_shape_of_a_constant():

@@ -251,10 +251,18 @@ class TestSignChanges:
         return _sign_changes(_on_axis(signed(u)[0], u.dim.n), edges)
 
     def test_cutoff_laplacian_roots(self):
-        # the close pair 3.9357 / 3.9736 lies between the cut-off's edges
+        # mpmath at 80 digits puts the roots of Delta u at 2.21439589546096
+        # and 3.31669471267055; Delta u stays negative up to the edge 4
+        # (-2.39e-7 at 3.93, -1.01e-11 at 3.95, -2.08e-22 at 3.97)
         u = context_from_document(self.CUTOFF).u
-        np.testing.assert_allclose(self._roots(u, _laplacian),
-                                   [2.2144, 3.3167, 3.9357, 3.9736], atol=1e-4)
+        np.testing.assert_allclose(self._roots(u, _laplacian), [2.214396, 3.316695],
+                                   atol=1e-4)
+
+    def test_close_pair_is_bracketed(self):
+        # the scan points 3.895, 3.962 and 3.996 of the segment [2, 4]
+        # split the pair, so each root gets its own bracket
+        roots = _sign_changes(lambda t: (t - 3.93) * (t - 3.98), self.EDGES)
+        np.testing.assert_allclose(roots, [3.93, 3.98], atol=1e-6)
 
     @pytest.mark.parametrize("signed", [_laplacian, _values, _curvature_deficit])
     def test_no_break_where_h_vanishes(self, signed):

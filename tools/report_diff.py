@@ -17,11 +17,13 @@ condition (a)'s verdict of a non-radial metric, and no workload reaches
 sphere_shell, which every non-radial ball integral and tau sweep runs, so
 these are where numbers from sphere shells (the criteria, tau, the volume
 class) and the messages of refused shells show; a radial cut-off of its own
-shows where the radial growth criteria cut their segments, a radial
-expression through '/', sqrt, atan, max and a non-integer '^' shows the
-evaluator on operators no workload expression uses, and the radial n = 6
-``-log(1+r^2)`` shows alpha0 where its flux limit settles least, so a move
-in the radial jets or the flux extrapolation shows there first.  Also once per
+shows where the radial growth criteria cut their segments, two radial
+expressions, one through '/', sqrt, atan, max and a non-integer '^' and one
+through min, pow, a negative integer '^' and cutoff, show the evaluator and
+the Taylor series of the radial jets on operators no workload expression
+uses, and the radial n = 6 ``-log(1+r^2)`` shows alpha0 at the highest
+order of jet that any document reads, so a move in the radial jets or the
+flux extrapolation shows there first.  Also once per
 checkout, for n = 2, 4 and 6 it sums ``kernel_basis(n, 5)`` of the
 workloads one ``p + q.scale(c)`` step at a time with seeded coefficients
 and records the sum's ``exps`` and ``vals``, and the values of the sum and
@@ -32,8 +34,9 @@ addition or of evaluation shows here.
 Last, each checkout runs ``python -m qflatlab verify --json`` in its own
 process and every check's ``got`` is recorded, keyed by case id and
 quantity, with each case's error text: paths that only the verification
-suite reaches (the general potential path, the 50 planted decompositions)
-show there.
+suite reaches (the 50 planted decompositions) show there.  The non-radial
+potential path (``PotentialEvaluator._value_general``) is reached by no
+record: neither verify nor any document here calls it.
 Numbers are compared exactly.  Changes of text, and values that appear or
 disappear, are counted apart.
 """
@@ -59,10 +62,12 @@ EVAL_POINTS = 64
 # sweeps run sphere_shell on points (the latter's volume class too),
 # one at n = 6 whose shells are refused by the point budget, a radial n = 4
 # cut-off whose Delta u changes sign next to its edges 3 and 5, outside the
-# workloads' cut-offs (the sign scan of the radial growth criteria), and a
-# radial expression through '/', sqrt, atan, max and a non-integer '^', which
-# no workload expression reaches (the expression evaluator), and a radial
-# n = 6 expression, the only radial one at n = 6 (its alpha0 flux limit)
+# workloads' cut-offs (the sign scan of the radial growth criteria), two
+# radial expressions through operators that no workload expression reaches
+# ('/', sqrt, atan, max and a non-integer '^'; min, pow, a negative integer
+# '^' and cutoff), whose values and Taylor series nothing else records, and
+# a radial n = 6 expression, the only radial one at n = 6 (its alpha0 flux
+# limit)
 FIXED_DOCUMENTS = (
     *({"n": 4, "kind": "builtin", "name": "planted", "params": {"seed": 5, "degree": degree}}
       for degree in (1, 2)),
@@ -72,6 +77,8 @@ FIXED_DOCUMENTS = (
     {"n": 4, "kind": "expression", "u": "0.7*cutoff(r,3,5)*log(1+r^2)"},
     {"n": 4, "kind": "expression",
      "u": "-0.4*log(1+r^2) + atan(r)/sqrt(4+r^2) + 0.3*max(1+r^2, 0.5)^(-0.5)"},
+    {"n": 4, "kind": "expression",
+     "u": "-0.3*log(1+r^2) + 0.2*min(pow(1+r^2, 0.25), 2)*(2+r^2)^(-2)*cutoff(r,1,6)"},
     {"n": 6, "kind": "expression", "u": "-log(1+r^2)"},
 )
 
