@@ -421,20 +421,22 @@ def decompose(w: ScalarField, f: ScalarField, sample_set=None, max_degree=None,
     """Least-squares fit of w - L(f) in the polynomials of degree <=
     max_degree (default n - 2).
 
-    When w and f are both radial, so is w - L(f), and the fit runs in
-    span{r^2j : 2j <= max_degree} on the radii of decompose_samples (or the
-    norms of sample_set), with L(f) from one value_radial pass of the
-    evaluator (potential.shared_evaluator(f) when none is given).  Otherwise
-    it runs in the monomial basis on the sample points.  Flags NONCONSTANT
-    when any degree >= 1 coefficient exceeds 10x its fit standard error
-    (with a small absolute floor against quadrature noise).
+    The density f must be radial: its evaluator
+    (potential.shared_evaluator(f) when none is given) raises
+    NotRadialError otherwise.  When w is radial too, so is w - L(f), and
+    the fit runs in span{r^2j : 2j <= max_degree} on the radii of
+    decompose_samples (or the norms of sample_set), with L(f) from one
+    value_radial pass.  Otherwise it runs in the monomial basis on the
+    sample points.  Flags NONCONSTANT when any degree >= 1 coefficient
+    exceeds 10x its fit standard error (with a small absolute floor against
+    quadrature noise).
     """
     n = w.dim.n
     if max_degree is None:
         max_degree = n - 2
     if max_degree < 0:
         raise QflatError(f"decomposition degree must be >= 0, got {max_degree}")
-    radial = w.caps.is_radial and f.caps.is_radial
+    radial = w.caps.is_radial
     if radial:
         radii = (np.geomspace(0.1, 1e3, 12) if sample_set is None
                  else np.linalg.norm(np.asarray(sample_set, dtype=float), axis=1))

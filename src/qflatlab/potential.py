@@ -1,4 +1,4 @@
-"""Logarithmic potentials of integrable densities.
+"""Logarithmic potentials of integrable radial densities.
 
 The potential of a density f is
 
@@ -47,7 +47,8 @@ A density's evaluator caches the decade walk of its mass, which its
 potential also reads (the effective support).  ``shared_evaluator`` hands
 out one default-tolerance evaluator per density field, so total_mass_alpha,
 normality.decompose without an evaluator and the gallery builds' profiles
-walk that mass once between them.
+walk that mass once between them.  Any density that is not radial raises
+NotRadialError.
 """
 
 import math
@@ -58,12 +59,11 @@ import numpy as np
 
 from .calculus import ball_mean, radial_jet
 from .constants import sphere_constants
-from .errors import QflatError
+from .errors import NotRadialError, QflatError
 from .fields import RadialProfile, ScalarField
 from .fitting import fit_linear_logx, require_window
-from .quadrature import (decade_mass_integral, integrate_radial,
-                         integrate_radial_estimate, segment_integrals,
-                         sign_cancellation, sphere_shell)
+from .quadrature import (decade_mass_integral, integrate_radial_estimate,
+                         segment_integrals, sign_cancellation)
 
 KERNEL_QUADRATURE_ORDER = 64   # Gauss-Legendre nodes of the reference kernel
 ASYMPTOTE_BALL_RADIUS = 1.0    # ball means behind potential_asymptote
@@ -71,6 +71,7 @@ ASYMPTOTE_REL_TOL = 1e-7
 POTENTIAL_FLOOR = 1e-13        # absolute error floor of the radial moments
 FLUX_DECADES = 60              # boundary-flux radii R = 10^k, k = 1..60, for n <= 4
 FLUX_DECADES_HIGH_N = 12       # n >= 6: a fitted jet's error grows with log R
+FLUX_MIN_DECADES = 5           # the quadratic limit fits 3 radii, the linear one 2
 FLUX_SETTLE_TOL = 1e-2         # largest residual of an accepted flux limit
 FLUX_DIVERGENT_SLOPE = 0.5     # log-log slope of |Phi(R)| read as a diverging total curvature
 
@@ -140,9 +141,9 @@ class AlphaEstimate:
 
 
 class PotentialEvaluator:
-    """Configured quadrature engine for the potential of one density.
+    """Configured quadrature engine for the potential of one radial density.
 
-    Radial densities use the exact kernel reduction
+    It uses the exact kernel reduction
 
         L(f)(x) = g_n |S^{n-1}| * integral over s of
                   (log s - k_n(|x|, s)) f(s) s^{n-1} ds,
@@ -153,11 +154,8 @@ class PotentialEvaluator:
     support) gives every moment on every segment, prefix sums give I and
     suffix sums T.  Beyond the largest radius only T is read; it takes one
     integral per j up to the support, or a decade walk when the support is
-    unknown.  For n = 2 there are no T moments.  General
-    densities are split around the singularity: the ball B_eps(x) with
-    eps = min(1, 1/(1+|x|)) gets the subtraction
-    f(x) * integral_{B_eps} log(1/|z|) dz plus a smooth remainder, the rest
-    is adaptive polar quadrature around x.
+    unknown.  For n = 2 there are no T moments.  A density that is not
+    radial (f.caps.is_radial false) raises NotRadialError.
 
     The mass walk is cached on the evaluator, and value_radial reads it, so
     callers at the default tolerance share one evaluator per density
@@ -165,6 +163,8 @@ class PotentialEvaluator:
     """
 
     def __init__(self, f: ScalarField, rel_tol=1e-8, breakpoints=()):
+        if not f.caps.is_radial:
+            raise NotRadialError(f"the potential of {f.name} needs a radial density")
         self.f = f
         self.dim = f.dim
         self.n = f.dim.n
@@ -172,9 +172,8 @@ class PotentialEvaluator:
         self.breakpoints = tuple(sorted(breakpoints))  # known kinks of f(|y|)
         self.gconst = sphere_constants(self.n).green_constant
         self.area = sphere_constants(self.n).boundary_area
-        self._phi = f.along_ray() if f.caps.is_radial else None
+        self._phi = f.along_ray()
         self._coeffs = _kernel_coefficients(self.n)
-        self._log_moment_cache = None
         self._mass_cache = None
 
     # -- mass -------------------------------------------------------------
@@ -186,11 +185,9 @@ class PotentialEvaluator:
     def mass(self):
         """integral of f over R^n (signed), with tail extrapolation."""
         if self._mass_cache is None:
-            density = (self._radial_mass_density if self._phi is not None
-                       else self._shell(np.zeros(self.n)))
             self._mass_cache = decade_mass_integral(
-                density, rel_tol=self.rel_tol, support_radius=self.f.caps.support_radius,
-                breakpoints=self.breakpoints)
+                self._radial_mass_density, rel_tol=self.rel_tol,
+                support_radius=self.f.caps.support_radius, breakpoints=self.breakpoints)
         return self._mass_cache
 
     @property
@@ -208,20 +205,14 @@ class PotentialEvaluator:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x):
+        """L(f)(x) at one point or at each row of x, from the row norms."""
         x = np.asarray(x, dtype=float)
-        if self._phi is not None:
-            r = np.linalg.norm(np.atleast_2d(x), axis=1)
-            out = self.value_radial(r)
-            return out[0] if x.ndim == 1 else out
-        if x.ndim == 1:
-            return self._value_general(x)
-        return np.array([self._value_general(p) for p in x])
+        out = self.value_radial(np.linalg.norm(np.atleast_2d(x), axis=1))
+        return out[0] if x.ndim == 1 else out
 
     def value_radial(self, radii):
-        """L(f)(|x|) for a radial density at every radius at once, from the
-        running moments of the class docstring."""
-        if self._phi is None:
-            raise QflatError("value_radial needs a radial density")
+        """L(f)(|x|) at every radius at once, from the running moments of
+        the class docstring."""
         n, phi = self.n, self._phi
         radii = np.asarray(radii, dtype=float)
         out = np.zeros(len(radii))
@@ -281,73 +272,12 @@ class PotentialEvaluator:
         Beyond r_max the profile continues as -alpha log r + const, which
         is accurate once the mass outside r_max is negligible.
         """
-        if self._phi is None:
-            raise QflatError("profiles exist only for radial densities")
         prof = RadialProfile(fn=lambda rr: self.value_radial(np.atleast_1d(rr)),
                              r_max=r_max, use_spline=True, name=f"L({self.f.name})")
         alpha = self.alpha
         kappa = float(self.value_radial(np.array([r_max]))[0]) + alpha * math.log(r_max)
         prof.set_asymptote(-alpha, kappa)
         return prof
-
-    # -- general (non-radial) path -------------------------------------------
-
-    def _shell(self, x):
-        """rho -> rho^{n-1} * integral of f(x + rho w) over unit directions w.
-
-        Angular resolution refines until stable: a source of size d at
-        distance rho subtends an angle d/rho, so fixed orders under-resolve
-        distant shells.
-        """
-        # n >= 4 stops at a fixed 1e-7 instead of a tolerance tied to
-        # rel_tol: each doubling multiplies the number of directions by
-        # about 2^{n-1}.
-        tol = self.rel_tol * 0.1 if self.n == 2 else 1e-7
-        return lambda rho: sphere_shell(self.f, self.n, x, rho, tol)
-
-    def _log_moment(self):
-        """A = integral of log|y| f(y) dy."""
-        if self._log_moment_cache is None:
-            shell = self._shell(np.zeros(self.n))
-            supp = self.f.caps.support_radius
-            g = lambda rho: shell(rho) * np.log(np.maximum(rho, 1e-300))
-            self._log_moment_cache = decade_mass_integral(
-                g, rel_tol=self.rel_tol, support_radius=supp).value
-        return self._log_moment_cache
-
-    def _value_general(self, x):
-        n = self.n
-        r = float(np.linalg.norm(x))
-        eps = min(1.0, 1.0 / (1.0 + r))
-        fx = float(self.f(x))
-        shell = self._shell(x)
-        area = self.area
-
-        # N(x) = integral of log(1/|x-y|) f(y) dy, singularity subtracted:
-        # the closed-form ball integral of log(1/|z|) carries f(x).
-        w_eps = area * eps ** n * (1.0 / n ** 2 - math.log(eps) / n)
-
-        def inner(rho):
-            rho = np.atleast_1d(np.asarray(rho, dtype=float))
-            return -np.log(rho) * (shell(rho) - fx * area * rho ** (n - 1))
-
-        inner_val = integrate_radial(inner, 0.0, eps, rel_tol=self.rel_tol * 10)
-
-        supp = self.f.caps.support_radius
-        outer_cut = None if supp is None else r + supp + 1.0
-
-        def outer(rho):
-            rho = np.atleast_1d(np.asarray(rho, dtype=float))
-            return -np.log(rho) * shell(rho)
-
-        if outer_cut is not None:
-            outer_val = integrate_radial(outer, eps, outer_cut, rel_tol=self.rel_tol * 10,
-                                         breakpoints=(1.0,) if eps < 1.0 < outer_cut else ())
-        else:
-            outer_val = decade_mass_integral(outer, r0=eps, rel_tol=self.rel_tol * 10,
-                                             breakpoints=(1.0,)).value
-        newt = fx * w_eps + inner_val + outer_val
-        return self.gconst * (self._log_moment() + newt)
 
 
 @lru_cache(maxsize=8)
@@ -366,23 +296,24 @@ def shared_evaluator(f: ScalarField) -> PotentialEvaluator:
 # ---------------------------------------------------------------------------
 
 def log_potential(f: ScalarField, x, evaluator: PotentialEvaluator | None = None) -> float:
-    """L(f)(x); builds a throwaway evaluator unless one is supplied."""
+    """L(f)(x) of a radial density f; builds a throwaway evaluator unless
+    one is supplied."""
     ev = evaluator if evaluator is not None else PotentialEvaluator(f)
     return float(ev(np.asarray(x, dtype=float)))
 
 
 def total_mass_alpha(f: ScalarField) -> AlphaEstimate:
-    """Normalized total mass g_n * integral(f).
+    """Normalized total mass g_n * integral(f) of a radial density f
+    (NotRadialError otherwise).
 
-    A radial density derived from a radial u (f.caps.source set) is read as
-    a boundary flux of u (module docstring; method "boundary_flux"): its
+    A density derived from a radial u (f.caps.source set) is read as a
+    boundary flux of u (module docstring; method "boundary_flux"): its
     mass in the unit ball by quadrature, the rest as the flux difference
     Phi(R) - Phi(1) at R = 10^k, extrapolated to R -> inf.  Every other
-    density is integrated to relative tolerance 1e-8 by decade blocks
-    (method "mass_integral"); radial ones reduce to a 1-D integral against
-    |S^{n-1}| r^{n-1}, and NonIntegrableError propagates when the
-    condensed decade tails fail the ratio test.  Either way it reads f's
-    shared_evaluator.
+    density is integrated to relative tolerance 1e-8 by decade blocks of
+    the 1-D integral against |S^{n-1}| r^{n-1} (method "mass_integral"),
+    and NonIntegrableError propagates when the condensed decade tails fail
+    the ratio test.  Either way it reads f's shared_evaluator.
     """
     ev = shared_evaluator(f)
     if f.caps.source is not None:
@@ -402,9 +333,11 @@ def _boundary_flux_alpha(ev: PotentialEvaluator) -> AlphaEstimate:
 
     inner is f's mass in the unit ball, the first piece of the decade walk
     (a singular origin raises there as it does in the walk).  Phi(R) is the
-    flux (-1)^m |S^{n-1}| R^{n-1} d/dr Delta^{m-1} u at R = 1 and 10^k.
-    The limit is the x -> 0 intercept of a quadratic fit in x = 1/log R over
-    the upper half of the radii; the residual is its distance from a linear
+    flux (-1)^m |S^{n-1}| R^{n-1} d/dr Delta^{m-1} u at R = 1 and 10^k, for
+    k up to FLUX_DECADES (FLUX_DECADES_HIGH_N at n >= 6) while R^{n-1} is a
+    finite double; fewer than FLUX_MIN_DECADES such k (n >= 64) raise
+    QflatError.  The limit is the x -> 0 intercept of a quadratic fit in
+    x = 1/log R over the upper half of the radii; the residual is its distance from a linear
     fit over the upper quarter, plus the quadrature error of inner.  A
     tabulated source (caps.tabulated_source) is a C^2 spline whose jets of
     order n do not resolve its density, so its residual also carries
@@ -419,9 +352,14 @@ def _boundary_flux_alpha(ev: PotentialEvaluator) -> AlphaEstimate:
     """
     n = ev.n
     m = n // 2
+    decades = min(FLUX_DECADES if n <= 4 else FLUX_DECADES_HIGH_N,
+                  int(math.log10(np.finfo(float).max) // (n - 1)))
+    if decades < FLUX_MIN_DECADES:
+        raise QflatError(
+            f"boundary flux of {ev.f.name} needs R^{n - 1} at R = 10^k for k = 1.."
+            f"{FLUX_MIN_DECADES}, but doubles hold it only up to k = {decades}")
     inner, inner_err = integrate_radial_estimate(ev._radial_mass_density, 0.0, 1.0,
                                                  rel_tol=ev.rel_tol, max_panels=1024)
-    decades = FLUX_DECADES if n <= 4 else FLUX_DECADES_HIGH_N
     radii = 10.0 ** np.arange(decades + 1)
     with np.errstate(all="ignore"):
         jet = radial_jet(ev.f.caps.source, radii, n, max_m=m)
@@ -463,10 +401,7 @@ def potential_asymptote(f: ScalarField, radii) -> AlphaEstimate:
     radii = require_window(np.asarray(radii, dtype=float), what="asymptote radii")
     ev = PotentialEvaluator(f, rel_tol=ASYMPTOTE_REL_TOL)
     n = f.dim.n
-    if f.caps.is_radial:
-        potential = ev.profile().to_field(f.dim)
-    else:
-        potential = ScalarField(dim=f.dim, fn=lambda pts: ev(pts), name=f"L({f.name})")
+    potential = ev.profile().to_field(f.dim)
     e1 = np.zeros(n)
     e1[0] = 1.0
     means = np.array([ball_mean(potential, R * e1, ASYMPTOTE_BALL_RADIUS,
@@ -512,17 +447,7 @@ def potential_bound_check(f: ScalarField, sign: str, radii,
     bps = (part_support_radius,) if part_support_radius else ()
     ev = PotentialEvaluator(f, breakpoints=bps)
     alpha = ev.alpha
-    if f.caps.is_radial:
-        values = ev.value_radial(radii) + alpha * np.log(radii)
-    else:
-        rng = np.random.default_rng(7041)
-        vals = []
-        for r in radii:
-            for _ in range(4):
-                d = rng.normal(size=f.dim.n)
-                d /= np.linalg.norm(d)
-                vals.append(float(ev(r * d)) + alpha * math.log(r))
-        values = np.asarray(vals)
+    values = ev.value_radial(radii) + alpha * np.log(radii)
     k = max(2, len(values) // 3)
     return BoundCheckStats(
         sign=sign,

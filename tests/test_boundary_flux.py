@@ -10,6 +10,7 @@ import importlib
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -218,3 +219,23 @@ def test_log_family_expressions_meet_alpha0_exactly(n, bump):
 def test_sphere_expression_n6_meets_alpha0_exactly():
     ctx = context_from_document({"n": 6, "kind": "expression", "u": "log(2/(1+r^2))"})
     assert abs(total_mass_alpha(_curvature_density(ctx)).alpha_hat - 2.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n", (30, 46))
+def test_large_n_flux_stops_where_doubles_hold_R_power(n):
+    # R^{n-1} overflows doubles past R = 10^(308/(n-1)): the flux is read
+    # on the decades below, 10 at n = 30 and 6 at n = 46
+    ctx = context_from_document({"n": n, "kind": "expression", "u": "-log(1+r^2)"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = total_mass_alpha(_curvature_density(ctx))
+    assert abs(est.alpha_hat - 2.0) <= 1e-4
+
+
+def test_too_few_flux_decades_are_a_named_error():
+    # at n = 80 only k <= 3 keeps R^79 finite: too few radii for the fits
+    ctx = context_from_document({"n": 80, "kind": "expression", "u": "-log(1+r^2)"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QflatError, match="doubles hold it only up to k = 3"):
+            total_mass_alpha(_curvature_density(ctx))

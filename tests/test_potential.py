@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qflatlab import (NonIntegrableError, PotentialEvaluator,
+from qflatlab import (NonIntegrableError, NotRadialError, PotentialEvaluator,
                       QflatError, angular_log_kernel,
-                      angular_log_kernel_quadrature,
+                      angular_log_kernel_quadrature, constant_field,
                       field_from_expression, log_potential,
                       potential_asymptote, potential_bound_check, radial_field,
                       total_mass_alpha)
@@ -118,14 +118,16 @@ class TestLogPotential:
             rhs = float(ev_f(x)) + float(ev_g(x))
             assert lhs == pytest.approx(rhs, abs=2e-8)
 
-    def test_general_path_matches_radial(self):
-        fgen = field_from_expression("exp(-r^2) * (1 + 0*x1)", 2)
-        assert not fgen.caps.is_radial
-        frad = radial_field(lambda r: np.exp(-np.asarray(r) ** 2), 2, name="gauss")
-        ev_gen = PotentialEvaluator(fgen, rel_tol=1e-7)
-        ev_rad = PotentialEvaluator(frad)
-        for x in (np.array([2.0, 1.0]), np.array([0.5, -0.2]), np.array([12.0, 5.0])):
-            assert float(ev_gen(x)) == pytest.approx(float(ev_rad(x)), abs=5e-7)
+    def test_non_radial_density_is_a_named_error(self):
+        # the potential is evaluated for radial densities only
+        f = field_from_expression("exp(-r^2)*(1+0*x1)", 2)
+        assert not f.caps.is_radial
+        w = constant_field(0.0, 2)
+        for call in (lambda: PotentialEvaluator(f), lambda: shared_evaluator(f),
+                     lambda: log_potential(f, np.array([2.0, 1.0])),
+                     lambda: total_mass_alpha(f), lambda: decompose(w, f)):
+            with pytest.raises(NotRadialError, match="radial density"):
+                call()
 
 
 class TestAsymptote:

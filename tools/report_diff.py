@@ -21,9 +21,12 @@ shows where the radial growth criteria cut their segments, two radial
 expressions, one through '/', sqrt, atan, max and a non-integer '^' and one
 through min, pow, a negative integer '^' and cutoff, show the evaluator and
 the Taylor series of the radial jets on operators no workload expression
-uses, and the radial n = 6 ``-log(1+r^2)`` shows alpha0 at the highest
+uses, the radial n = 6 ``-log(1+r^2)`` shows alpha0 at the highest
 order of jet that any document reads, so a move in the radial jets or the
-flux extrapolation shows there first.  Also once per
+flux extrapolation shows there first, and the sphere as a radial table at
+n = 2 and 4 shows the spline profiles of ``RadialProfile.from_table`` and
+the alpha0 of a tabulated source (at n = 4 its "does not settle" text),
+which no workload builds.  Also once per
 checkout, for n = 2, 4 and 6 it sums ``kernel_basis(n, 5)`` of the
 workloads one ``p + q.scale(c)`` step at a time with seeded coefficients
 and records the sum's ``exps`` and ``vals``, and the values of the sum and
@@ -34,9 +37,7 @@ addition or of evaluation shows here.
 Last, each checkout runs ``python -m qflatlab verify --json`` in its own
 process and every check's ``got`` is recorded, keyed by case id and
 quantity, with each case's error text: paths that only the verification
-suite reaches (the 50 planted decompositions) show there.  The non-radial
-potential path (``PotentialEvaluator._value_general``) is reached by no
-record: neither verify nor any document here calls it.
+suite reaches (the 50 planted decompositions) show there.
 Numbers are compared exactly.  Changes of text, and values that appear or
 disappear, are counted apart.
 """
@@ -67,7 +68,11 @@ EVAL_POINTS = 64
 # ('/', sqrt, atan, max and a non-integer '^'; min, pow, a negative integer
 # '^' and cutoff), whose values and Taylor series nothing else records, and
 # a radial n = 6 expression, the only radial one at n = 6 (its alpha0 flux
-# limit)
+# limit), and the sphere log(2/(1+r^2)) tabulated on TABLE_NODES geometric
+# nodes in [0.01, 1e4] at n = 2 and 4 (the spline profile of a radial table)
+TABLE_NODES = 200
+SPHERE_TABLE = [[r, math.log(2.0 / (1.0 + r * r))]
+                for r in (0.01 * 1e6 ** (i / (TABLE_NODES - 1)) for i in range(TABLE_NODES))]
 FIXED_DOCUMENTS = (
     *({"n": 4, "kind": "builtin", "name": "planted", "params": {"seed": 5, "degree": degree}}
       for degree in (1, 2)),
@@ -80,6 +85,7 @@ FIXED_DOCUMENTS = (
     {"n": 4, "kind": "expression",
      "u": "-0.3*log(1+r^2) + 0.2*min(pow(1+r^2, 0.25), 2)*(2+r^2)^(-2)*cutoff(r,1,6)"},
     {"n": 6, "kind": "expression", "u": "-log(1+r^2)"},
+    *({"n": n, "kind": "radial-table", "nodes": SPHERE_TABLE} for n in (2, 4)),
 )
 
 
@@ -148,7 +154,8 @@ def dump(seeds):
             for op in workloads.make_ops(name, seed):
                 out[f"{op.label} (seed {seed})"] = _outcome(op.run)
     for doc in FIXED_DOCUMENTS:
-        what = f"{doc['name']}{doc['params']}" if "name" in doc else doc["u"]
+        what = (f"{doc['name']}{doc['params']}" if "name" in doc
+                else doc.get("u", f"sphere table, {TABLE_NODES} nodes"))
         label = f"analyze {what} n={doc['n']} (fixed)"
         out[label] = _outcome(lambda: run_analysis(doc).to_json_dict())
     for n in (2, 4, 6):
