@@ -525,8 +525,12 @@ def ball_integral(f: ScalarField, center, R, rel_tol) -> float:
     center = np.asarray(center, dtype=float)
     if f.caps.is_radial:
         bps = (f.caps.support_radius,) if f.caps.support_radius else ()
-        return offset_ball_integral_radial(f.along_ray(), n, float(np.linalg.norm(center)),
-                                           R, rel_tol=rel_tol, breakpoints=bps)
+        with np.errstate(over="ignore"):
+            c = float(np.linalg.norm(center))
+        if not math.isfinite(c):
+            raise QflatError(f"ball centre {center}: its norm overflows")
+        return offset_ball_integral_radial(f.along_ray(), n, c, R, rel_tol=rel_tol,
+                                           breakpoints=bps)
 
     def shell(t):
         return sphere_shell(f, n, center, t, rel_tol / 10)
@@ -537,8 +541,8 @@ def ball_integral(f: ScalarField, center, R, rel_tol) -> float:
 def ball_mean(f, center, R, rel_tol=1e-8) -> float:
     """Mean of f over B_R(center): polynomials exactly, fields through
     ball_integral."""
-    if R <= 0:
-        raise QflatError(f"ball radius must be positive, got {R}")
+    if not 0 < R < math.inf:
+        raise QflatError(f"ball radius must be positive and finite, got {R}")
     if isinstance(f, Polynomial):
         return ball_mean_poly(f, center, R)
     n = f.dim.n

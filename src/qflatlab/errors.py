@@ -50,7 +50,3 @@ class QuadratureError(QflatError):
 
 class RangeOverflowError(QflatError):
     """An exponential factor would overflow double precision; reported, never clipped."""
-
-
-class GridError(QflatError):
-    """Grid geodesic query outside the box, or resolution too coarse."""

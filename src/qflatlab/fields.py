@@ -477,53 +477,3 @@ class RadialProfile:
 
     def to_field(self, dim, **caps) -> ScalarField:
         return radial_field(self, dim, name=self.name, **caps)
-
-
-# ---------------------------------------------------------------------------
-# grid sampling
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GridField:
-    """Dense samples of a field on an axis-aligned box.
-
-    Node coordinates are bit-exact functions of (box, resolution):
-    axes[i][k] = lo_i + k * (hi_i - lo_i) / (resolution - 1).
-    """
-
-    box: tuple                # ((lo, hi), ...) per axis
-    resolution: int           # nodes per axis
-    axes: tuple               # per-axis node arrays
-    values: np.ndarray        # shape (resolution,) * n
-
-
-def sample_grid(f: ScalarField, box, resolution: int) -> GridField:
-    if resolution < 2:
-        raise QflatError(f"resolution must be >= 2, got {resolution}")
-    box = tuple((float(lo), float(hi)) for lo, hi in box)
-    if len(box) != f.dim.n:
-        raise DimensionError(f"box has {len(box)} axes, field dimension is {f.dim.n}")
-    for lo, hi in box:
-        if not hi > lo:
-            raise QflatError(f"degenerate box axis [{lo}, {hi}]")
-    axes = tuple(
-        np.array([lo + k * (hi - lo) / (resolution - 1) for k in range(resolution)])
-        for lo, hi in box
-    )
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    try:
-        vals = f(pts)
-    except DomainEvalError:
-        # locate the first offending node for the error message
-        for idx in range(len(pts)):
-            try:
-                f(pts[idx])
-            except DomainEvalError as e:
-                multi = np.unravel_index(idx, mesh[0].shape)
-                raise DomainEvalError(
-                    f"evaluation failed at grid node {tuple(int(i) for i in multi)} "
-                    f"= {pts[idx]}: {e}") from e
-        raise
-    return GridField(box=box, resolution=resolution, axes=axes,
-                     values=vals.reshape(mesh[0].shape))

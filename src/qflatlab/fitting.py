@@ -86,15 +86,6 @@ def fit_log_slope(t, values, radii) -> GrowthEstimate:
     return _split_fit(np.asarray(t, dtype=float), np.log(values), np.asarray(radii, dtype=float))
 
 
-def fit_linear_logx(radii, values) -> GrowthEstimate:
-    """Slope of raw values against log(radii) (potential asymptotes)."""
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if np.any(radii <= 0):
-        raise QflatError("radii must be positive")
-    return _split_fit(np.log(radii), values, radii)
-
-
 def require_window(radii, what="radii"):
     radii = np.asarray(radii, dtype=float)
     if np.max(radii) / np.min(radii) < 10.0 ** MIN_WINDOW_DECADES * (1 - 1e-9):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .calculus import ball_integral
 from .constants import sphere_constants
-from .errors import GridError, QflatError, RangeOverflowError
+from .errors import QflatError, RangeOverflowError
 from .fields import FieldCaps, ScalarField, check_point, radial_field
 from .fitting import GrowthEstimate, fit_log_slope, fit_loglog, require_window
 from .quadrature import (TailClassification, classify_log_blocks, integrate_radial,
@@ -105,8 +105,8 @@ def _volume_field(ctx: MetricContext) -> ScalarField:
 def conformal_volume(ctx: MetricContext, R, center=None,
                      rel_tol=VOLUME_REL_TOL) -> float:
     """Volume of the euclidean ball B_R(center) in the metric e^{2u}|dx|^2."""
-    if R <= 0:
-        raise QflatError(f"volume radius must be positive, got {R}")
+    if not 0 < R < math.inf:
+        raise QflatError(f"volume radius must be positive and finite, got {R}")
     center = np.zeros(ctx.n) if center is None else check_point(center, ctx.u.dim)
     return ball_integral(_volume_field(ctx), center, R, rel_tol)
 
@@ -151,7 +151,10 @@ def measure_distance(ctx: MetricContext, x, y) -> float:
     if np.array_equal(x, y):
         raise QflatError("measure distance needs two distinct points")
     center = 0.5 * (x + y)
-    rho = 0.5 * float(np.linalg.norm(x - y))
+    with np.errstate(over="ignore"):
+        rho = 0.5 * float(np.linalg.norm(x - y))
+    if not math.isfinite(rho):
+        raise QflatError(f"measure distance: |x - y| overflows for x = {x}, y = {y}")
     vol = conformal_volume(ctx, rho, center=center)
     return vol ** (1.0 / ctx.n)
 
@@ -207,8 +210,8 @@ def ray_length(ctx: MetricContext, direction=None, r0=0.0, r1=math.inf) -> float
     convergence, and raises QflatError when the tail ratios sit in the
     inconclusive band.
     """
-    if r0 < 0 or r1 < r0:
-        raise QflatError(f"bad ray range [{r0}, {r1}]")
+    if not (0 <= r0 < math.inf and r0 <= r1):
+        raise QflatError(f"bad ray range [{r0}, {r1}]: needs 0 <= r0 <= r1, r0 finite")
     if math.isfinite(r1):
         return integrate_radial(_ray_speed(ctx, direction), r0, r1, rel_tol=RAY_REL_TOL)
     cls, length = _ray_to_infinity(ctx, direction, r0)
@@ -301,181 +304,15 @@ def volume_classification(ctx: MetricContext) -> DiameterReport:
     return DiameterReport("finite", total, True, "")
 
 
-# ---------------------------------------------------------------------------
-# grid geodesics
-# ---------------------------------------------------------------------------
-
-# 16-neighbor stencil: axis, diagonal and knight moves (chamfer error < 3%)
-_OFFSETS_2D = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2))
-_EDGE_SUBSAMPLES = 4
-
-
-class GeodesicGrid:
-    """Weighted 16-neighbor graph on a regular 2-D grid.
-
-    Edge weights are trapezoidal integrals of e^u along the straight
-    segment with 4 sub-intervals.  Shortest paths are an upper bound on
-    d_g up to the chamfer factor (about 1.03 for this stencil).
-    """
-
-    def __init__(self, ctx: MetricContext, box, resolution: int):
-        if ctx.n != 2:
-            raise GridError("grid geodesics are implemented for n = 2")
-        if resolution < 8:
-            raise GridError(f"grid resolution must be >= 8, got {resolution}")
-        self.ctx = ctx
-        self.box = tuple((float(lo), float(hi)) for lo, hi in box)
-        self.resolution = int(resolution)
-        axes = [np.array([lo + k * (hi - lo) / (resolution - 1) for k in range(resolution)])
-                for lo, hi in self.box]
-        self.axes = axes
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        self.nodes = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        self._matrix = self._build_matrix()
-        self._dist_cache = {}
-
-    def _build_matrix(self):
-        from scipy.sparse import csr_matrix  # scipy is loaded only by grids
-
-        res = self.resolution
-        nodes = self.nodes
-        rows, cols, weights = [], [], []
-        idx = np.arange(res * res).reshape(res, res)
-        ts = np.linspace(0.0, 1.0, _EDGE_SUBSAMPLES + 1)
-        trap = np.full(_EDGE_SUBSAMPLES + 1, 1.0 / _EDGE_SUBSAMPLES)
-        trap[0] *= 0.5
-        trap[-1] *= 0.5
-        for di, dj in _OFFSETS_2D:
-            src = idx[max(0, -di):res - max(0, di), max(0, -dj):res - max(0, dj)].ravel()
-            dst = idx[max(0, di):res + min(0, di), max(0, dj):res + min(0, dj)].ravel()
-            a = nodes[src]
-            b = nodes[dst]
-            seg = np.linalg.norm(b[0] - a[0])
-            pts = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
-            speeds = _guarded_exp(self.ctx.u(pts.reshape(-1, 2)), "grid edge weight")
-            w = seg * (speeds.reshape(len(a), -1) @ trap)
-            rows.extend((src, dst))
-            cols.extend((dst, src))
-            weights.extend((w, w))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        weights = np.concatenate(weights)
-        m = res * res
-        return csr_matrix((weights, (rows, cols)), shape=(m, m))
-
-    def node_index(self, x):
-        x = check_point(x, self.ctx.u.dim)
-        ij = []
-        for axis, (lo, hi), v in zip(self.axes, self.box, x):
-            if not (lo - 1e-12 <= v <= hi + 1e-12):
-                raise GridError(f"point {x} outside grid box {self.box}")
-            ij.append(int(np.argmin(np.abs(axis - v))))
-        return ij[0] * self.resolution + ij[1]
-
-    def distances_from(self, x):
-        from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
-
-        i = self.node_index(x)
-        if i not in self._dist_cache:
-            self._dist_cache[i] = sparse_dijkstra(self._matrix, indices=i)
-        return self._dist_cache[i]
-
-    def distance(self, x, y) -> float:
-        return float(self.distances_from(x)[self.node_index(y)])
-
-
-@dataclass(frozen=True)
-class DistanceResult:
-    value: float
-    method: str                 # "radial_ray" | "grid_dijkstra"
-    resolution: int | None
-    upper_bound_flag: bool
-
-    def to_json_dict(self):
-        return {"value": self.value, "method": self.method,
-                "resolution": self.resolution,
-                "upper_bound": self.upper_bound_flag}
-
-
-def _grid_for(ctx, box, resolution):
-    """The context's GeodesicGrid on box at resolution, built once and
-    dropped with the context."""
-    return ctx.cached(("grid", box, resolution), lambda: GeodesicGrid(ctx, box, resolution))
-
-
-def geodesic_distance(ctx: MetricContext, x, y, resolution=129, box=None,
-                      method="auto") -> DistanceResult:
-    """Geodesic distance estimate between x and y.
-
-    Radial metrics with one endpoint at the origin integrate e^u along the
-    ray exactly (rays from the origin are minimizing for radial metrics).
-    Otherwise a 16-neighbor grid shortest path is returned and flagged as
-    an upper bound.  method forces one of the two ("radial" | "grid").
-    """
-    x = check_point(x, ctx.u.dim)
-    y = check_point(y, ctx.u.dim)
-    nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-    radial_ok = ctx.is_radial and min(nx, ny) < 1e-14
-    if method == "radial" and not radial_ok:
-        raise QflatError("radial geodesics need a radial metric and one "
-                         "endpoint at the origin")
-    if radial_ok and method in ("auto", "radial"):
-        far, r = (x, nx) if nx >= ny else (y, ny)
-        if r < 1e-14:
-            return DistanceResult(0.0, "radial_ray", None, False)
-        val = ray_length(ctx, direction=far / r, r0=0.0, r1=r)
-        return DistanceResult(val, "radial_ray", None, False)
-    if box is None:
-        span = 1.5 * max(1.0, float(np.max(np.abs(np.stack([x, y])))))
-        box = ((-span, span), (-span, span))
-    grid = _grid_for(ctx, tuple(tuple(b) for b in box), resolution)
-    return DistanceResult(grid.distance(x, y), "grid_dijkstra", resolution, True)
-
-
 def distance_growth_exponent(ctx: MetricContext, p, radii) -> GrowthEstimate:
     """Slope of log d_g(x_R, p) against log R along the ray through e_1.
 
     Radial metrics use exact ray distances from the origin; distances to a
     fixed p differ from those by at most d_g(0, p), which does not move
-    the fitted exponent.  Non-radial metrics are out of scope here (grid
-    windows cannot span decades).
+    the fitted exponent.  Non-radial metrics raise QflatError.
     """
     radii = np.sort(require_window(np.asarray(radii, dtype=float), what="distance radii"))
     p = check_point(p, ctx.u.dim)
     if not ctx.is_radial:
         raise QflatError("distance growth exponent needs a radial metric")
     return fit_loglog(radii, running_integrals(_ray_speed(ctx), radii, RAY_REL_TOL, 0.0))
-
-
-@dataclass(frozen=True)
-class AinftyRatioStats:
-    min: float
-    max: float
-    mean: float
-    count: int
-
-
-def strong_ainfty_ratio(ctx: MetricContext, pairs, resolution=129,
-                        box=None) -> AinftyRatioStats:
-    """Empirical statistics of d_g / delta over sampled point pairs.
-
-    Diagnostic only: a strong A-infinity weight makes the two distances
-    globally comparable, but the comparability constant is not computed.
-    """
-    pairs = [(check_point(a, ctx.u.dim), check_point(b, ctx.u.dim)) for a, b in pairs]
-    if not pairs:
-        raise QflatError("need at least one pair")
-    if box is None:
-        span = 1.5 * max(1.0, max(float(np.max(np.abs(p))) for pair in pairs for p in pair))
-        box = ((-span, span), (-span, span))
-    grid = _grid_for(ctx, tuple(tuple(b) for b in box), resolution)
-    ratios = []
-    for a, b in pairs:
-        if np.array_equal(a, b):
-            raise QflatError("identical pair rejected (measure distance undefined)")
-        dg = grid.distance(a, b)
-        delta = measure_distance(ctx, a, b)
-        ratios.append(dg / delta)
-    ratios = np.asarray(ratios)
-    return AinftyRatioStats(min=float(np.min(ratios)), max=float(np.max(ratios)),
-                            mean=float(np.mean(ratios)), count=len(ratios))

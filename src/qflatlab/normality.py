@@ -364,8 +364,7 @@ def cohn_vossen_check(ctx: MetricContext) -> CohnVossenReport:
     except QflatError:
         est = None
     neg_ok = None
-    if (est is not None and est.cancellation is not None
-            and est.cancellation <= FLUX_SETTLE_TOL):
+    if est is not None and est.cancellation <= FLUX_SETTLE_TOL:
         neg_ok = True
     pre["negative_part_integrable"] = neg_ok
     if n >= 4:

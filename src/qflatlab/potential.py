@@ -57,17 +57,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .calculus import ball_mean, radial_jet
+from .calculus import radial_jet
 from .constants import sphere_constants
 from .errors import NotRadialError, QflatError
 from .fields import RadialProfile, ScalarField
-from .fitting import fit_linear_logx, require_window
 from .quadrature import (decade_mass_integral, integrate_radial_estimate,
                          segment_integrals, sign_cancellation)
 
 KERNEL_QUADRATURE_ORDER = 64   # Gauss-Legendre nodes of the reference kernel
-ASYMPTOTE_BALL_RADIUS = 1.0    # ball means behind potential_asymptote
-ASYMPTOTE_REL_TOL = 1e-7
 POTENTIAL_FLOOR = 1e-13        # absolute error floor of the radial moments
 FLUX_DECADES = 60              # boundary-flux radii R = 10^k, k = 1..60, for n <= 4
 FLUX_DECADES_HIGH_N = 12       # n >= 6: a fitted jet's error grows with log R
@@ -122,17 +119,17 @@ def angular_log_kernel_quadrature(dim, r, s):
 
 @dataclass(frozen=True)
 class AlphaEstimate:
-    """Normalized total mass g_n * integral(f), or its asymptote-fit twin.
+    """Normalized total mass g_n * integral(f).
 
     cancellation is g_n times the tail mass that cancels between signs
     (quadrature.sign_cancellation of the flux steps or tail decades that
-    total_mass_alpha read); None for the asymptote fit."""
+    total_mass_alpha read)."""
 
     alpha_hat: float
     window: tuple
     residual: float
     method: str
-    cancellation: float | None
+    cancellation: float
 
     def to_json_dict(self):
         return {"alpha_hat": self.alpha_hat, "window": list(self.window),
@@ -390,70 +387,3 @@ def _boundary_flux_alpha(ev: PotentialEvaluator) -> AlphaEstimate:
     return AlphaEstimate(alpha_hat=limit, window=(float(radii[half + 1]), float(radii[-1])),
                          residual=residual, method="boundary_flux",
                          cancellation=abs(ev.gconst) * sign_cancellation(np.diff(flux[half + 1:])))
-
-
-def potential_asymptote(f: ScalarField, radii) -> AlphaEstimate:
-    """Fit of ball means of L(f) against log R; the slope estimates -alpha.
-
-    Ball means of radius 1 rather than pointwise values keep mass
-    concentrations from polluting the fit.
-    """
-    radii = require_window(np.asarray(radii, dtype=float), what="asymptote radii")
-    ev = PotentialEvaluator(f, rel_tol=ASYMPTOTE_REL_TOL)
-    n = f.dim.n
-    potential = ev.profile().to_field(f.dim)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    means = np.array([ball_mean(potential, R * e1, ASYMPTOTE_BALL_RADIUS,
-                                rel_tol=ASYMPTOTE_REL_TOL) for R in radii])
-    fit = fit_linear_logx(radii, means)
-    return AlphaEstimate(
-        alpha_hat=-fit.exponent,
-        window=fit.window,
-        residual=fit.residual,
-        method="asymptote_fit",
-        cancellation=None,
-    )
-
-
-@dataclass(frozen=True)
-class BoundCheckStats:
-    """Window statistics of L(f)(x) + alpha log|x|."""
-
-    sign: str
-    max: float
-    min: float
-    mean: float
-    drift: float      # mean(last third) - mean(first third)
-    alpha: float
-
-
-def potential_bound_check(f: ScalarField, sign: str, radii,
-                          part_support_radius=None) -> BoundCheckStats:
-    """One-sided boundedness diagnostics for L(f) + alpha log|x|.
-
-    sign='plus' requires the positive part of f to have compact support
-    (then the statistic is bounded above); sign='minus' mirrors it.  The
-    precondition is asserted through f's support flag or the explicit
-    part_support_radius argument.
-    """
-    if sign not in ("plus", "minus"):
-        raise QflatError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    if f.caps.support_radius is None and part_support_radius is None:
-        raise QflatError(
-            f"precondition: the f^{'+' if sign == 'plus' else '-'} part must have "
-            "compact support (set support_radius or pass part_support_radius)")
-    radii = np.asarray(radii, dtype=float)
-    bps = (part_support_radius,) if part_support_radius else ()
-    ev = PotentialEvaluator(f, breakpoints=bps)
-    alpha = ev.alpha
-    values = ev.value_radial(radii) + alpha * np.log(radii)
-    k = max(2, len(values) // 3)
-    return BoundCheckStats(
-        sign=sign,
-        max=float(np.max(values)),
-        min=float(np.min(values)),
-        mean=float(np.mean(values)),
-        drift=float(np.mean(values[-k:]) - np.mean(values[:k])),
-        alpha=alpha,
-    )

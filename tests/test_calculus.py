@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,15 @@ class TestBallMean:
     def test_invalid_radius(self):
         with pytest.raises(QflatError):
             ball_mean(constant_field(1.0, 2), np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf])
+    def test_non_finite_radius_is_refused(self, R):
+        # refused before any quadrature, so numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for f in (gallery("sphere", {}, 2).u, field_from_expression("x1^2", 2)):
+                with pytest.raises(QflatError, match="ball radius must be positive and finite"):
+                    ball_mean(f, np.array([0.5, 0.0]), R)
 
 
 def test_green_inverse_radial_smoke():

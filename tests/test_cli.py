@@ -1,9 +1,11 @@
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +260,22 @@ class TestVerifyAndGallery:
         after_import, after_analysis = map(json.loads, proc.stdout.splitlines())
         assert after_import == []
         assert after_analysis == []
+
+    def test_no_module_imports_scipy(self):
+        """No module of the package imports scipy, at its top or inside a
+        function: scipy is an oracle of the tests, not a dependency."""
+        found = []
+        for path in sorted(Path(qflatlab.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert found == []
 
     def test_single_fast_case(self, capsys):
         code, out, _ = run(capsys, "verify", "--filter", "bounded_diameter")

@@ -6,7 +6,7 @@ import pytest
 from qflatlab import (Dimension, DimensionError, DomainEvalError,
                       NotRadialError, QflatError, RadialProfile, constant_field,
                       eval_field, field_from_document, field_from_expression,
-                      restrict_radial, sample_grid)
+                      restrict_radial)
 from qflatlab.fields import SPLINE_R_MAX, SPLINE_R_MIN, _NotAKnotSpline
 
 
@@ -81,42 +81,6 @@ class TestCompactSupport:
         pts *= (2.0 + rng.uniform(0.1, 50.0, size=(50, 1))) / np.linalg.norm(
             pts, axis=1, keepdims=True)
         assert np.all(f(pts) == 0.0)
-
-
-class TestSampleGrid:
-    def test_zero_field(self):
-        g = sample_grid(constant_field(0.0, 2), [(-1, 1), (-1, 1)], 4)
-        assert np.all(g.values == 0.0)
-
-    def test_linear_field_nodes(self):
-        g = sample_grid(field_from_expression("x1", 2), [(0, 1), (0, 1)], 3)
-        assert list(g.axes[0]) == [0.0, 0.5, 1.0]
-        assert np.allclose(g.values[:, 0], [0.0, 0.5, 1.0])
-
-    def test_sphere_center_node(self):
-        g = sample_grid(field_from_expression("log(2/(1+r^2))", 2),
-                        [(-1, 1), (-1, 1)], 5)
-        assert g.values[2, 2] == pytest.approx(math.log(2), abs=1e-14)
-
-    def test_nodes_bit_exact_reproducible(self):
-        box = [(-1.3, 2.7), (0.1, 0.9)]
-        g1 = sample_grid(constant_field(1.0, 2), box, 17)
-        g2 = sample_grid(constant_field(1.0, 2), box, 17)
-        assert all(np.array_equal(a, b) for a, b in zip(g1.axes, g2.axes))
-
-    def test_resolution_too_small(self):
-        with pytest.raises(QflatError):
-            sample_grid(constant_field(0.0, 2), [(-1, 1), (-1, 1)], 1)
-
-    def test_degenerate_box(self):
-        with pytest.raises(QflatError):
-            sample_grid(constant_field(0.0, 2), [(0, 0), (-1, 1)], 4)
-
-    def test_eval_error_carries_node_index(self):
-        f = field_from_expression("log(x1)", 2)
-        with pytest.raises(DomainEvalError) as exc:
-            sample_grid(f, [(-1, 1), (-1, 1)], 3)
-        assert "node" in str(exc.value)
 
 
 class TestRadialProfile:

@@ -8,8 +8,7 @@ import pytest
 from qflatlab import (NonIntegrableError, NotRadialError, PotentialEvaluator,
                       QflatError, angular_log_kernel,
                       angular_log_kernel_quadrature, constant_field,
-                      field_from_expression, log_potential,
-                      potential_asymptote, potential_bound_check, radial_field,
+                      field_from_expression, log_potential, radial_field,
                       total_mass_alpha)
 from qflatlab.cli import run_analysis
 from qflatlab.gallery import gallery, gallery_fresh
@@ -100,6 +99,13 @@ class TestLogPotential:
             assert float(ev(np.array([r, 0.0]))) == pytest.approx(
                 -0.5 - math.log(r), abs=1e-8)
 
+    def test_indicator_exact_constant_outside_support(self):
+        # L(f) + alpha log|x| = -0.5 at every radius outside the support
+        ev = PotentialEvaluator(indicator_density())
+        radii = np.geomspace(2, 200, 10)
+        values = ev.value_radial(radii) + ev.alpha * np.log(radii)
+        assert values == pytest.approx(np.full(len(radii), -0.5), abs=1e-6)
+
     def test_value_at_origin_is_zero(self):
         ev = PotentialEvaluator(indicator_density())
         assert float(ev(np.zeros(2))) == 0.0
@@ -128,68 +134,6 @@ class TestLogPotential:
                      lambda: total_mass_alpha(f), lambda: decompose(w, f)):
             with pytest.raises(NotRadialError, match="radial density"):
                 call()
-
-
-class TestAsymptote:
-    def test_zero_density_slope(self):
-        z = radial_field(lambda r: np.zeros_like(np.asarray(r, dtype=float)), 2,
-                         support_radius=1.0, name="0")
-        est = potential_asymptote(z, np.geomspace(10, 1e4, 8))
-        assert est.alpha_hat == pytest.approx(0.0, abs=1e-10)
-
-    def test_indicator(self):
-        est = potential_asymptote(indicator_density(), np.geomspace(10, 1e4, 10))
-        assert est.alpha_hat == pytest.approx(1.0, abs=0.02)
-
-    def test_sphere_density(self):
-        est = potential_asymptote(sphere_density(), np.geomspace(10, 1e4, 10))
-        assert est.alpha_hat == pytest.approx(2.0, abs=0.05)
-
-    def test_methods_agree(self):
-        # mass-integral and asymptote-fit estimates must agree on every
-        # gallery-style density
-        radii = np.geomspace(10, 1e4, 10)
-        for f in (sphere_density(), indicator_density(),
-                  radial_field(lambda r: 2.5 * np.exp(-np.asarray(r) ** 2), 2,
-                               name="gauss")):
-            a = total_mass_alpha(f).alpha_hat
-            b = potential_asymptote(f, radii).alpha_hat
-            assert abs(a - b) <= 0.05, f.name
-
-    def test_window_precondition(self):
-        with pytest.raises(QflatError):
-            potential_asymptote(indicator_density(), np.geomspace(10, 90, 6))
-
-
-class TestBoundCheck:
-    def test_indicator_exact_constant(self):
-        stats = potential_bound_check(indicator_density(), "plus",
-                                      np.geomspace(2, 200, 10))
-        assert stats.max == pytest.approx(-0.5, abs=1e-6)
-        assert stats.min == pytest.approx(-0.5, abs=1e-6)
-
-    def test_zero_density_margins(self):
-        z = radial_field(lambda r: np.zeros_like(np.asarray(r, dtype=float)), 2,
-                         support_radius=1.0, name="0")
-        stats = potential_bound_check(z, "plus", np.geomspace(2, 100, 6))
-        assert stats.max == 0.0 and stats.min == 0.0
-
-    def test_gaussian_minus_bump_lower_margin(self):
-        # f^- has compact support; the lower margin must stabilize
-        def f(r):
-            r = np.asarray(r, dtype=float)
-            return np.exp(-r * r) - 2.0 * np.where(r <= 1.0, (1 - r * r) ** 2, 0.0)
-
-        field = radial_field(f, 2, name="gauss-minus-bump")
-        stats = potential_bound_check(field, "minus", np.geomspace(5, 500, 10),
-                                      part_support_radius=1.0)
-        assert math.isfinite(stats.min)
-        assert abs(stats.drift) <= 0.05
-
-    def test_precondition_enforced(self):
-        g = radial_field(lambda r: np.exp(-np.asarray(r) ** 2), 2, name="gauss")
-        with pytest.raises(QflatError):
-            potential_bound_check(g, "plus", np.geomspace(2, 100, 6))
 
 
 class TestGrowthLemmas:

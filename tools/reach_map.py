@@ -2,12 +2,14 @@
 
     python3 tools/reach_map.py [--seeds 1,7]
 
-Runs ``report_diff.dump`` (the workloads' operations at each seed, the
-fixed documents and the polynomial sums) and ``run_verification_suite()``
-in this checkout under ``sys.setprofile``, then prints every module-level
-function and class method under ``src/qflatlab`` that neither ever called,
-with its line count (decorators included), and the total.  Nested
-functions and lambdas are not listed.
+Imports qflatlab and runs ``report_diff.dump`` (the workloads' operations
+at each seed, the fixed documents, the polynomial sums and the public-API
+records) and ``run_verification_suite()`` in this checkout under
+``sys.setprofile``, then prints every module-level function and class
+method under ``src/qflatlab`` that none of them ever called, with its line
+count (decorators included), and the total.  A function that only runs
+while its module is imported, such as a factory of the module's tables,
+counts as called.  Nested functions and lambdas are not listed.
 """
 
 import argparse
@@ -44,7 +46,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
     import report_diff
-    from qflatlab.verification import run_verification_suite
 
     called = set()
 
@@ -54,6 +55,7 @@ def main(argv=None):
 
     sys.setprofile(profile)
     try:
+        from qflatlab.verification import run_verification_suite
         report_diff.dump([int(s) for s in args.seeds.split(",")])
         run_verification_suite()
     finally:

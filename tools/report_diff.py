@@ -33,7 +33,20 @@ and records the sum's ``exps`` and ``vals``, and the values of the sum and
 of each of its nonzero iterated Laplacians at seeded points, taken on all
 the points at once and on the first point alone: a Pizzetti operation
 shows only its worst residual, so a change in the order or rounding of
-addition or of evaluation shows here.
+addition or of evaluation shows here.  Also once per checkout it records
+the public numeric functions that no report calls, on finite inputs that
+every checkout accepts (``_public_api``): ``measure_distance`` on the n = 2
+sphere at the golden pair and an off-axis pair (the off-centre cap
+reduction), ``ball_mean`` of radial fields off-centre at n = 2 and 4 and
+of a field that is not radial at n = 2, ``q_curvature``,
+``curvature_report`` and ``polyharmonic_density`` on the n = 4 sphere, the
+n = 2 cone and an n = 4 planted metric (its pointwise Laplacian and
+gradient), and ``q_curvature`` of a shifted centre (finite differences),
+``log_potential`` of a Gaussian density at n = 2,
+``angular_log_kernel`` and its quadrature on a small (r, s) table at
+n = 4, ``classify_ray`` of the sphere and of a sub-unitary cone, the
+profiles of ``restrict_radial`` and ``eval_field``, and
+``Polynomial.shift``.
 Last, each checkout runs ``python -m qflatlab verify --json`` in its own
 process and every check's ``got`` is recorded, keyed by case id and
 quantity, with each case's error text: paths that only the verification
@@ -113,6 +126,78 @@ def _polynomial_sum(workloads, n):
     return out
 
 
+def _public_api():
+    """{name: run} of the records of the public numeric functions that no
+    report calls (module docstring); each run returns a JSON object."""
+    import numpy as np
+    from qflatlab import (Dimension, Polynomial, angular_log_kernel,
+                          angular_log_kernel_quadrature, ball_mean, classify_ray,
+                          constant_field, curvature_report, eval_field,
+                          field_from_expression, gallery, log_potential,
+                          measure_distance, polyharmonic_density, q_curvature,
+                          radial_field, restrict_radial)
+    sphere2, sphere4 = gallery("sphere", {}, 2), gallery("sphere", {}, 4)
+    cone2 = gallery("cone", {"a": 0.5}, 2)
+    planted = gallery("planted", {"seed": 5, "degree": 2}, 4)
+    shifted = field_from_expression("-0.3*log(1+(x1-2)^2+x2^2)", 2)
+    gauss = radial_field(lambda r: np.exp(-np.asarray(r, dtype=float) ** 2), 2, name="gauss")
+    points = {"sphere n=4": (sphere4.u, [[0.5, 0, 0, 0], [1.0, -0.3, 0.2, 0.7]]),
+              "cone a=0.5 n=2": (cone2.u, [[0.7, -0.2], [3.0, 4.0]]),
+              "planted seed 5 degree 2 n=4": (planted.u, [[0.3, -0.2, 0.5, 0.1]])}
+    kernel_rs = [(2.0, 1.0), (0.3, 0.9), (5.0, 0.2), (1.0, 1.0)]
+    radii = [0.0, 0.5, 2.0, 1e3]
+
+    def curvature():
+        out = {label: [{"q_curvature": q_curvature(u, np.array(x)),
+                        "polyharmonic_density": polyharmonic_density(u, np.array(x)),
+                        "curvature_report": curvature_report(u, np.array(x)).to_json_dict()}
+                       for x in xs]
+               for label, (u, xs) in points.items()}
+        out["shifted centre n=2 q_curvature"] = q_curvature(shifted, np.array([0.5, 1.0]))
+        return out
+
+    def ray(ctx):
+        cls = classify_ray(ctx)
+        return {"kind": cls.kind, "log_blocks": cls.log_blocks.tolist(),
+                "ratios": cls.ratios.tolist(), "log_tail_estimate": cls.log_tail_estimate}
+
+    def shifted_polynomial(n, center):
+        rng = np.random.default_rng([n, 20261022])
+        p = Polynomial(Dimension(n), {tuple(rng.integers(0, 4, size=n)): float(c)
+                                      for c in rng.normal(size=6)})
+        q = p.shift(center)
+        return {"exps": q.exps.tolist(), "vals": q.vals.tolist()}
+
+    return {
+        "measure_distance": lambda: {
+            f"sphere n=2 {x} {y}": measure_distance(sphere2, np.array(x), np.array(y))
+            for x, y in (([0.0, 0.0], [2.0, 0.0]), ([0.3, -1.0], [2.0, 0.7]))},
+        "ball_mean": lambda: {
+            "sphere n=2 B_1((1.5, 0.5))": ball_mean(sphere2.u, np.array([1.5, 0.5]), 1.0),
+            "sphere n=4 B_0.8((1, 0.5, 0, 0))": ball_mean(
+                sphere4.u, np.array([1.0, 0.5, 0.0, 0.0]), 0.8),
+            "x1*exp(-r^2) + x2^2 n=2 B_1.2((0.3, 0.4))": ball_mean(
+                field_from_expression("x1*exp(-r^2) + x2^2", 2), np.array([0.3, 0.4]), 1.2)},
+        "curvature": curvature,
+        "log_potential": lambda: {
+            "gauss n=2": [log_potential(gauss, np.array(x))
+                          for x in ([0.5, 0.0], [3.0, 4.0], [100.0, 0.0])]},
+        "angular_log_kernel": lambda: {
+            "closed form n=4": angular_log_kernel(4, *map(np.array, zip(*kernel_rs))).tolist(),
+            "quadrature n=4": [angular_log_kernel_quadrature(4, r, s) for r, s in kernel_rs]},
+        "classify_ray": lambda: {"sphere n=2": ray(sphere2),
+                                 "cone a=0.5 n=2": ray(cone2)},
+        "fields": lambda: {
+            "restrict_radial sphere n=2": restrict_radial(sphere2.u)(np.array(radii)).tolist(),
+            "restrict_radial const n=4": restrict_radial(constant_field(-0.7, 4))(
+                np.array(radii)).tolist(),
+            "eval_field sphere n=2": eval_field(sphere2.u, [3.0, 4.0])},
+        "Polynomial.shift": lambda: {
+            "n=2": shifted_polynomial(2, [0.3, -1.2]),
+            "n=4": shifted_polynomial(4, [0.5, 0.0, -0.25, 1.5])},
+    }
+
+
 def _jsonable(result):
     """An operation's result as JSON values: analyze reports as they are,
     sweep CSVs as rows keyed by value, kernel dimensions as a list, a worst
@@ -161,6 +246,8 @@ def dump(seeds):
     for n in (2, 4, 6):
         label = f"sum of kernel_basis({n}, 5) (fixed)"
         out[label] = _outcome(lambda: _polynomial_sum(workloads, n))
+    for name, run in _public_api().items():
+        out[f"public API {name} (fixed)"] = _outcome(run)
     return out
 
 
