@@ -199,9 +199,11 @@ class TestRayLength:
         # a NaN r1 used to take the r1 = inf branch and return pi
         raises_before_quadrature(lambda: ray_length(sphere2, r0=r0, r1=r1), "bad ray range")
 
-    def test_sphere_from_origin_exact(self, sphere2):
-        # rays from the origin are minimizing: d_g(0, x) = 2 atan |x|
+    # rays from the origin are minimizing: d_g(0, x) = 2 atan |x|
+    def test_sphere_radial_exact(self, sphere2):
         assert ray_length(sphere2, r1=1.0) == pytest.approx(math.pi / 2, abs=1e-10)
+
+    def test_sphere_far_point(self, sphere2):
         assert ray_length(sphere2, r1=1e3) == pytest.approx(2 * math.atan(1e3), abs=1e-9)
 
 
